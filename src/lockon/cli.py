@@ -11,8 +11,7 @@ from pathlib import Path
 from .metrics import ConfusionCounts, MetricsError, confusion_metrics, summarize_run
 from .runner import LatencyHarnessError, event_log_to_jsonl, latency_harness, parse_jsonl, run
 from .scenario import ScenarioError, load_scenario
-from .server import MissionStore, TargetAssignment, make_http_server
-from .world import Vec3
+from .server import MissionStore, TargetAssignment, make_http_server, parse_targets
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -51,14 +50,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_targets_file(path: str) -> list[TargetAssignment]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    targets = []
-    for entry in data.get("targets", []):
-        position = entry.get("position", entry.get("p0"))
-        targets.append(
-            TargetAssignment(target_id=str(entry["id"]), position=Vec3.from_any(position))
-        )
-    return targets
+    try:
+        return parse_targets(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -1,50 +1,116 @@
 """JSON wire schemas shared by the bus nodes and the mission server.
 
 Five payload types travel as UTF-8 JSON: telemetry requests and responses,
-lock reports, camera offset messages, and crash reports. Decoding ignores
-unknown fields; a missing required field raises DecodeError naming it.
+lock reports, camera offset messages, and crash reports. Each is a frozen
+dataclass whose codec the ``wire`` decorator derives from its field types.
+
+Decode contract: the payload must be a JSON object. A ``str`` or ``bool``
+field takes a JSON value of that type, an ``int`` field a JSON integer (not
+a bool), a ``float`` field a finite JSON number, and a ``Vec3`` field an
+``{x, y, z}`` object or a 3-element array of finite numbers. A missing
+required field, a value of the wrong type, a non-finite number or a value
+the schema's own validation rejects raises DecodeError naming the field;
+the mission server answers such a body with HTTP 400. Unknown fields are
+ignored. Encoding is canonical: sorted keys, no whitespace.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
-from .world import Vec3
+from .world import Vec3, finite_float
 
 
 class DecodeError(Exception):
     """Payload bytes did not decode into the expected schema."""
 
 
-def _loads(data: bytes | str) -> dict:
+def load_object(data: bytes | str) -> dict:
+    """Parse a JSON object; anything else raises DecodeError."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DecodeError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
+        raise DecodeError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DecodeError("payload must be a JSON object")
     return obj
-
-
-def _require(obj: dict, field: str):
-    if field not in obj or obj[field] is None:
-        raise DecodeError(f"missing required field {field!r}")
-    return obj[field]
-
-
-def _vec3(obj: dict, field: str) -> Vec3:
-    raw = _require(obj, field)
-    try:
-        return Vec3.from_any(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"field {field!r} is not a valid position: {exc}") from exc
 
 
 def _dumps(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _exactly(kind: type):
+    def convert(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+
+    return convert
+
+
+# field type -> (JSON value -> field value, field value -> JSON value or None)
+_CODECS = {
+    str: (_exactly(str), None),
+    int: (_exactly(int), None),
+    bool: (_exactly(bool), None),
+    float: (finite_float, None),
+    Vec3: (Vec3.from_any, Vec3.as_dict),
+}
+
+
+def wire(cls):
+    """Give a frozen dataclass ``to_obj``, ``encode`` and a ``decode`` classmethod.
+
+    The per-field specs (name, decoder, encoder, optional) are computed once
+    here, so encoding and decoding do no introspection per call.
+    """
+    hints = typing.get_type_hints(cls)
+    specs = []
+    for field in fields(cls):
+        args = typing.get_args(hints[field.name])
+        optional = type(None) in args
+        kind = next(a for a in args if a is not type(None)) if optional else hints[field.name]
+        specs.append((field.name, *_CODECS[kind], optional))
+
+    def to_obj(self) -> dict:
+        obj = {}
+        for name, _, to_json, _ in specs:
+            value = getattr(self, name)
+            obj[name] = value if to_json is None or value is None else to_json(value)
+        return obj
+
+    def encode(self) -> bytes:
+        return _dumps(self.to_obj())
+
+    def decode(cls, data: bytes | str):
+        obj = load_object(data)
+        values = {}
+        for name, from_json, _, optional in specs:
+            raw = obj.get(name)
+            if raw is None:
+                if not optional:
+                    raise DecodeError(f"missing required field {name!r}")
+                values[name] = None
+                continue
+            try:
+                values[name] = from_json(raw)
+            except ValueError as exc:
+                raise DecodeError(f"field {name!r}: {exc}") from None
+        try:
+            return cls(**values)
+        except ValueError as exc:  # the schema's own __post_init__ checks
+            raise DecodeError(str(exc)) from None
+
+    cls.to_obj = to_obj
+    cls.encode = encode
+    cls.decode = classmethod(decode)
+    return cls
+
+
+@wire
 @dataclass(frozen=True)
 class TelemetryRequest:
     uav_id: str
@@ -52,27 +118,8 @@ class TelemetryRequest:
     position: Vec3
     state: str
 
-    def encode(self) -> bytes:
-        return _dumps(
-            {
-                "uav_id": self.uav_id,
-                "time": self.time,
-                "position": self.position.as_dict(),
-                "state": self.state,
-            }
-        )
 
-    @classmethod
-    def decode(cls, data: bytes | str) -> "TelemetryRequest":
-        obj = _loads(data)
-        return cls(
-            uav_id=str(_require(obj, "uav_id")),
-            time=float(_require(obj, "time")),
-            position=_vec3(obj, "position"),
-            state=str(_require(obj, "state")),
-        )
-
-
+@wire
 @dataclass(frozen=True)
 class TelemetryResponse:
     has_target: bool
@@ -86,30 +133,8 @@ class TelemetryResponse:
         if self.remaining_targets < 0:
             raise ValueError("remaining_targets must be >= 0")
 
-    def encode(self) -> bytes:
-        return _dumps(
-            {
-                "has_target": self.has_target,
-                "target_id": self.target_id,
-                "target_position": (
-                    self.target_position.as_dict() if self.target_position else None
-                ),
-                "remaining_targets": self.remaining_targets,
-            }
-        )
 
-    @classmethod
-    def decode(cls, data: bytes | str) -> "TelemetryResponse":
-        obj = _loads(data)
-        has_target = bool(_require(obj, "has_target"))
-        return cls(
-            has_target=has_target,
-            target_id=str(obj["target_id"]) if has_target else None,
-            target_position=_vec3(obj, "target_position") if has_target else None,
-            remaining_targets=int(_require(obj, "remaining_targets")),
-        )
-
-
+@wire
 @dataclass(frozen=True)
 class LockReport:
     uav_id: str
@@ -120,36 +145,12 @@ class LockReport:
 
     def __post_init__(self) -> None:
         if self.lock_start_tick < 0 or self.lock_end_tick < 0:
-            raise ValueError("lock ticks must be >= 0")
+            raise ValueError("lock_start_tick and lock_end_tick must be >= 0")
         if self.lock_end_tick < self.lock_start_tick:
             raise ValueError("lock_end_tick must be >= lock_start_tick")
 
-    def encode(self) -> bytes:
-        return _dumps(
-            {
-                "uav_id": self.uav_id,
-                "target_id": self.target_id,
-                "lock_start_tick": self.lock_start_tick,
-                "lock_end_tick": self.lock_end_tick,
-                "position": self.position.as_dict(),
-            }
-        )
 
-    @classmethod
-    def decode(cls, data: bytes | str) -> "LockReport":
-        obj = _loads(data)
-        try:
-            return cls(
-                uav_id=str(_require(obj, "uav_id")),
-                target_id=str(_require(obj, "target_id")),
-                lock_start_tick=int(_require(obj, "lock_start_tick")),
-                lock_end_tick=int(_require(obj, "lock_end_tick")),
-                position=_vec3(obj, "position"),
-            )
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-
-
+@wire
 @dataclass(frozen=True)
 class OffsetMessage:
     """Normalized image-plane offset of the target from camera center."""
@@ -160,46 +161,14 @@ class OffsetMessage:
 
     def __post_init__(self) -> None:
         if abs(self.x) > 1.0 or abs(self.y) > 1.0:
-            raise ValueError("offsets must lie in [-1, 1]")
+            raise ValueError("x and y must lie in [-1, 1]")
         if self.tick < 0:
             raise ValueError("tick must be >= 0")
 
-    def encode(self) -> bytes:
-        return _dumps({"x": self.x, "y": self.y, "tick": self.tick})
 
-    @classmethod
-    def decode(cls, data: bytes | str) -> "OffsetMessage":
-        obj = _loads(data)
-        try:
-            return cls(
-                x=float(_require(obj, "x")),
-                y=float(_require(obj, "y")),
-                tick=int(_require(obj, "tick")),
-            )
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-
-
+@wire
 @dataclass(frozen=True)
 class CrashReport:
     uav_id: str
     time: float
     position: Vec3
-
-    def encode(self) -> bytes:
-        return _dumps(
-            {
-                "uav_id": self.uav_id,
-                "time": self.time,
-                "position": self.position.as_dict(),
-            }
-        )
-
-    @classmethod
-    def decode(cls, data: bytes | str) -> "CrashReport":
-        obj = _loads(data)
-        return cls(
-            uav_id=str(_require(obj, "uav_id")),
-            time=float(_require(obj, "time")),
-            position=_vec3(obj, "position"),
-        )

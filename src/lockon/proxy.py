@@ -11,14 +11,13 @@ once.
 from __future__ import annotations
 
 import http.client
-import json
 import logging
 import time
 
 from . import bus as topics
 from .bus import Envelope, MessageBus, Publisher
 from .payloads import CrashReport, DecodeError, LockReport, TelemetryRequest, TelemetryResponse
-from .server import ApiError, MissionStore
+from .server import MissionStore
 
 log = logging.getLogger(__name__)
 
@@ -32,32 +31,14 @@ class TransportError(Exception):
 
 
 class InProcessTransport:
-    """Direct calls into a MissionStore, with a recorded simulated latency.
+    """Direct, synchronous calls into a MissionStore's request dispatch."""
 
-    The configured latency is bookkeeping only (sub-tick at simulation time
-    scales); calls complete synchronously and deterministically.
-    """
-
-    def __init__(self, store: MissionStore, latency_s: float = 0.005) -> None:
+    def __init__(self, store: MissionStore) -> None:
         self.store = store
-        self.latency_s = latency_s
-        self.simulated_elapsed = 0.0
 
     def post(self, path: str, body: bytes) -> tuple[int, bytes]:
-        routes = {
-            "/api/telemetry": self.store.handle_telemetry,
-            "/api/lock": self.store.handle_lock_report,
-            "/api/crash": self.store.handle_crash_report,
-        }
-        handler = routes.get(path)
-        if handler is None:
-            raise TransportError(f"no such endpoint {path}")
-        self.simulated_elapsed += self.latency_s
-        try:
-            reply = handler(body)
-        except ApiError as exc:
-            return exc.status, json.dumps({"error": str(exc)}).encode()
-        return reply.status, json.dumps(reply.body, sort_keys=True).encode()
+        reply = self.store.dispatch("POST", path, body)
+        return reply.status, reply.encode()
 
 
 class HttpTransport:

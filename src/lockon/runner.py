@@ -91,7 +91,7 @@ def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float,
     """Projection of the in-frame target nearest the camera center."""
     best: tuple[float, float] | None = None
     for track in world.targets:
-        if not track.alive or track.target_id in consumed:
+        if track.target_id in consumed:
             continue
         position = eval_trajectory(track.spec, world.time)
         uv = project_to_camera(world.pursuer, position, camera)
@@ -154,7 +154,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                     for tid, spec in scenario.targets
                 ]
             )
-        transport = InProcessTransport(store, latency_s=scenario.transport.latency_ms / 1000.0)
+        transport = InProcessTransport(store)
 
     vision = VisionNode(bus, scenario.vision, random.Random(f"{scenario.seed}/vision"))
     autonomous = AutonomousNode(

@@ -29,14 +29,11 @@ class ScenarioError(Exception):
 @dataclass(frozen=True)
 class TransportConfig:
     mode: str = "in_process"  # "in_process" | "http"
-    latency_ms: float = 5.0
     base_url: str = "http://127.0.0.1:8080"
 
     def __post_init__(self) -> None:
         if self.mode not in ("in_process", "http"):
             raise ScenarioError(f"transport.mode must be in_process or http, got {self.mode!r}")
-        if self.latency_ms < 0:
-            raise ScenarioError("transport.latency_ms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def _get(obj: dict, key: str, default=None, required: bool = False):
 def _vec(obj, context: str) -> Vec3:
     try:
         return Vec3.from_any(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{context}: not a valid vector: {exc}") from exc
 
 
@@ -168,10 +165,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
+    # Other transport keys, such as the retired latency_ms, are ignored.
     transport_raw = _get(data, "transport", {})
     transport = TransportConfig(
         mode=str(_get(transport_raw, "mode", "in_process")),
-        latency_ms=float(_get(transport_raw, "latency_ms", 5.0)),
         base_url=str(_get(transport_raw, "base_url", "http://127.0.0.1:8080")),
     )
 

@@ -1,13 +1,18 @@
 """Ground mission server: target assignment and an append-only record store.
 
 The store is the behavioural core and is usable in-process; the HTTP layer
-wraps it for loopback deployments. Endpoints:
+wraps it for loopback deployments. ``MissionStore.dispatch`` routes every
+request, in-process or HTTP:
 
     POST /api/telemetry  -> 200, current target assignment
     POST /api/lock       -> 201, consumes the locked target
     POST /api/crash      -> 201
     POST /api/seed       -> 200, replaces the target queue
     GET  /api/records[?kind=...] -> 200, records in insertion order
+
+A body that does not decode (malformed JSON, a missing or mistyped field, a
+non-finite number) gets 400, an unknown endpoint 404, and an HTTP body over
+MAX_BODY_BYTES 413; every error reply is ``{"error": message}``.
 
 Assignment policy is a FIFO queue whose head stays assigned until a lock
 report consumes it. Records are append-only with gap-free ids. A single
@@ -22,7 +27,7 @@ import threading
 import time as _time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlsplit
 
 from .payloads import (
     CrashReport,
@@ -30,12 +35,14 @@ from .payloads import (
     LockReport,
     TelemetryRequest,
     TelemetryResponse,
+    load_object,
 )
 from .world import Vec3
 
 log = logging.getLogger(__name__)
 
 RECORD_KINDS = ("Telemetry", "Lock", "Crash")
+MAX_BODY_BYTES = 1 << 20  # larger POST bodies get 413
 
 
 @dataclass
@@ -66,11 +73,42 @@ class _Reply:
     status: int
     body: dict
 
+    def encode(self) -> bytes:
+        return json.dumps(self.body, sort_keys=True).encode()
+
 
 class ApiError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _check_unique(targets: list[TargetAssignment]) -> None:
+    ids = [t.target_id for t in targets]
+    if len(set(ids)) != len(ids):
+        raise ValueError("target ids must be unique")
+
+
+def parse_targets(doc) -> list[TargetAssignment]:
+    """The target queue of a ``{"targets": [{"id", "position" | "p0"}, ...]}`` document.
+
+    Shared by ``/api/seed`` and ``lockon serve --targets`` (which takes a
+    scenario file). A malformed entry or a non-finite position raises
+    ValueError naming the entry.
+    """
+    entries = doc.get("targets") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("expected an object with a 'targets' list")
+    targets = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ValueError(f"targets[{index}] must be an object with an 'id'")
+        try:
+            position = Vec3.from_any(entry.get("position", entry.get("p0")))
+        except ValueError as exc:
+            raise ValueError(f"targets[{index}] position: {exc}") from None
+        targets.append(TargetAssignment(str(entry["id"]), position))
+    return targets
 
 
 class MissionStore:
@@ -85,9 +123,30 @@ class MissionStore:
         self._queue: list[TargetAssignment] = list(targets or [])
         self._records: list[MissionRecord] = []
         self._clock = clock
-        ids = [t.target_id for t in self._queue]
-        if len(set(ids)) != len(ids):
-            raise ValueError("target ids must be unique")
+        _check_unique(self._queue)
+
+    # The one (method, path) -> handler table, for every transport. GET
+    # handlers take the query's ``kind``, POST handlers the body.
+    _ROUTES = {
+        ("POST", "/api/telemetry"): "handle_telemetry",
+        ("POST", "/api/lock"): "handle_lock_report",
+        ("POST", "/api/crash"): "handle_crash_report",
+        ("POST", "/api/seed"): "handle_seed",
+        ("GET", "/api/records"): "query_records",
+    }
+
+    def dispatch(self, method: str, target: str, body: bytes = b"") -> _Reply:
+        """Answer one request to ``target`` (path and query); errors become replies."""
+        url = urlsplit(target)
+        name = self._ROUTES.get((method, url.path))
+        try:
+            if name is None:
+                raise ApiError(404, f"no such endpoint {method} {url.path}")
+            if method == "GET":
+                return getattr(self, name)(parse_qs(url.query).get("kind", [None])[0])
+            return getattr(self, name)(body)
+        except ApiError as exc:
+            return _Reply(exc.status, {"error": str(exc)})
 
     def _append(self, kind: str, body: dict) -> MissionRecord:
         record = MissionRecord(
@@ -100,10 +159,8 @@ class MissionStore:
         return record
 
     def seed(self, targets: list[TargetAssignment]) -> None:
+        _check_unique(targets)
         with self._lock:
-            ids = [t.target_id for t in targets]
-            if len(set(ids)) != len(ids):
-                raise ValueError("target ids must be unique")
             self._queue = list(targets)
 
     def handle_telemetry(self, body: bytes | str) -> _Reply:
@@ -112,7 +169,7 @@ class MissionStore:
         except DecodeError as exc:
             raise ApiError(400, f"invalid telemetry request: {exc}") from exc
         with self._lock:
-            self._append("Telemetry", json.loads(request.encode()))
+            self._append("Telemetry", request.to_obj())
             if self._queue:
                 head = self._queue[0]
                 head.assigned = True
@@ -129,7 +186,7 @@ class MissionStore:
                     target_position=None,
                     remaining_targets=0,
                 )
-        return _Reply(200, json.loads(response.encode()))
+        return _Reply(200, response.to_obj())
 
     def handle_lock_report(self, body: bytes | str) -> _Reply:
         try:
@@ -144,7 +201,7 @@ class MissionStore:
             if index is None:
                 raise ApiError(404, f"unknown or already locked target {report.target_id!r}")
             del self._queue[index]
-            record = self._append("Lock", json.loads(report.encode()))
+            record = self._append("Lock", report.to_obj())
         return _Reply(201, {"record_id": record.record_id, "recorded": True})
 
     def handle_crash_report(self, body: bytes | str) -> _Reply:
@@ -153,25 +210,15 @@ class MissionStore:
         except DecodeError as exc:
             raise ApiError(400, f"invalid crash report: {exc}") from exc
         with self._lock:
-            record = self._append("Crash", json.loads(report.encode()))
+            record = self._append("Crash", report.to_obj())
         return _Reply(201, {"record_id": record.record_id, "recorded": True})
 
     def handle_seed(self, body: bytes | str) -> _Reply:
         try:
-            obj = json.loads(body)
-            targets = [
-                TargetAssignment(
-                    target_id=str(entry["id"]),
-                    position=Vec3.from_any(entry.get("position", entry.get("p0"))),
-                )
-                for entry in obj["targets"]
-            ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ApiError(400, f"invalid seed body: {exc}") from exc
-        try:
+            targets = parse_targets(load_object(body))
             self.seed(targets)
-        except ValueError as exc:
-            raise ApiError(400, str(exc)) from exc
+        except (DecodeError, ValueError) as exc:
+            raise ApiError(400, f"invalid seed body: {exc}") from exc
         return _Reply(200, {"seeded": len(targets)})
 
     def query_records(self, kind: str | None = None) -> _Reply:
@@ -195,44 +242,31 @@ class _Handler(BaseHTTPRequestHandler):
     store: MissionStore  # set by make_http_server
 
     def _reply(self, reply: _Reply) -> None:
-        data = json.dumps(reply.body, sort_keys=True).encode()
+        data = reply.encode()
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length)
-
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        routes = {
-            "/api/telemetry": self.store.handle_telemetry,
-            "/api/lock": self.store.handle_lock_report,
-            "/api/crash": self.store.handle_crash_report,
-            "/api/seed": self.store.handle_seed,
-        }
-        handler = routes.get(urlparse(self.path).path)
-        if handler is None:
-            self._reply(_Reply(404, {"error": f"no such endpoint {self.path}"}))
-            return
         try:
-            self._reply(handler(self._read_body()))
-        except ApiError as exc:
-            self._reply(_Reply(exc.status, {"error": str(exc)}))
+            size = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            size = -1
+        if 0 <= size <= MAX_BODY_BYTES:
+            self._reply(self.store.dispatch("POST", self.path, self.rfile.read(size)))
+            return
+        self.close_connection = True  # the unread body would be taken for the next request
+        if size < 0:
+            self._reply(_Reply(400, {"error": "Content-Length must be a non-negative integer"}))
+        else:
+            self._reply(_Reply(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
 
     def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path != "/api/records":
-            self._reply(_Reply(404, {"error": f"no such endpoint {self.path}"}))
-            return
-        params = parse_qs(parsed.query)
-        kind = params.get("kind", [None])[0]
-        try:
-            self._reply(self.store.query_records(kind))
-        except ApiError as exc:
-            self._reply(_Reply(exc.status, {"error": str(exc)}))
+        self._reply(self.store.dispatch("GET", self.path))
 
     def log_message(self, format: str, *args) -> None:
         log.debug("http %s", format % args)
@@ -250,7 +284,9 @@ class ServerThread:
     def __init__(self, store: MissionStore, port: int = 0) -> None:
         self.httpd = make_http_server(store, port)
         self.port = self.httpd.server_address[1]
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     def __enter__(self) -> "ServerThread":
         self._thread.start()

@@ -47,15 +47,34 @@ class Vec3:
 
     @classmethod
     def from_any(cls, value) -> "Vec3":
-        """Build from a {'x','y','z'} mapping or a 3-element sequence."""
+        """Build from a {'x','y','z'} mapping or a 3-element list or tuple.
+
+        Components must be finite numbers; any other shape or value raises
+        ValueError.
+        """
         if isinstance(value, Vec3):
             return value
         if isinstance(value, dict):
-            return cls(float(value["x"]), float(value["y"]), float(value["z"]))
-        seq = list(value)
-        if len(seq) != 3:
-            raise ValueError(f"expected 3 components, got {len(seq)}")
-        return cls(float(seq[0]), float(seq[1]), float(seq[2]))
+            try:
+                value = (value["x"], value["y"], value["z"])
+            except KeyError as exc:
+                raise ValueError(f"missing component {exc}") from None
+        elif not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ValueError("expected an {x, y, z} object or 3 components")
+        return cls(*map(finite_float, value))
+
+
+def finite_float(value) -> float:
+    """A JSON number (not a bool) as a finite float; ValueError otherwise."""
+    if type(value) not in (float, int):
+        raise ValueError(f"expected a number, got {type(value).__name__}")
+    try:
+        result = float(value)
+    except OverflowError:  # an int beyond the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {result}")
+    return result
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
@@ -130,7 +149,6 @@ class CameraParams:
 class TargetTrack:
     target_id: str
     spec: TrajectorySpec
-    alive: bool = True
 
 
 @dataclass(frozen=True)
@@ -203,13 +221,6 @@ def project_to_camera(
     if abs(u) > 1.0 or abs(v) > 1.0:
         return None
     return (u, v)
-
-
-def target_position(world: WorldState, target_id: str) -> Vec3:
-    for track in world.targets:
-        if track.target_id == target_id:
-            return eval_trajectory(track.spec, world.time)
-    raise KeyError(f"unknown target {target_id!r}")
 
 
 def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:

@@ -5,8 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from lockon.scenario import Scenario, scenario_from_dict
+
+
+# Any JSON value, floats including NaN and infinities (json.dumps writes them
+# as the NaN/Infinity tokens that json.loads accepts).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
 
 
 def make_scenario(overrides: dict | None = None, **top_level) -> Scenario:

@@ -7,9 +7,11 @@ import time
 
 import pytest
 
-from lockon.cli import main
+from lockon.cli import _load_targets_file, main
 from lockon.proxy import HttpTransport
 from lockon.runner import parse_jsonl
+from lockon.scenario import ScenarioError
+from lockon.world import Vec3
 
 
 class TestMetricsCommand:
@@ -56,6 +58,37 @@ class TestRunCommand:
     def test_unknown_scenario_fails(self, capsys):
         assert main(["run", "--scenario", "nope_never"]) == 1
         assert "no bundled scenario" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"targets": [{"position": [60, 0, 10]}]},
+            {"targets": [{"id": "T1", "p0": [float("nan"), 0, 10]}]},
+            {"targets": [{"id": "T1", "p0": [0, 0, 0]}, {"id": "T1", "p0": [1, 0, 0]}]},
+            [1, 2, 3],
+        ],
+        ids=["missing-id", "nan-position", "duplicate-id", "not-an-object"],
+    )
+    def test_bad_targets_file_is_an_error(self, tmp_path, capsys, document):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(document))
+        assert main(["serve", "--port", "0", "--targets", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_position_raises_scenario_error(self, tmp_path):
+        path = tmp_path / "targets.json"
+        path.write_text('{"targets": [{"id": "T1", "position": [0, NaN, 10]}]}')
+        with pytest.raises(ScenarioError, match=r"targets\[0\]"):
+            _load_targets_file(str(path))
+
+    def test_scenario_file_seeds_the_queue(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"targets": [{"id": "T1", "kind": "stationary", "p0": [50, 0, 10]}]}')
+        assert [(t.target_id, t.position) for t in _load_targets_file(str(path))] == [
+            ("T1", Vec3(50, 0, 10))
+        ]
 
 
 class TestLatencyCommand:

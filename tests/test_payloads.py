@@ -1,9 +1,13 @@
 """Wire codec round-trips and validation diagnostics."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lockon import bus as topics
+from lockon import runner
 from lockon.payloads import (
     CrashReport,
     DecodeError,
@@ -12,7 +16,13 @@ from lockon.payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
+from lockon.scenario import load_scenario
+from lockon.vision import VisionNode
 from lockon.world import Vec3
+
+from conftest import json_values
+
+SCHEMAS = [TelemetryRequest, TelemetryResponse, LockReport, OffsetMessage, CrashReport]
 
 SAMPLES = [
     TelemetryRequest(uav_id="uav-1", time=12.5, position=Vec3(1, 2, 3), state="SEARCH"),
@@ -82,3 +92,120 @@ def test_bad_position_names_the_field():
         TelemetryRequest.decode(
             b'{"uav_id": "u", "time": 0, "position": {"x": 1}, "state": "SEARCH"}'
         )
+
+
+MALFORMED = [
+    (TelemetryRequest, '{"uav_id":"u","time":"abc","position":[0,0,0],"state":"S"}', "time"),
+    (TelemetryRequest, '{"uav_id":"u","time":true,"position":[0,0,0],"state":"S"}', "time"),
+    (TelemetryRequest, '{"uav_id":"u","time":1e999,"position":[0,0,0],"state":"S"}', "time"),
+    (TelemetryRequest, '{"uav_id":7,"time":0,"position":[0,0,0],"state":"S"}', "uav_id"),
+    (TelemetryRequest, '{"uav_id":"u","time":0,"position":[0,NaN,0],"state":"S"}', "position"),
+    (TelemetryRequest, '{"uav_id":"u","time":0,"position":"123","state":"S"}', "position"),
+    (TelemetryResponse, '{"has_target":true,"remaining_targets":1}', "target_id"),
+    (TelemetryResponse, '{"has_target":1,"remaining_targets":1}', "has_target"),
+    (TelemetryResponse, '{"has_target":false,"remaining_targets":-1}', "remaining_targets"),
+    (LockReport,
+     '{"uav_id":"u","target_id":"T","lock_start_tick":1.5,"lock_end_tick":2,"position":[0,0,0]}',
+     "lock_start_tick"),
+    (LockReport,
+     '{"uav_id":"u","target_id":"T","lock_start_tick":9,"lock_end_tick":2,"position":[0,0,0]}',
+     "lock_end_tick"),
+    (OffsetMessage, '{"x":{},"y":0,"tick":0}', "x"),
+    (OffsetMessage, '{"x":NaN,"y":0,"tick":0}', "x"),
+    (OffsetMessage, '{"x":0,"y":-Infinity,"tick":0}', "y"),
+    (OffsetMessage, '{"x":0,"y":0,"tick":false}', "tick"),
+    (OffsetMessage, '{"x":0,"y":0,"tick":' + "9" * 400 + ".0}", "tick"),
+    (CrashReport, '{"uav_id":"u","time":' + "9" * 400 + ',"position":[0,0,0]}', "time"),
+]
+
+
+@pytest.mark.parametrize(
+    "schema, body, field", MALFORMED,
+    ids=[f"{schema.__name__}-{field}-{i}" for i, (schema, _, field) in enumerate(MALFORMED)],
+)
+def test_malformed_field_is_a_decode_error_naming_it(schema, body, field):
+    with pytest.raises(DecodeError, match=field):
+        schema.decode(body)
+
+
+@pytest.mark.parametrize(
+    "body", [b"[" * 100_000, b'{"x": ' + b"1" * 5000 + b"}"], ids=["deep-nesting", "5000-digits"]
+)
+def test_pathological_json_is_a_decode_error(body):
+    with pytest.raises(DecodeError):
+        OffsetMessage.decode(body)
+
+
+def test_to_obj_is_the_decoded_encoding():
+    for message in SAMPLES:
+        assert message.to_obj() == json.loads(message.encode())
+
+
+def json_objects(schema):
+    """Objects keyed mostly by the schema's own fields, with arbitrary values."""
+    names = [f.name for f in dataclasses.fields(schema)]
+    keys = st.sampled_from(names + ["x", "y", "z"]) | st.text(max_size=4)
+    return st.dictionaries(keys, json_values, max_size=len(names) + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCHEMAS).flatmap(lambda s: st.tuples(st.just(s), json_objects(s))))
+def test_decode_raises_nothing_but_decode_error(case):
+    schema, obj = case
+    try:
+        decoded = schema.decode(json.dumps(obj))
+    except DecodeError:
+        return
+    assert schema.decode(decoded.encode()) == decoded
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.builds(Vec3, finite, finite, finite)
+ticks = st.integers(min_value=0, max_value=2**53)
+unit = st.floats(min_value=-1.0, max_value=1.0)
+
+MESSAGES = st.one_of(
+    st.builds(TelemetryRequest, st.text(), finite, vectors, st.text()),
+    st.builds(TelemetryResponse, st.just(True), st.text(), vectors, st.integers(min_value=0)),
+    st.builds(TelemetryResponse, st.just(False), st.none(), st.none(), st.integers(min_value=0)),
+    st.tuples(ticks, ticks).map(sorted).flatmap(
+        lambda span: st.builds(LockReport, st.text(), st.text(), st.just(span[0]),
+                               st.just(span[1]), vectors)
+    ),
+    st.builds(OffsetMessage, unit, unit, ticks),
+    st.builds(CrashReport, st.text(), finite, vectors),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MESSAGES)
+def test_decode_inverts_encode(message):
+    assert type(message).decode(message.encode()) == message
+
+
+class NaNOffsetVision(VisionNode):
+    """Vision that also publishes a NaN offset with every frame."""
+
+    def step(self, tick, truth, frame_due):
+        super().step(tick, truth, frame_due)
+        if frame_due:
+            self._publisher.send(topics.IMAGE_MESSAGE, b'{"x":NaN,"y":0.0,"tick":%d}' % tick, tick)
+
+
+def flight(result):
+    """State transitions plus the /lock and /land messages of a run."""
+    return [
+        e for e in result.event_log
+        if e["kind"] == "fsm" or e.get("topic") in (topics.LOCK, topics.LAND)
+    ]
+
+
+def test_run_fed_nan_offsets_finishes_like_a_clean_run(monkeypatch):
+    scenario = load_scenario("moving_target")
+    clean = runner.run(scenario)
+    monkeypatch.setattr(runner, "VisionNode", NaNOffsetVision)
+    fed = runner.run(scenario)
+    # The autonomy node drops the undecodable offsets, so the mission flies as before.
+    assert fed.terminated_by == clean.terminated_by == "land"
+    assert flight(fed) == flight(clean)
+    assert fed.report.per_target[0].locked

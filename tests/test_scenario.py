@@ -73,6 +73,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="transport.mode"):
             make_scenario(transport={"mode": "carrier-pigeon"})
 
+    def test_retired_latency_key_still_loads(self):
+        scenario = make_scenario(transport={"mode": "in_process", "latency_ms": 5.0})
+        assert scenario.transport.mode == "in_process"
+
+    def test_non_finite_position_names_field(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"targets": [{"id": "T1", "kind": "stationary", "p0": [NaN, 0, 10]}]}')
+        with pytest.raises(ScenarioError, match=r"targets\[0\].p0"):
+            load_scenario(path)
+
 
 class TestDefaults:
     def test_gains_defaults_echoed(self):

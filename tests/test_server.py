@@ -1,14 +1,26 @@
 """Mission server store behaviour, HTTP layer, and conservation properties."""
 
+import http.client
 import json
 import random
+import socket
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockon.payloads import LockReport, TelemetryRequest, TelemetryResponse
-from lockon.proxy import HttpTransport
-from lockon.server import ApiError, MissionStore, ServerThread, TargetAssignment
+from lockon.proxy import HttpTransport, InProcessTransport
+from lockon.server import (
+    MAX_BODY_BYTES,
+    ApiError,
+    MissionStore,
+    ServerThread,
+    TargetAssignment,
+)
 from lockon.world import Vec3
+
+from conftest import json_values
 
 
 def telemetry_body(uav="uav-1", t=0.0):
@@ -184,6 +196,62 @@ class TestSeeding:
             MissionStore(
                 [TargetAssignment("T1", Vec3(0, 0, 0)), TargetAssignment("T1", Vec3(1, 1, 1))]
             )
+        store = seeded_store(1)
+        with pytest.raises(ApiError) as err:
+            store.handle_seed(b'{"targets": [{"id": "A", "p0": [0, 0, 0]}, {"id": "A", "p0": [1, 1, 1]}]}')
+        assert err.value.status == 400 and "unique" in str(err.value)
+        assert store.queue_length() == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"targets": [{"id": "A", "position": [NaN, 0, 0]}]}',
+            b'{"targets": [{"id": "A", "position": {"x": 0, "y": Infinity, "z": 0}}]}',
+            b'{"targets": [{"position": [0, 0, 0]}]}',
+            b'{"targets": [{"id": "A"}]}',
+            b'{"targets": {"id": "A"}}',
+            b"[]",
+        ],
+    )
+    def test_malformed_seed_is_400_and_keeps_the_queue(self, body):
+        store = seeded_store(2)
+        with pytest.raises(ApiError) as err:
+            store.handle_seed(body)
+        assert err.value.status == 400
+        assert store.queue_length() == 2
+
+
+class TestDispatch:
+    def test_routes_by_method_and_path(self):
+        store = seeded_store(1)
+        assert store.dispatch("POST", "/api/telemetry", telemetry_body()).status == 200
+        assert store.dispatch("POST", "/api/lock?ignored=1", lock_body("T1")).status == 201
+        reply = store.dispatch("GET", "/api/records?kind=Lock")
+        assert [r["kind"] for r in reply.body["records"]] == ["Lock"]
+        assert len(store.dispatch("GET", "/api/records").body["records"]) == 2
+
+    @pytest.mark.parametrize(
+        "method, target",
+        [("GET", "/api/telemetry"), ("POST", "/api/records"), ("POST", "/api/nonsense")],
+    )
+    def test_unknown_endpoint_is_404_reply(self, method, target):
+        reply = MissionStore([]).dispatch(method, target, b"{}")
+        assert reply.status == 404 and "error" in json.loads(reply.encode())
+
+    def test_api_errors_become_replies(self):
+        store = seeded_store(1)
+        assert store.dispatch("POST", "/api/lock", lock_body("T9")).status == 404
+        assert store.dispatch("GET", "/api/records?kind=Bogus").status == 400
+        reply = store.dispatch("POST", "/api/telemetry", b'{"time": "abc"}')
+        assert reply.status == 400 and "uav_id" in reply.body["error"]
+
+    def test_non_finite_numbers_are_400_and_never_stored(self):
+        store = seeded_store(1)
+        nan_position = b'{"uav_id": "u", "time": 0, "position": [NaN, 0, 0], "state": "SEARCH"}'
+        inf_time = b'{"uav_id": "u", "time": 1e999, "position": [0, 0, 0]}'
+        assert store.dispatch("POST", "/api/telemetry", nan_position).status == 400
+        assert store.dispatch("POST", "/api/crash", inf_time).status == 400
+        assert store.record_count() == 0
 
 
 class TestHttpLayer:
@@ -213,9 +281,96 @@ class TestHttpLayer:
             conn.close()
             transport.close()
 
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-1", 400), ("9" * 5000, 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["non-integer", "negative", "5000-digits", "oversize"],
+    )
+    def test_bad_content_length_gets_a_reply_before_close(self, length, status):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(
+                    f"POST /api/telemetry HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+                    .encode()
+                )
+                reply = b""
+                while chunk := sock.recv(65536):  # the server closes after replying
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert "error" in json.loads(body)
+
     def test_unknown_route_is_404(self):
         with ServerThread(MissionStore([])) as server:
             transport = HttpTransport(port=server.port)
             status, _ = transport.post("/api/nonsense", b"{}")
             assert status == 404
             transport.close()
+
+
+POST_PATHS = ["/api/telemetry", "/api/lock", "/api/crash", "/api/seed"]
+VALID_BODIES = [
+    json.loads(telemetry_body()),
+    json.loads(lock_body("T1")),
+    json.loads(crash_body()),
+    {"targets": [{"id": "T1", "position": [60, 0, 10]}]},
+]
+
+
+@st.composite
+def request_bodies(draw):
+    """Arbitrary bytes, arbitrary JSON, or a valid body with one field changed."""
+    kind = draw(st.sampled_from(["bytes", "json", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(json_values)).encode()
+    obj = dict(draw(st.sampled_from(VALID_BODIES)))
+    obj[draw(st.sampled_from(sorted(obj) + ["x"]))] = draw(json_values)
+    return json.dumps(obj).encode()
+
+
+def test_every_endpoint_answers_arbitrary_bodies_with_json():
+    with ServerThread(seeded_store(3)) as server:
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.sampled_from(POST_PATHS), request_bodies(), st.text(max_size=8))
+        def check(path, body, kind):
+            conn.request("POST", path, body=body)
+            post = conn.getresponse()
+            conn.request("GET", "/api/records?kind=" + quote(kind))
+            get = conn.getresponse()
+            for response in (post, get):
+                assert response.status // 100 in (2, 4)
+                assert response.getheader("Content-Type") == "application/json"
+                assert isinstance(json.loads(response.read(), parse_constant=pytest.fail), dict)
+
+        try:
+            check()
+        finally:
+            conn.close()
+
+
+def test_in_process_and_http_transports_agree():
+    def store():
+        return MissionStore(
+            [TargetAssignment(f"T{i}", Vec3(10 * i, 0, 10)) for i in range(1, 4)],
+            clock=lambda: 0.0,
+        )
+
+    local = InProcessTransport(store())
+    with ServerThread(store()) as server:
+        remote = HttpTransport(port=server.port)
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.sampled_from(POST_PATHS + ["/api/nonsense"]), request_bodies())
+        def check(path, body):
+            status, data = local.post(path, body)
+            remote_status, remote_data = remote.post(path, body)
+            assert (remote_status, json.loads(remote_data)) == (status, json.loads(data))
+
+        try:
+            check()
+        finally:
+            remote.close()

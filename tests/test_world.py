@@ -72,6 +72,30 @@ class TestEvalTrajectory:
         assert eval_trajectory(spec, t) == expected
 
 
+class TestVec3FromAny:
+    def test_mapping_and_sequence_forms(self):
+        assert Vec3.from_any({"x": 1, "y": 2.5, "z": -3}) == Vec3(1.0, 2.5, -3.0)
+        assert Vec3.from_any([1, 2, 3]) == Vec3.from_any((1.0, 2.0, 3.0)) == Vec3(1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [float("nan"), 0, 0],
+            {"x": 0, "y": float("inf"), "z": 0},
+            [0, 0, 10**400],
+            [True, 0, 0],
+            ["1", 0, 0],
+            {"x": 1, "y": 2},
+            [1, 2],
+            "123",
+            None,
+        ],
+    )
+    def test_anything_else_is_a_value_error(self, value):
+        with pytest.raises(ValueError):
+            Vec3.from_any(value)
+
+
 class TestDistance:
     def test_identity(self):
         p = Vec3(1.5, -2.0, 7.0)
