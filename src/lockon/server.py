@@ -27,7 +27,7 @@ import threading
 import time as _time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from .payloads import (
     CrashReport,
@@ -137,13 +137,13 @@ class MissionStore:
 
     def dispatch(self, method: str, target: str, body: bytes = b"") -> _Reply:
         """Answer one request to ``target`` (path and query); errors become replies."""
-        url = urlsplit(target)
-        name = self._ROUTES.get((method, url.path))
+        path, _, query = target.partition("?")
+        name = self._ROUTES.get((method, path))
         try:
             if name is None:
-                raise ApiError(404, f"no such endpoint {method} {url.path}")
+                raise ApiError(404, f"no such endpoint {method} {path}")
             if method == "GET":
-                return getattr(self, name)(parse_qs(url.query).get("kind", [None])[0])
+                return getattr(self, name)(parse_qs(query).get("kind", [None])[0])
             return getattr(self, name)(body)
         except ApiError as exc:
             return _Reply(exc.status, {"error": str(exc)})

@@ -52,29 +52,32 @@ class Vec3:
         Components must be finite numbers; any other shape or value raises
         ValueError.
         """
-        if isinstance(value, Vec3):
-            return value
         if isinstance(value, dict):
             try:
-                value = (value["x"], value["y"], value["z"])
+                x, y, z = value["x"], value["y"], value["z"]
             except KeyError as exc:
                 raise ValueError(f"missing component {exc}") from None
-        elif not isinstance(value, (list, tuple)) or len(value) != 3:
+        elif isinstance(value, (list, tuple)) and len(value) == 3:
+            x, y, z = value
+        elif isinstance(value, Vec3):
+            return value
+        else:
             raise ValueError("expected an {x, y, z} object or 3 components")
-        return cls(*map(finite_float, value))
+        return cls(finite_float(x), finite_float(y), finite_float(z))
 
 
 def finite_float(value) -> float:
     """A JSON number (not a bool) as a finite float; ValueError otherwise."""
-    if type(value) not in (float, int):
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+        raise ValueError(f"expected a finite number, got {value}")
+    if type(value) is not int:
         raise ValueError(f"expected a number, got {type(value).__name__}")
     try:
-        result = float(value)
-    except OverflowError:  # an int beyond the float range
-        result = math.inf
-    if not math.isfinite(result):
-        raise ValueError(f"expected a finite number, got {result}")
-    return result
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer beyond the float range") from None
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)

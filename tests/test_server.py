@@ -232,7 +232,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "method, target",
-        [("GET", "/api/telemetry"), ("POST", "/api/records"), ("POST", "/api/nonsense")],
+        [
+            ("GET", "/api/telemetry"),
+            ("POST", "/api/records"),
+            ("POST", "/api/nonsense"),
+            ("GET", "//[bad/api/records"),
+        ],
     )
     def test_unknown_endpoint_is_404_reply(self, method, target):
         reply = MissionStore([]).dispatch(method, target, b"{}")
