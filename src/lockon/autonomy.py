@@ -12,9 +12,10 @@ LOCK deliberately flies at a constant forward speed: the camera supplies no
 range or closure information, which is exactly why a hovering target gets
 overflown and lost while a receding one stays in frame.
 
-``handle_event`` is a pure transition function over (state, context, event);
-``AutonomousNode`` owns the mutable copy, generates the internally sensed
-events each tick, and talks to the bus.
+``handle_event`` is a pure transition function over (state, context, event)
+that never changes the context it is given. ``AutonomousNode`` owns its
+context and updates it in place each tick (tick, time, pose, containment
+timer), generates the internally sensed events, and talks to the bus.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class ControlGains:
                 raise ValueError(f"{name} must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MissionContext:
-    """The node's knowledge snapshot: own pose plus engagement bookkeeping."""
+    """The node's knowledge: own pose plus engagement bookkeeping."""
 
     uav_id: str
     tick: int = 0
@@ -146,11 +147,12 @@ def search_guidance(pursuer: PursuerState, target: Vec3, gains: ControlGains) ->
     the current attitude and the LOS to the target. Coincident positions
     degenerate to a zero-rate command.
     """
-    rel = target - pursuer.position
-    if rel.norm() < 1e-6:
+    origin = pursuer.position
+    rx, ry, rz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-6:
         return GuidanceCommand(0.0, 0.0, gains.v_cruise)
-    los_yaw = math.atan2(rel.y, rel.x)
-    los_pitch = math.atan2(rel.z, math.hypot(rel.x, rel.y))
+    los_yaw = math.atan2(ry, rx)
+    los_pitch = math.atan2(rz, math.hypot(rx, ry))
     yaw_err = wrap_angle(los_yaw - pursuer.yaw)
     pitch_err = los_pitch - pursuer.pitch
     return GuidanceCommand(
@@ -182,7 +184,15 @@ def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand
 def lock_timer_update(
     ctx: MissionContext, contained: bool, dt: float, gains: ControlGains
 ) -> tuple[MissionContext, bool]:
-    """Advance the containment timer one tick.
+    """``_advance_lock_timer`` on a copy of ctx: (updated copy, lock achieved)."""
+    ctx = replace(ctx)
+    return ctx, _advance_lock_timer(ctx, contained, dt, gains)
+
+
+def _advance_lock_timer(
+    ctx: MissionContext, contained: bool, dt: float, gains: ControlGains
+) -> bool:
+    """Advance ctx's containment timer one tick in place; True on lock.
 
     Containment accumulates dt; any break resets the timer to zero and
     restarts the streak at the current tick. Lock is achieved once the
@@ -191,10 +201,11 @@ def lock_timer_update(
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     if contained:
-        timer = ctx.lock_timer + dt
-        achieved = timer >= gains.lock_duration - _TIMER_EPS
-        return replace(ctx, lock_timer=timer), achieved
-    return replace(ctx, lock_timer=0.0, lock_start_tick=ctx.tick), False
+        ctx.lock_timer += dt
+        return ctx.lock_timer >= gains.lock_duration - _TIMER_EPS
+    ctx.lock_timer = 0.0
+    ctx.lock_start_tick = ctx.tick
+    return False
 
 
 def _telemetry_request(ctx: MissionContext, state: MissionState) -> bytes:
@@ -222,9 +233,7 @@ def handle_event(
                 current_target=event.target_id,
                 target_position=event.position,
                 remaining_targets=event.remaining,
-                signal_sent_for_current=(
-                    False if new_engagement else ctx.signal_sent_for_current
-                ),
+                signal_sent_for_current=ctx.signal_sent_for_current and not new_engagement,
                 last_camera_tick=None if new_engagement else ctx.last_camera_tick,
             )
             assert ctx.pursuer is not None
@@ -346,12 +355,15 @@ class AutonomousNode:
         else:
             self.guidance = action.command
 
+    def _enter(self, new_state: MissionState) -> None:
+        old, self.state = self.state, new_state
+        if self._transition_hook is not None:
+            self._transition_hook(self.ctx.tick, old, new_state)
+
     def _dispatch(self, event: Event) -> None:
         new_state, self.ctx, actions = handle_event(self.state, self.ctx, event, self.gains)
         if new_state is not self.state:
-            old, self.state = self.state, new_state
-            if self._transition_hook is not None:
-                self._transition_hook(self.ctx.tick, old, new_state)
+            self._enter(new_state)
         for action in actions:
             self._execute(action)
 
@@ -380,20 +392,16 @@ class AutonomousNode:
                 continue  # a malformed envelope must not take the node down
 
     def step(self, tick: int, time: float, pursuer: PursuerState) -> None:
-        self.ctx = replace(self.ctx, tick=tick, time=time, pursuer=pursuer)
+        self.ctx.tick, self.ctx.time, self.ctx.pursuer = tick, time, pursuer
 
         if self.state is MissionState.BOOT:
             # Single boot tick: internal structures are up, announce and search.
-            old, self.state = self.state, MissionState.SEARCH
-            if self._transition_hook is not None:
-                self._transition_hook(tick, old, self.state)
+            self._enter(MissionState.SEARCH)
             self._publisher.send(topics.TELEMETRY, _telemetry_request(self.ctx, self.state), tick)
             self._last_telemetry_time = time
             return
         if self.state is MissionState.LANDING:
-            old, self.state = self.state, MissionState.LANDED
-            if self._transition_hook is not None:
-                self._transition_hook(tick, old, self.state)
+            self._enter(MissionState.LANDED)
             self.guidance = GuidanceCommand()
             self._bus.drain(self.CLIENT_ID)
             return
@@ -419,8 +427,7 @@ class AutonomousNode:
                 self._dispatch(CameraStale())
             else:
                 contained = gap <= self._frame_gap_ticks
-                self.ctx, achieved = lock_timer_update(self.ctx, contained, self.dt, self.gains)
-                if achieved:
+                if _advance_lock_timer(self.ctx, contained, self.dt, self.gains):
                     self._dispatch(LockTimerElapsed())
                     if self.ctx.remaining_targets == 0:
                         self._dispatch(NoMoreTargets())

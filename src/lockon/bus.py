@@ -23,8 +23,6 @@ SIGNAL_PROCESS_IMAGE = "/signal/process_image"
 IMAGE_MESSAGE = "/image/message"
 LOCK = "/lock"
 
-ALL_TOPICS = (TELEMETRY, TELEMETRY_RESPONSE, LAND, SIGNAL_PROCESS_IMAGE, IMAGE_MESSAGE, LOCK)
-
 
 class ProtocolError(Exception):
     """Malformed topic, bad sequence number, or use of a shut-down broker."""
@@ -52,12 +50,6 @@ class Envelope:
     tick: int
 
 
-@dataclass(frozen=True)
-class Subscription:
-    client_id: str
-    topic: str
-
-
 class MessageBus:
     """Topic-routing broker with deferred, deterministic delivery.
 
@@ -72,10 +64,11 @@ class MessageBus:
         self._inboxes: dict[str, list[Envelope]] = {}
         self._pending: list[tuple[Envelope, tuple[str, ...]]] = []
         self._last_seq: dict[str, int] = {}
+        self._valid_topics: set[str] = set()
         self._observer = observer
         self._closed = False
 
-    def subscribe(self, client_id: str, topic: str) -> Subscription:
+    def subscribe(self, client_id: str, topic: str) -> None:
         if self._closed:
             raise ProtocolError("broker is shut down")
         validate_topic(topic)
@@ -83,7 +76,6 @@ class MessageBus:
             raise ProtocolError("client_id must be nonempty")
         self._subs.setdefault(topic, set()).add(client_id)
         self._inboxes.setdefault(client_id, [])
-        return Subscription(client_id=client_id, topic=topic)
 
     def unsubscribe(self, client_id: str, topic: str) -> bool:
         clients = self._subs.get(topic)
@@ -95,7 +87,9 @@ class MessageBus:
     def publish(self, envelope: Envelope) -> int:
         if self._closed:
             raise ProtocolError("broker is shut down")
-        validate_topic(envelope.topic)
+        topic = envelope.topic
+        if type(topic) is not str or topic not in self._valid_topics:
+            self._valid_topics.add(validate_topic(topic))
         last = self._last_seq.get(envelope.publisher_id)
         if last is not None and envelope.seq <= last:
             raise ProtocolError(
@@ -103,7 +97,7 @@ class MessageBus:
                 f"greater than previous seq {last}"
             )
         self._last_seq[envelope.publisher_id] = envelope.seq
-        recipients = tuple(sorted(self._subs.get(envelope.topic, ())))
+        recipients = tuple(sorted(self._subs.get(topic, ())))
         self._pending.append((envelope, recipients))
         return len(recipients)
 
@@ -112,6 +106,8 @@ class MessageBus:
 
         Returns the number of envelope deliveries performed.
         """
+        if not self._pending:
+            return 0
         self._pending.sort(key=lambda item: (item[0].publisher_id, item[0].seq))
         delivered = 0
         for envelope, recipients in self._pending:
@@ -128,16 +124,11 @@ class MessageBus:
         inbox = self._inboxes.get(client_id)
         if not inbox:
             return []
-        out = list(inbox)
-        inbox.clear()
-        return out
+        self._inboxes[client_id] = []
+        return inbox
 
     def shutdown(self) -> None:
         self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 class Publisher:

@@ -117,7 +117,8 @@ def summarize_run(entries: list[dict]) -> RunReport:
 
     The log must open with the meta line written by the scheduler and close
     with a terminal entry (land, timeout, or crash); anything else is
-    rejected as an incomplete run.
+    rejected as an incomplete run. Messages the scheduler logged as
+    malformed (their payload was not strict JSON) are skipped.
     """
     meta = next((e for e in entries if e.get("kind") == "meta"), None)
     if meta is None:
@@ -128,7 +129,7 @@ def summarize_run(entries: list[dict]) -> RunReport:
     dt = float(meta["dt"])
     frame_ticks = max(1, round(float(meta["frame_period"]) / dt))
 
-    messages = [e for e in entries if e.get("kind") == "msg"]
+    messages = [e for e in entries if e.get("kind") == "msg" and not e.get("malformed")]
     topic_counts: dict[str, int] = {}
     for message in messages:
         topic_counts[message["topic"]] = topic_counts.get(message["topic"], 0) + 1

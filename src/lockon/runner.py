@@ -41,7 +41,7 @@ from .world import (
 SHUTDOWN_GRACE_TICKS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceSample:
     """Per-tick ground truth kept for replay verification of runs."""
 
@@ -81,10 +81,12 @@ def parse_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _payload_to_obj(payload: bytes):
-    if not payload:
-        return None
-    return json.loads(payload)
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# Unlike json.loads, rejects the NaN and Infinity tokens.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float, float] | None:
@@ -122,20 +124,23 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
 
     def observer(envelope: Envelope) -> None:
         nonlocal land_seen_tick
-        events.append(
-            {
-                "kind": "msg",
-                "tick": envelope.tick,
-                "topic": envelope.topic,
-                "publisher": envelope.publisher_id,
-                "seq": envelope.seq,
-                "payload": _payload_to_obj(envelope.payload),
-            }
-        )
-        if envelope.topic == topics.LOCK:
-            payload = _payload_to_obj(envelope.payload) or {}
-            if "target_id" in payload:
-                consumed.add(payload["target_id"])
+        entry = {
+            "kind": "msg",
+            "tick": envelope.tick,
+            "topic": envelope.topic,
+            "publisher": envelope.publisher_id,
+            "seq": envelope.seq,
+            "payload": None,
+        }
+        events.append(entry)
+        if envelope.payload:
+            try:
+                entry["payload"] = _STRICT_JSON.decode(envelope.payload.decode("utf-8"))
+            except (ValueError, RecursionError):  # not strict UTF-8 JSON: log no payload
+                entry["malformed"] = True
+        payload = entry["payload"]
+        if envelope.topic == topics.LOCK and isinstance(payload, dict) and "target_id" in payload:
+            consumed.add(payload["target_id"])
         elif envelope.topic == topics.LAND and land_seen_tick is None:
             land_seen_tick = envelope.tick
 
@@ -178,7 +183,6 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     )
     trace: list[TraceSample] = []
     terminated_by = "timeout"
-    end_tick = 0
 
     tick = 0
     while True:
@@ -193,7 +197,6 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                     )
                 )
                 terminated_by = "crash"
-                end_tick = tick
                 break
 
         frame_due = tick % scenario.frame_ticks == 0
@@ -215,7 +218,6 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             )
         )
 
-        end_tick = tick
         if land_seen_tick is not None and (
             tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= scenario.max_ticks + 1
         ):
@@ -226,7 +228,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             break
         tick += 1
 
-    events.append({"kind": "end", "terminated_by": terminated_by, "tick": end_tick})
+    events.append({"kind": "end", "terminated_by": terminated_by, "tick": tick})
     report = summarize_run(events)
     return RunResult(
         scenario=scenario,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .autonomy import ControlGains
 from .vision import VisionParams
-from .world import CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
+from .world import CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3, finite_float
 
 BUNDLED_SCENARIOS = ("moving_target", "accelerating_target", "hovering_target")
 
@@ -83,6 +83,14 @@ def _get(obj: dict, key: str, default=None, required: bool = False):
     return obj[key]
 
 
+def _number(obj: dict, key: str, default: float, context: str = "") -> float:
+    """A finite JSON number field, or default when absent; ScenarioError otherwise."""
+    try:
+        return finite_float(_get(obj, key, default))
+    except ValueError as exc:
+        raise ScenarioError(f"{context}{key}: {exc}") from None
+
+
 def _vec(obj, context: str) -> Vec3:
     try:
         return Vec3.from_any(obj)
@@ -117,9 +125,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     pursuer_raw = _get(data, "pursuer", {})
     pursuer = PursuerState(
         position=_vec(_get(pursuer_raw, "position", [0, 0, 10]), "pursuer.position"),
-        yaw=float(_get(pursuer_raw, "yaw", 0.0)),
-        pitch=float(_get(pursuer_raw, "pitch", 0.0)),
-        speed=float(_get(pursuer_raw, "speed", 0.0)),
+        yaw=_number(pursuer_raw, "yaw", 0.0, "pursuer."),
+        pitch=_number(pursuer_raw, "pitch", 0.0, "pursuer."),
+        speed=_number(pursuer_raw, "speed", 0.0, "pursuer."),
     )
 
     targets_raw = _get(data, "targets", required=True)
@@ -127,14 +135,14 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("targets must be a list")
     targets = tuple(_parse_target(entry, i) for i, entry in enumerate(targets_raw))
 
-    dt = float(_get(data, "dt", 0.05))
-    frame_period = float(_get(data, "frame_period", 0.1))
+    dt = _number(data, "dt", 0.05)
+    frame_period = _number(data, "frame_period", 0.1)
 
     camera_raw = _get(data, "camera", {})
     try:
         camera = CameraParams(
-            hfov=math.radians(float(_get(camera_raw, "hfov_deg", 90.0))),
-            vfov=math.radians(float(_get(camera_raw, "vfov_deg", 60.0))),
+            hfov=math.radians(_number(camera_raw, "hfov_deg", 90.0, "camera.")),
+            vfov=math.radians(_number(camera_raw, "vfov_deg", 60.0, "camera.")),
             frame_period=frame_period,
         )
     except ValueError as exc:
@@ -143,10 +151,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     vision_raw = _get(data, "vision", {})
     try:
         vision = VisionParams(
-            p_detect=float(_get(vision_raw, "p_detect", 0.9)),
+            p_detect=_number(vision_raw, "p_detect", 0.9, "vision."),
             detector_latency_frames=int(_get(vision_raw, "detector_latency_frames", 1)),
-            track_window=float(_get(vision_raw, "track_window", 0.35)),
-            p_track_dropout=float(_get(vision_raw, "p_track_dropout", 0.0)),
+            track_window=_number(vision_raw, "track_window", 0.35, "vision."),
+            p_track_dropout=_number(vision_raw, "p_track_dropout", 0.0, "vision."),
         )
     except ValueError as exc:
         raise ScenarioError(f"vision: {exc}") from exc
@@ -154,13 +162,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     gains_raw = _get(data, "gains", {})
     try:
         gains = ControlGains(
-            k_yaw=float(_get(gains_raw, "k_yaw", 0.8)),
-            k_pitch=float(_get(gains_raw, "k_pitch", 0.8)),
-            v_cruise=float(_get(gains_raw, "v_cruise", 8.0)),
-            v_lock=float(_get(gains_raw, "v_lock", 6.0)),
-            activation_radius=float(_get(gains_raw, "activation_radius", 10.0)),
-            lock_duration=float(_get(gains_raw, "lock_duration", 10.0)),
-            camera_grace=float(_get(gains_raw, "camera_grace", 0.5)),
+            k_yaw=_number(gains_raw, "k_yaw", 0.8, "gains."),
+            k_pitch=_number(gains_raw, "k_pitch", 0.8, "gains."),
+            v_cruise=_number(gains_raw, "v_cruise", 8.0, "gains."),
+            v_lock=_number(gains_raw, "v_lock", 6.0, "gains."),
+            activation_radius=_number(gains_raw, "activation_radius", 10.0, "gains."),
+            lock_duration=_number(gains_raw, "lock_duration", 10.0, "gains."),
+            camera_grace=_number(gains_raw, "camera_grace", 0.5, "gains."),
         )
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
@@ -178,8 +186,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             seed=int(_get(data, "seed", 0)),
             dt=dt,
             frame_period=frame_period,
-            max_time=float(_get(data, "max_time", 60.0)),
-            telemetry_period=float(_get(data, "telemetry_period", 1.0)),
+            max_time=_number(data, "max_time", 60.0),
+            telemetry_period=_number(data, "telemetry_period", 1.0),
             pursuer_init=pursuer,
             targets=targets,
             camera=camera,

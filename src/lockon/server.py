@@ -65,7 +65,6 @@ class MissionRecord:
 class TargetAssignment:
     target_id: str
     position: Vec3
-    assigned: bool = False
 
 
 @dataclass
@@ -172,7 +171,6 @@ class MissionStore:
             self._append("Telemetry", request.to_obj())
             if self._queue:
                 head = self._queue[0]
-                head.assigned = True
                 response = TelemetryResponse(
                     has_target=True,
                     target_id=head.target_id,

@@ -127,19 +127,15 @@ def process_frame(
     if state.mode is PipelineMode.DETECTING:
         frames, hit = detector_attempt(state.frames_in_view, truth, params, rng)
         if hit is None:
-            return replace(state, frames_in_view=frames), None
-        new_state = replace(
-            state, mode=PipelineMode.TRACKING, last_known=hit, frames_in_view=0
-        )
+            return PipelineState(state.mode, state.last_known, frames, state.active), None
+        new_state = PipelineState(PipelineMode.TRACKING, hit, 0, state.active)
         return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
     assert state.last_known is not None
     hit = tracker_update(state.last_known, truth, params, rng)
     if hit is None:
-        return (
-            replace(state, mode=PipelineMode.DETECTING, last_known=None, frames_in_view=0),
-            None,
-        )
-    return replace(state, last_known=hit), OffsetMessage(x=hit[0], y=hit[1], tick=tick)
+        return PipelineState(PipelineMode.DETECTING, None, 0, state.active), None
+    new_state = PipelineState(state.mode, hit, state.frames_in_view, state.active)
+    return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
 
 
 class VisionNode:

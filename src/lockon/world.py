@@ -14,7 +14,7 @@ pitch is positive nose-up, clamped to [-pi/2, pi/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -33,14 +33,8 @@ class Vec3:
     def scale(self, k: float) -> "Vec3":
         return Vec3(self.x * k, self.y * k, self.z * k)
 
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
     def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in (self.x, self.y, self.z))
+        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
     def as_dict(self) -> dict[str, float]:
         return {"x": self.x, "y": self.y, "z": self.z}
@@ -181,14 +175,21 @@ def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
     """Closed-form position at time t: p0 + v0*t + a*t^2/2."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    return spec.p0 + spec.v0.scale(t) + spec.a.scale(0.5 * t * t)
+    p0, v0, a = spec.p0, spec.v0, spec.a
+    half_t2 = 0.5 * t * t
+    return Vec3(
+        (p0.x + v0.x * t) + a.x * half_t2,
+        (p0.y + v0.y * t) + a.y * half_t2,
+        (p0.z + v0.z * t) + a.z * half_t2,
+    )
 
 
 def distance(a: Vec3, b: Vec3) -> float:
     """Euclidean distance between two points."""
     if not (a.is_finite() and b.is_finite()):
         raise ValueError("distance requires finite inputs")
-    return (a - b).norm()
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def project_to_camera(
@@ -207,20 +208,20 @@ def project_to_camera(
     Returns (u, v) when the target is inside the frustum (|u| <= 1 and
     |v| <= 1), None when it is behind the camera or out of frame.
     """
-    fwd = pursuer.forward()
-    right = Vec3(math.sin(pursuer.yaw), -math.cos(pursuer.yaw), 0.0)
+    # Component arithmetic; the zero terms stay, so signed zeros are kept.
+    yaw, pitch = pursuer.yaw, pursuer.pitch
+    cp = math.cos(pitch)
+    fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
+    rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
     # down = forward x right completes the orthonormal triad
-    down = Vec3(
-        fwd.y * right.z - fwd.z * right.y,
-        fwd.z * right.x - fwd.x * right.z,
-        fwd.x * right.y - fwd.y * right.x,
-    )
-    rel = target - pursuer.position
-    f = rel.dot(fwd)
+    dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
+    origin = pursuer.position
+    px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    f = px * fx + py * fy + pz * fz
     if f <= 0.0:
         return None
-    u = (rel.dot(right) / f) / math.tan(cam.hfov / 2.0)
-    v = (rel.dot(down) / f) / math.tan(cam.vfov / 2.0)
+    u = ((px * rx + py * ry + pz * rz) / f) / math.tan(cam.hfov / 2.0)
+    v = ((px * dx + py * dy + pz * dz) / f) / math.tan(cam.vfov / 2.0)
     if abs(u) > 1.0 or abs(v) > 1.0:
         return None
     return (u, v)
@@ -236,20 +237,17 @@ def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     pursuer = world.pursuer
-    new_pursuer = PursuerState(
-        position=pursuer.position,
-        yaw=pursuer.yaw + guidance.yaw_rate * dt,
-        pitch=pursuer.pitch + guidance.pitch_rate * dt,
-        speed=guidance.speed,
-    )
-    new_pursuer = replace(
-        new_pursuer,
-        position=pursuer.position + new_pursuer.forward().scale(guidance.speed * dt),
+    yaw = wrap_angle(pursuer.yaw + guidance.yaw_rate * dt)
+    pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pursuer.pitch + guidance.pitch_rate * dt))
+    cp = math.cos(pitch)
+    travel = guidance.speed * dt
+    p = pursuer.position
+    # The position moves along the once-wrapped yaw; PursuerState wraps again.
+    position = Vec3(
+        p.x + cp * math.cos(yaw) * travel,
+        p.y + cp * math.sin(yaw) * travel,
+        p.z + math.sin(pitch) * travel,
     )
     new_tick = world.tick + 1
-    return WorldState(
-        time=new_tick * dt,
-        tick=new_tick,
-        pursuer=new_pursuer,
-        targets=world.targets,
-    )
+    new_pursuer = PursuerState(position, yaw, pitch, guidance.speed)
+    return WorldState(new_tick * dt, new_tick, new_pursuer, world.targets)

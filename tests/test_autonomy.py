@@ -1,5 +1,6 @@
 """Mission state machine transitions, guidance laws, and the lock timer."""
 
+import dataclasses
 import math
 
 import pytest
@@ -194,10 +195,12 @@ class TestTerminalStates:
     def test_handle_event_is_pure(self):
         start = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                     signal_sent_for_current=True)
+        before = dataclasses.replace(start)
         event = CameraOffsetEvent(OffsetMessage(0.2, -0.1, tick=99))
         first = handle_event(MissionState.SEARCH, start, event, GAINS)
         second = handle_event(MissionState.SEARCH, start, event, GAINS)
         assert first == second
+        assert start == before  # the context is mutable; handle_event must not touch it
 
 
 class TestInboxRaces:
@@ -309,6 +312,13 @@ class TestLockTimer:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             lock_timer_update(ctx(), contained=True, dt=0.0, gains=GAINS)
+
+    @pytest.mark.parametrize("contained", [True, False])
+    def test_leaves_its_input_unchanged(self, contained):
+        start = ctx(lock_timer=4.0, lock_start_tick=20)
+        before = dataclasses.replace(start)
+        after, _ = lock_timer_update(start, contained, 0.05, GAINS)
+        assert start == before and after is not start
 
     def test_two_hundred_increments_reach_lock(self):
         current = ctx(lock_timer=0.0)

@@ -90,6 +90,26 @@ class TestPublish:
         with pytest.raises(ProtocolError):
             bus.publish(env("/telemetry", seq=3))
 
+    def test_malformed_topic_rejected_on_every_publish(self):
+        bus = MessageBus()
+        bus.publish(env("/land", seq=0))
+        bus.publish(env("/land", seq=1))
+        for seq in (2, 3):
+            with pytest.raises(ProtocolError):
+                bus.publish(env("/has space", seq=seq))
+
+    def test_drained_list_is_not_refilled(self):
+        bus = MessageBus()
+        bus.subscribe("sub", "/land")
+        bus.publish(env("/land", seq=0))
+        bus.deliver()
+        first = bus.drain("sub")
+        bus.publish(env("/land", seq=1))
+        bus.deliver()
+        assert [e.seq for e in first] == [0]
+        assert [e.seq for e in bus.drain("sub")] == [1]
+        assert bus.drain("sub") == []
+
     def test_empty_payload_is_legal(self):
         bus = MessageBus()
         bus.subscribe("sub", "/land")

@@ -209,3 +209,16 @@ def test_run_fed_nan_offsets_finishes_like_a_clean_run(monkeypatch):
     assert fed.terminated_by == clean.terminated_by == "land"
     assert flight(fed) == flight(clean)
     assert fed.report.per_target[0].locked
+    # The NaN envelopes are logged without their payload, so the JSONL stays
+    # strict JSON, and the report does not count them as containment.
+    malformed = [e for e in fed.event_log if e.get("malformed")]
+    assert malformed and all(
+        e["payload"] is None and e["topic"] == topics.IMAGE_MESSAGE for e in malformed
+    )
+    for line in runner.event_log_to_jsonl(fed.event_log).splitlines():
+        json.loads(line, parse_constant=reject_constant)
+    assert fed.report.per_target == clean.report.per_target
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite token {token} in the event log")

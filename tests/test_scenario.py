@@ -1,6 +1,7 @@
 """Scenario loading, validation diagnostics, and defaulting."""
 
 import json
+import re
 
 import pytest
 
@@ -76,6 +77,15 @@ class TestValidation:
     def test_retired_latency_key_still_loads(self):
         scenario = make_scenario(transport={"mode": "in_process", "latency_ms": 5.0})
         assert scenario.transport.mode == "in_process"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["gains.k_yaw", "max_time", "pursuer.yaw", "telemetry_period"]
+    )
+    def test_non_finite_scalar_names_field(self, field, value):
+        section, _, key = field.rpartition(".")
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            make_scenario({section: {key: value}} if section else {key: value})
 
     def test_non_finite_position_names_field(self, tmp_path):
         path = tmp_path / "nan.json"

@@ -1,7 +1,9 @@
 """Kinematics: trajectories, distances, camera projection, Euler stepping."""
 
+import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +242,70 @@ class TestStep:
         for _ in range(1000):
             world = step(world, GuidanceCommand(speed=1.0), 0.05)
         assert world.time == world.tick * 0.05
+
+
+def reference_step(world, guidance, dt):
+    """The earlier step body, kept as the oracle: it builds PursuerState twice.
+
+    The first construction wraps the yaw, the position then moves along that
+    wrapped yaw, and ``replace`` runs the validation (and the wrap) again.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    pursuer = world.pursuer
+    new_pursuer = PursuerState(
+        position=pursuer.position,
+        yaw=pursuer.yaw + guidance.yaw_rate * dt,
+        pitch=pursuer.pitch + guidance.pitch_rate * dt,
+        speed=guidance.speed,
+    )
+    new_pursuer = dataclasses.replace(
+        new_pursuer,
+        position=pursuer.position + new_pursuer.forward().scale(guidance.speed * dt),
+    )
+    new_tick = world.tick + 1
+    return WorldState(
+        time=new_tick * dt, tick=new_tick, pursuer=new_pursuer, targets=world.targets
+    )
+
+
+def float_bits(world):
+    p = world.pursuer
+    values = (world.time, p.position.x, p.position.y, p.position.z, p.yaw, p.pitch, p.speed)
+    return tuple(v.hex() for v in values)
+
+
+angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestStepMatchesReference:
+    @given(
+        position=vectors,
+        yaw=angles,
+        pitch=angles,
+        yaw_rate=angles,
+        pitch_rate=angles,
+        speed=st.floats(min_value=0.0, max_value=1e4),
+        dt=st.floats(min_value=1e-6, max_value=10.0),
+        tick=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_bit_identical_to_two_construction_body(
+        self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt, tick
+    ):
+        world = WorldState(
+            time=tick * dt, tick=tick, pursuer=PursuerState(position, yaw, pitch, 1.0), targets=()
+        )
+        command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
+        new, old = step(world, command, dt), reference_step(world, command, dt)
+        assert new == old
+        assert float_bits(new) == float_bits(old)  # also tells -0.0 from 0.0
+
+    def test_negative_commanded_speed_rejected(self):
+        # GuidanceCommand itself refuses a negative speed, so pass a stand-in.
+        command = SimpleNamespace(yaw_rate=0.0, pitch_rate=0.0, speed=-1.0)
+        for advance in (step, reference_step):
+            with pytest.raises(ValueError):
+                advance(make_world(), command, 0.05)
 
 
 class TestAngles:
