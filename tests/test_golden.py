@@ -33,6 +33,9 @@ def cases() -> list[tuple[str, int]]:
     return out
 
 
+CASES = cases()
+
+
 def log_hash(name: str, seed: int) -> str:
     scenario = dataclasses.replace(load_scenario(name), seed=seed)
     return hashlib.sha256(event_log_to_jsonl(run(scenario).event_log).encode()).hexdigest()
@@ -48,15 +51,15 @@ def golden() -> dict[str, str]:
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted(key(name, seed) for name, seed in cases())
+    assert sorted(golden) == sorted(key(name, seed) for name, seed in CASES)
 
 
-@pytest.mark.parametrize(("name", "seed"), cases(), ids=[key(*case) for case in cases()])
+@pytest.mark.parametrize(("name", "seed"), CASES, ids=[key(*case) for case in CASES])
 def test_event_log_matches_golden_hash(golden, name, seed):
     assert log_hash(name, seed) == golden[key(name, seed)]
 
 
 if __name__ == "__main__":
-    hashes = {key(name, seed): log_hash(name, seed) for name, seed in cases()}
+    hashes = {key(name, seed): log_hash(name, seed) for name, seed in CASES}
     GOLDEN_PATH.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN_PATH}")
