@@ -21,7 +21,7 @@ timer), generates the internally sensed events, and talks to the bus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
@@ -78,6 +78,25 @@ class MissionContext:
     lock_start_tick: int | None = None
     last_camera_tick: int | None = None
     signal_sent_for_current: bool = False
+
+    def copy(self, **changes) -> "MissionContext":
+        """``dataclasses.replace(self, **changes)`` without its per-call field scan."""
+        new = MissionContext(
+            self.uav_id,
+            self.tick,
+            self.time,
+            self.pursuer,
+            self.current_target,
+            self.target_position,
+            self.remaining_targets,
+            self.lock_timer,
+            self.lock_start_tick,
+            self.last_camera_tick,
+            self.signal_sent_for_current,
+        )
+        for name, value in changes.items():
+            setattr(new, name, value)
+        return new
 
 
 # Events. External ones are decoded from bus envelopes; the rest are sensed
@@ -185,7 +204,7 @@ def lock_timer_update(
     ctx: MissionContext, contained: bool, dt: float, gains: ControlGains
 ) -> tuple[MissionContext, bool]:
     """``_advance_lock_timer`` on a copy of ctx: (updated copy, lock achieved)."""
-    ctx = replace(ctx)
+    ctx = ctx.copy()
     return ctx, _advance_lock_timer(ctx, contained, dt, gains)
 
 
@@ -228,8 +247,7 @@ def handle_event(
     if state is MissionState.SEARCH:
         if isinstance(event, TelemetryResponseEvent):
             new_engagement = event.target_id != ctx.current_target
-            ctx = replace(
-                ctx,
+            ctx = ctx.copy(
                 current_target=event.target_id,
                 target_position=event.position,
                 remaining_targets=event.remaining,
@@ -241,15 +259,14 @@ def handle_event(
         if isinstance(event, DistanceBelowThreshold):
             if ctx.signal_sent_for_current or ctx.current_target is None:
                 return state, ctx, []
-            ctx = replace(ctx, signal_sent_for_current=True)
+            ctx = ctx.copy(signal_sent_for_current=True)
             return state, ctx, [PublishAction(topics.SIGNAL_PROCESS_IMAGE, b"")]
         if isinstance(event, CameraOffsetEvent):
             if not ctx.signal_sent_for_current:
                 # Stale offset from a previous engagement; vision has not
                 # been re-armed for this target yet.
                 return state, ctx, []
-            ctx = replace(
-                ctx,
+            ctx = ctx.copy(
                 lock_timer=0.0,
                 lock_start_tick=event.offset.tick,
                 last_camera_tick=event.offset.tick,
@@ -260,8 +277,7 @@ def handle_event(
                 [SetGuidance(lock_guidance(event.offset, gains))],
             )
         if isinstance(event, NoMoreTargets):
-            ctx = replace(
-                ctx,
+            ctx = ctx.copy(
                 current_target=None,
                 target_position=None,
                 lock_timer=0.0,
@@ -272,10 +288,10 @@ def handle_event(
 
     if state is MissionState.LOCK:
         if isinstance(event, CameraOffsetEvent):
-            ctx = replace(ctx, last_camera_tick=event.offset.tick)
+            ctx = ctx.copy(last_camera_tick=event.offset.tick)
             return state, ctx, [SetGuidance(lock_guidance(event.offset, gains))]
         if isinstance(event, CameraStale):
-            ctx = replace(ctx, lock_timer=0.0, lock_start_tick=None)
+            ctx = ctx.copy(lock_timer=0.0, lock_start_tick=None)
             return MissionState.SEARCH, ctx, []
         if isinstance(event, LockTimerElapsed):
             assert ctx.current_target is not None and ctx.pursuer is not None
@@ -288,8 +304,7 @@ def handle_event(
                 position=ctx.pursuer.position,
             )
             remaining = max(0, ctx.remaining_targets - 1)
-            ctx = replace(
-                ctx,
+            ctx = ctx.copy(
                 current_target=None,
                 target_position=None,
                 remaining_targets=remaining,
@@ -307,9 +322,7 @@ def handle_event(
         if isinstance(event, TelemetryResponseEvent):
             # In-flight periodic response; refresh bookkeeping, no transition.
             if event.target_id == ctx.current_target:
-                ctx = replace(
-                    ctx, target_position=event.position, remaining_targets=event.remaining
-                )
+                ctx = ctx.copy(target_position=event.position, remaining_targets=event.remaining)
             return state, ctx, []
         raise StateMachineError(f"{type(event).__name__} is illegal in LOCK")
 
@@ -387,7 +400,11 @@ class AutonomousNode:
                     elif self.state is MissionState.SEARCH:
                         self._dispatch(NoMoreTargets())
                 elif envelope.topic == topics.IMAGE_MESSAGE:
-                    self._dispatch(CameraOffsetEvent(OffsetMessage.decode(envelope.payload)))
+                    offset = OffsetMessage.decode(envelope.payload)
+                    # A frame stamped after this tick cannot have been taken
+                    # yet; acting on it would start a lock after it ends.
+                    if offset.tick <= self.ctx.tick:
+                        self._dispatch(CameraOffsetEvent(offset))
             except DecodeError:
                 continue  # a malformed envelope must not take the node down
 

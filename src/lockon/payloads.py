@@ -2,7 +2,14 @@
 
 Five payload types travel as UTF-8 JSON: telemetry requests and responses,
 lock reports, camera offset messages, and crash reports. Each is a frozen
-dataclass whose codec the ``wire`` decorator derives from its field types.
+dataclass whose codec the ``wire`` decorator compiles once from its field
+types.
+
+Parse contract: every payload, on the bus, at the mission server and in the
+run log, goes through one strict parser (``parse_json``). The bytes must be
+UTF-8 (no byte-order mark, no UTF-16/32) and hold JSON with no ``NaN`` or
+``Infinity`` token and no number literal beyond the float range, anywhere in
+the document.
 
 Decode contract: the payload must be a JSON object. A ``str`` or ``bool``
 field takes a JSON value of that type, an ``int`` field a JSON integer (not
@@ -11,7 +18,8 @@ a bool), a ``float`` field a finite JSON number, and a ``Vec3`` field an
 required field, a value of the wrong type, a non-finite number or a value
 the schema's own validation rejects raises DecodeError naming the field;
 the mission server answers such a body with HTTP 400. Unknown fields are
-ignored. Encoding is canonical: sorted keys, no whitespace.
+ignored. Encoding is canonical: exactly the bytes of
+``json.dumps(to_obj(), sort_keys=True, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .world import Vec3, finite_float
 
@@ -27,19 +36,88 @@ class DecodeError(Exception):
     """Payload bytes did not decode into the expected schema."""
 
 
-def load_object(data: bytes | str) -> dict:
-    """Parse a JSON object; anything else raises DecodeError."""
+class _NonFinite(ValueError):
+    """A NaN or Infinity token, or a number literal beyond the float range."""
+
+
+def _reject_constant(token: str):
+    raise _NonFinite(f"{token} is not a JSON number")
+
+
+def _finite_literal(text: str) -> float:
+    value = float(text)
+    if value - value != 0.0:  # a JSON literal can only overflow to +-inf
+        raise _NonFinite(f"number {text[:24]} is beyond the float range")
+    return value
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_literal)
+_scan = _STRICT_JSON.scan_once
+
+
+def parse_json(data: bytes | str):
+    """Parse one strict JSON payload; ValueError or RecursionError if it is not.
+
+    Bytes must be UTF-8; ``json.loads`` would also take UTF-16/32 and a BOM.
+    """
+    if not isinstance(data, str):
+        data = data.decode("utf-8")
+    # A payload is one unpadded value, which the scanner reads by itself; the
+    # full decode, with its two whitespace matches, reads the padded ones
+    # and reports what is not JSON.
     try:
-        obj = json.loads(data)
+        value, end = _scan(data, 0)
+        if end == len(data):
+            return value
+    except StopIteration:
+        pass
+    return _STRICT_JSON.decode(data)
+
+
+def load_object(data: bytes | str) -> dict:
+    """Parse a strict JSON object; anything else raises DecodeError."""
+    try:
+        obj = parse_json(data)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
         raise DecodeError(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise DecodeError("payload must be a JSON object")
     return obj
 
 
-def _dumps(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+# Anything but a plain scalar (a container, a subclass) is left to the json
+# encoder, which raises TypeError for what json.dumps cannot write either.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _value_text(value) -> str:
+    """``value`` as json.dumps writes it inside the canonical document."""
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0:  # finite
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _CANONICAL.encode(value)
+
+
+def _vec3_text(value) -> str:
+    """A Vec3 field as to_obj writes it, ``Vec3.as_dict`` (keys already sorted)."""
+    if value is None:
+        return "null"
+    return (
+        '{"x":' + _value_text(value.x) + ',"y":' + _value_text(value.y)
+        + ',"z":' + _value_text(value.z) + "}"
+    )
 
 
 def _exactly(kind: type):
@@ -51,21 +129,23 @@ def _exactly(kind: type):
     return convert
 
 
-# field type -> (JSON value -> field value, field value -> JSON value or None)
+# field type -> (JSON value -> field value, field value -> JSON value or None,
+#                field value -> canonical JSON text)
 _CODECS = {
-    str: (_exactly(str), None),
-    int: (_exactly(int), None),
-    bool: (_exactly(bool), None),
-    float: (finite_float, None),
-    Vec3: (Vec3.from_any, Vec3.as_dict),
+    str: (_exactly(str), None, _value_text),
+    int: (_exactly(int), None, _value_text),
+    bool: (_exactly(bool), None, _value_text),
+    float: (finite_float, None, _value_text),
+    Vec3: (Vec3.from_any, Vec3.as_dict, _vec3_text),
 }
 
 
 def wire(cls):
     """Give a frozen dataclass ``to_obj``, ``encode`` and a ``decode`` classmethod.
 
-    The per-field specs (name, decoder, encoder, optional) are computed once
-    here, so encoding and decoding do no introspection per call.
+    The codec is compiled once here: the decoder's per-field converters in
+    field order, and the encoder's ``"key":`` prefixes in sorted-key order,
+    so encoding and decoding do no introspection and no json set-up per call.
     """
     hints = typing.get_type_hints(cls)
     specs = []
@@ -74,40 +154,75 @@ def wire(cls):
         optional = type(None) in args
         kind = next(a for a in args if a is not type(None)) if optional else hints[field.name]
         specs.append((field.name, *_CODECS[kind], optional))
+    parts = []  # (text before the value, field name, value -> text), by sorted key
+    for name, _, _, to_text, _ in sorted(specs, key=lambda spec: spec[0]):
+        prefix = ("," if parts else "{") + encode_basestring_ascii(name) + ":"
+        parts.append((prefix, name, to_text))
 
     def to_obj(self) -> dict:
         obj = {}
-        for name, _, to_json, _ in specs:
+        for name, _, to_json, _, _ in specs:
             value = getattr(self, name)
             obj[name] = value if to_json is None or value is None else to_json(value)
         return obj
 
     def encode(self) -> bytes:
-        return _dumps(self.to_obj())
+        text = ""
+        for prefix, name, to_text in parts:
+            text += prefix + to_text(getattr(self, name))
+        return (text + "}").encode()
 
-    def decode(cls, data: bytes | str):
-        obj = load_object(data)
-        values = {}
-        for name, from_json, _, optional in specs:
+    def build(cls, obj: dict):
+        values = []
+        for name, from_json, _, _, optional in specs:
             raw = obj.get(name)
             if raw is None:
                 if not optional:
                     raise DecodeError(f"missing required field {name!r}")
-                values[name] = None
+                values.append(None)
                 continue
             try:
-                values[name] = from_json(raw)
+                values.append(from_json(raw))
             except ValueError as exc:
                 raise DecodeError(f"field {name!r}: {exc}") from None
         try:
-            return cls(**values)
+            return cls(*values)
         except ValueError as exc:  # the schema's own __post_init__ checks
             raise DecodeError(str(exc)) from None
+
+    def decode(cls, data: bytes | str):
+        try:
+            obj = parse_json(data)
+        except _NonFinite as exc:
+            _name_non_finite_field(build, cls, data)
+            raise DecodeError(f"not valid JSON: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
+            raise DecodeError(f"not valid JSON: {exc}") from None
+        if type(obj) is not dict:
+            raise DecodeError("payload must be a JSON object")
+        return build(cls, obj)
 
     cls.to_obj = to_obj
     cls.encode = encode
     cls.decode = classmethod(decode)
     return cls
+
+
+def _name_non_finite_field(build, cls, data: bytes | str) -> None:
+    """Raise build's DecodeError if a known field holds the non-finite number.
+
+    The strict parser stops at the first NaN, Infinity or overflowing
+    literal without knowing whose value it is; parsing the text again with
+    json's lenient defaults lets the field converters name it. Returns when
+    no known field is at fault (the value sits in an unknown field).
+    """
+    text = data if isinstance(data, str) else data.decode("utf-8")
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        return
+    if type(obj) is dict:
+        build(cls, obj)
 
 
 @wire

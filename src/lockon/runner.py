@@ -24,7 +24,7 @@ from . import bus as topics
 from .autonomy import AutonomousNode
 from .bus import Envelope, MessageBus
 from .metrics import RunReport, summarize_run
-from .payloads import CrashReport
+from .payloads import CrashReport, parse_json
 from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
@@ -81,14 +81,6 @@ def parse_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a JSON number")
-
-
-# Unlike json.loads, rejects the NaN and Infinity tokens.
-_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float, float] | None:
     """Projection of the in-frame target nearest the camera center."""
     best: tuple[float, float] | None = None
@@ -135,8 +127,8 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         events.append(entry)
         if envelope.payload:
             try:
-                entry["payload"] = _STRICT_JSON.decode(envelope.payload.decode("utf-8"))
-            except (ValueError, RecursionError):  # not strict UTF-8 JSON: log no payload
+                entry["payload"] = parse_json(envelope.payload)
+            except (ValueError, RecursionError):  # not strict JSON: log no payload
                 entry["malformed"] = True
         payload = entry["payload"]
         if envelope.topic == topics.LOCK and isinstance(payload, dict) and "target_id" in payload:
@@ -183,6 +175,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     )
     trace: list[TraceSample] = []
     terminated_by = "timeout"
+    frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 
     tick = 0
     while True:
@@ -199,7 +192,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                 terminated_by = "crash"
                 break
 
-        frame_due = tick % scenario.frame_ticks == 0
+        frame_due = tick % frame_ticks == 0
         truth = _camera_truth(world, consumed, scenario.camera) if frame_due else None
         vision.step(tick, truth, frame_due)
         autonomous.step(tick, world.time, world.pursuer)
@@ -219,11 +212,11 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         )
 
         if land_seen_tick is not None and (
-            tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= scenario.max_ticks + 1
+            tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= max_ticks + 1
         ):
             terminated_by = "land"
             break
-        if land_seen_tick is None and tick >= scenario.max_ticks:
+        if land_seen_tick is None and tick >= max_ticks:
             terminated_by = "timeout"
             break
         tick += 1

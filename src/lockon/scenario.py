@@ -91,6 +91,22 @@ def _number(obj: dict, key: str, default: float, context: str = "") -> float:
         raise ScenarioError(f"{context}{key}: {exc}") from None
 
 
+def _integer(obj: dict, key: str, default: int, context: str = "") -> int:
+    """A JSON integer field (not a float or bool), or default when absent."""
+    value = _get(obj, key, default)
+    if type(value) is not int:
+        raise ScenarioError(f"{context}{key}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _section(data: dict, key: str) -> dict:
+    """An optional sub-object such as ``gains``; {} when absent."""
+    value = _get(data, key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _vec(obj, context: str) -> Vec3:
     try:
         return Vec3.from_any(obj)
@@ -122,7 +138,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
 
-    pursuer_raw = _get(data, "pursuer", {})
+    pursuer_raw = _section(data, "pursuer")
     pursuer = PursuerState(
         position=_vec(_get(pursuer_raw, "position", [0, 0, 10]), "pursuer.position"),
         yaw=_number(pursuer_raw, "yaw", 0.0, "pursuer."),
@@ -138,7 +154,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     dt = _number(data, "dt", 0.05)
     frame_period = _number(data, "frame_period", 0.1)
 
-    camera_raw = _get(data, "camera", {})
+    camera_raw = _section(data, "camera")
     try:
         camera = CameraParams(
             hfov=math.radians(_number(camera_raw, "hfov_deg", 90.0, "camera.")),
@@ -148,18 +164,18 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"camera: {exc}") from exc
 
-    vision_raw = _get(data, "vision", {})
+    vision_raw = _section(data, "vision")
     try:
         vision = VisionParams(
             p_detect=_number(vision_raw, "p_detect", 0.9, "vision."),
-            detector_latency_frames=int(_get(vision_raw, "detector_latency_frames", 1)),
+            detector_latency_frames=_integer(vision_raw, "detector_latency_frames", 1, "vision."),
             track_window=_number(vision_raw, "track_window", 0.35, "vision."),
             p_track_dropout=_number(vision_raw, "p_track_dropout", 0.0, "vision."),
         )
     except ValueError as exc:
         raise ScenarioError(f"vision: {exc}") from exc
 
-    gains_raw = _get(data, "gains", {})
+    gains_raw = _section(data, "gains")
     try:
         gains = ControlGains(
             k_yaw=_number(gains_raw, "k_yaw", 0.8, "gains."),
@@ -174,7 +190,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"gains: {exc}") from exc
 
     # Other transport keys, such as the retired latency_ms, are ignored.
-    transport_raw = _get(data, "transport", {})
+    transport_raw = _section(data, "transport")
     transport = TransportConfig(
         mode=str(_get(transport_raw, "mode", "in_process")),
         base_url=str(_get(transport_raw, "base_url", "http://127.0.0.1:8080")),
@@ -183,7 +199,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     try:
         return Scenario(
             name=str(_get(data, "name", name)),
-            seed=int(_get(data, "seed", 0)),
+            seed=_integer(data, "seed", 0),
             dt=dt,
             frame_period=frame_period,
             max_time=_number(data, "max_time", 60.0),

@@ -67,13 +67,17 @@ class TargetAssignment:
     position: Vec3
 
 
+# json.dumps(body, sort_keys=True) without building an encoder per reply.
+_REPLY_JSON = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass
 class _Reply:
     status: int
     body: dict
 
     def encode(self) -> bytes:
-        return json.dumps(self.body, sort_keys=True).encode()
+        return _REPLY_JSON.encode(self.body).encode()
 
 
 class ApiError(Exception):

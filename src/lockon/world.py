@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec3:
     x: float
     y: float
@@ -85,20 +85,21 @@ def wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PursuerState:
     position: Vec3
     yaw: float
     pitch: float
     speed: float
 
-    def __post_init__(self) -> None:
-        if self.speed < 0.0:
+    def __init__(self, position: Vec3, yaw: float, pitch: float, speed: float) -> None:
+        """Check the speed, wrap the yaw and clamp the pitch; each slot is written once."""
+        if speed < 0.0:
             raise ValueError("speed must be >= 0")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-        object.__setattr__(
-            self, "pitch", max(-math.pi / 2.0, min(math.pi / 2.0, self.pitch))
-        )
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "yaw", wrap_angle(yaw))
+        object.__setattr__(self, "pitch", max(-math.pi / 2.0, min(math.pi / 2.0, pitch)))
+        object.__setattr__(self, "speed", speed)
 
     def forward(self) -> Vec3:
         """Unit vector along the (yaw, pitch) attitude."""
@@ -148,7 +149,7 @@ class TargetTrack:
     spec: TrajectorySpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuidanceCommand:
     """Kinematic command: body rates plus commanded speed."""
 
@@ -163,7 +164,7 @@ class GuidanceCommand:
             raise ValueError("rates must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldState:
     time: float
     tick: int

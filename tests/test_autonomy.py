@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockon.autonomy import (
     CameraOffsetEvent,
@@ -328,3 +329,22 @@ class TestLockTimer:
             current, achieved = lock_timer_update(current, True, 0.05, GAINS)
             steps += 1
         assert steps == 200
+
+
+_ANY_VALUE = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_CONTEXTS = st.builds(MissionContext, st.text(max_size=4), **{
+    f.name: _ANY_VALUE for f in dataclasses.fields(MissionContext) if f.name != "uav_id"
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONTEXTS, st.data())
+def test_context_copy_equals_dataclasses_replace(start, data):
+    names = data.draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(MissionContext)])))
+    changes = {name: data.draw(_ANY_VALUE) for name in sorted(names)}
+    before = dataclasses.replace(start)
+    copied = start.copy(**changes)
+    expected = dataclasses.replace(start, **changes)
+    assert copied is not start and start == before
+    for field in dataclasses.fields(MissionContext):
+        assert repr(getattr(copied, field.name)) == repr(getattr(expected, field.name))

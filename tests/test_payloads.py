@@ -1,7 +1,9 @@
 """Wire codec round-trips and validation diagnostics."""
 
+import codecs
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +17,11 @@ from lockon.payloads import (
     OffsetMessage,
     TelemetryRequest,
     TelemetryResponse,
+    parse_json,
 )
 from lockon.scenario import load_scenario
 from lockon.vision import VisionNode
-from lockon.world import Vec3
+from lockon.world import Vec3, finite_float
 
 from conftest import json_values
 
@@ -222,3 +225,217 @@ def test_run_fed_nan_offsets_finishes_like_a_clean_run(monkeypatch):
 
 def reject_constant(token):
     raise ValueError(f"non-finite token {token} in the event log")
+
+
+# --- The compiled codec against the json module ------------------------------
+
+def canonical_dumps(message) -> bytes:
+    """The encoding the codec must reproduce byte for byte."""
+    return json.dumps(message.to_obj(), sort_keys=True, separators=(",", ":")).encode()
+
+
+def unchecked(schema, values):
+    """A schema instance holding any field values, past its own validation."""
+    message = object.__new__(schema)
+    for field, value in zip(dataclasses.fields(schema), values):
+        object.__setattr__(message, field.name, value)
+    return message
+
+
+# Values the field types do not declare as well as the ones they do.
+any_text = st.text(st.characters(categories=("Cs", "Ll", "Lo", "Cc", "So", "Nd")), max_size=6)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    any_text,
+)
+undeclared = scalars | st.lists(scalars, max_size=3) | st.dictionaries(any_text, scalars, max_size=3)
+loose_vectors = st.none() | st.builds(Vec3, scalars, scalars, scalars)
+
+
+def loose_messages(schema):
+    kinds = [loose_vectors if f.type in ("Vec3", "Vec3 | None") else undeclared
+             for f in dataclasses.fields(schema)]
+    return st.tuples(*kinds).map(lambda values: unchecked(schema, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCHEMAS).flatmap(loose_messages))
+def test_encode_is_byte_identical_to_json_dumps(message):
+    try:
+        expected = canonical_dumps(message)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            message.encode()
+        return
+    assert message.encode() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(MESSAGES)
+def test_encode_of_valid_messages_is_byte_identical_to_json_dumps(message):
+    assert message.encode() == canonical_dumps(message)
+
+
+def reference_decode(schema, data):
+    """The decode before the codec was compiled: json.loads, then the field converters."""
+    try:
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise DecodeError(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DecodeError("payload must be a JSON object")
+    hints = {f.name: f.type for f in dataclasses.fields(schema)}
+    values = {}
+    for name, kind in hints.items():
+        raw = obj.get(name)
+        if raw is None:
+            if not kind.endswith("| None"):
+                raise DecodeError(f"missing required field {name!r}")
+            values[name] = None
+            continue
+        try:
+            if kind.startswith("Vec3"):
+                values[name] = Vec3.from_any(raw)
+            elif kind == "float":
+                values[name] = finite_float(raw)
+            elif type(raw) is not {"str": str, "int": int, "bool": bool}[kind.split(" ")[0]]:
+                raise ValueError(f"expected {kind}, got {type(raw).__name__}")
+            else:
+                values[name] = raw
+        except ValueError as exc:
+            raise DecodeError(f"field {name!r}: {exc}") from None
+    try:
+        return schema(**values)
+    except ValueError as exc:
+        raise DecodeError(str(exc)) from None
+
+
+def _reject(token):
+    raise ValueError(token)
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def strict_rule_rejects(data: bytes) -> bool:
+    """Whether data is not UTF-8, or holds NaN, Infinity or an overflowing literal."""
+    try:
+        json.loads(data.decode("utf-8"), parse_constant=_reject, parse_float=_finite)
+    except (ValueError, RecursionError):
+        return True
+    return False
+
+
+def documents(message):
+    """Payload bytes for message's schema: its encoding, spliced with noise,
+    re-encoded, padded with whitespace, given an extra field or one field's
+    value changed; arbitrary documents in several encodings; and plain noise."""
+    valid = message.encode()
+    texts = json_objects(type(message)).map(lambda obj: json.dumps(obj, ensure_ascii=False))
+    encoded = st.tuples(texts, st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32"])).map(
+        lambda pair: pair[0].encode(pair[1], "surrogatepass")
+    )
+    spliced = st.tuples(st.integers(0, len(valid)), st.binary(max_size=12)).map(
+        lambda t: valid[: t[0]] + t[1] + valid[t[0]:]
+    )
+    restated = st.sampled_from(["utf-8-sig", "utf-16", "utf-32"]).map(
+        lambda codec: valid.decode().encode(codec)
+    )
+    padded = st.tuples(st.sampled_from([b"", b" ", b"\n\t"]), st.sampled_from([b"", b"\r\n"])).map(
+        lambda pads: pads[0] + valid + pads[1]
+    )
+    noted = st.sampled_from([b"NaN", b"-Infinity", b"1e400", b"[0,{}]"]).map(
+        lambda token: valid[:-1] + b',"note":' + token + b"}"
+    )
+    names = [f.name for f in dataclasses.fields(message)]
+    one_field_changed = st.tuples(st.sampled_from(names), json_values).map(
+        lambda change: json.dumps({**message.to_obj(), change[0]: change[1]}).encode()
+    )
+    return st.one_of(
+        st.just(valid), encoded, spliced, restated, padded, noted, one_field_changed,
+        st.binary(max_size=40),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(MESSAGES.flatmap(lambda m: st.tuples(st.just(type(m)), documents(m))))
+def test_decode_agrees_with_the_reference_decoder(case):
+    schema, data = case
+    try:
+        expected = reference_decode(schema, data)
+    except DecodeError:
+        expected = None
+    try:
+        got = schema.decode(data)
+    except DecodeError:
+        got = None
+    if expected is None:
+        assert got is None
+    elif got is None:
+        assert strict_rule_rejects(data)
+    else:
+        assert type(got) is type(expected) and got == expected
+
+
+STRICTLY_REJECTED = [
+    b'{"x":0.5,"y":0,"tick":3,"note":NaN}',
+    b'{"x":0.5,"y":0,"tick":3,"note":[1,{"deep":-Infinity}]}',
+    b'{"x":0.5,"y":0,"tick":3,"note":1e400}',
+    b'{"x":0.5,"y":0,"tick":3,"note":-' + b"9" * 400 + b'.5}',
+    codecs.BOM_UTF8 + b'{"x":0.5,"y":0,"tick":3}',
+    '{"x":0.5,"y":0,"tick":3}'.encode("utf-16"),
+    '{"x":0.5,"y":0,"tick":3}'.encode("utf-32-le"),
+    b'{"x":0.5,"y":0,"tick":3,"note":"\xed\xa0\x80"}',  # a UTF-8-encoded surrogate
+]
+
+
+@pytest.mark.parametrize("body", STRICTLY_REJECTED)
+def test_strict_rule_rejects_what_json_loads_accepts(body):
+    assert reference_decode(OffsetMessage, body) == OffsetMessage(0.5, 0.0, 3)
+    with pytest.raises(DecodeError):
+        OffsetMessage.decode(body)
+    with pytest.raises(ValueError):
+        parse_json(body)
+
+
+class NoteVision(VisionNode):
+    """Vision whose offsets carry an extra field with a non-finite value."""
+
+    note = b"NaN"
+
+    def step(self, tick, truth, frame_due):
+        send = self._publisher.send
+
+        def send_with_note(topic, payload, tick):
+            return send(topic, payload[:-1] + b',"note":' + self.note + b"}", tick)
+
+        self._publisher.send = send_with_note
+        try:
+            super().step(tick, truth, frame_due)
+        finally:
+            self._publisher.send = send
+
+
+@pytest.mark.parametrize("note", [b"NaN", b"1e400"])
+def test_nodes_drop_what_the_log_calls_malformed(monkeypatch, note):
+    monkeypatch.setattr(NoteVision, "note", note)
+    monkeypatch.setattr(runner, "VisionNode", NoteVision)
+    result = runner.run(load_scenario("moving_target"))
+    offsets = [e for e in result.event_log if e.get("topic") == topics.IMAGE_MESSAGE]
+    assert offsets and all(e["malformed"] and e["payload"] is None for e in offsets)
+    # The autonomy node drops the same envelopes, so no camera lock is flown
+    # and the report, read from the log, agrees with the flight.
+    assert all(e["to"] != "LOCK" for e in result.event_log if e["kind"] == "fsm")
+    outcome = result.report.per_target[0]
+    assert not outcome.locked and outcome.max_containment_s == 0.0
+    for line in runner.event_log_to_jsonl(result.event_log).splitlines():
+        json.loads(line, parse_constant=reject_constant)
+        assert "Infinity" not in line

@@ -114,3 +114,22 @@ class TestDefaults:
         scenario = make_scenario()
         assert scenario.frame_ticks == 2
         assert scenario.max_ticks == 800
+
+
+class TestIntegerFieldsAndSections:
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, float("inf"), "1", None])
+    @pytest.mark.parametrize("field", ["seed", "vision.detector_latency_frames"])
+    def test_integer_field_must_be_a_json_integer(self, field, value):
+        section, _, key = field.rpartition(".")
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            make_scenario({section: {key: value}} if section else {key: value})
+
+    @pytest.mark.parametrize("section", ["pursuer", "camera", "vision", "gains", "transport"])
+    @pytest.mark.parametrize("value", [5, [1, 2], "x", None])
+    def test_section_must_be_an_object(self, section, value):
+        with pytest.raises(ScenarioError, match=f"^{section} must be an object"):
+            make_scenario({section: value})
+
+    def test_integer_fields_load(self):
+        scenario = make_scenario(seed=2**70, vision={"detector_latency_frames": 3})
+        assert scenario.seed == 2**70 and scenario.vision.detector_latency_frames == 3

@@ -1,5 +1,6 @@
 """Mission server store behaviour, HTTP layer, and conservation properties."""
 
+import codecs
 import http.client
 import json
 import random
@@ -257,6 +258,34 @@ class TestDispatch:
         assert store.dispatch("POST", "/api/telemetry", nan_position).status == 400
         assert store.dispatch("POST", "/api/crash", inf_time).status == 400
         assert store.record_count() == 0
+
+    @pytest.mark.parametrize(
+        "restate",
+        [
+            lambda body: body.decode().encode("utf-16"),
+            lambda body: codecs.BOM_UTF8 + body,
+            lambda body: body[:-1] + b',"note":NaN}',
+            lambda body: body[:-1] + b',"note":[1e400]}',
+        ],
+        ids=["utf-16", "bom", "nan-in-unknown-field", "overflow-in-unknown-field"],
+    )
+    @pytest.mark.parametrize("path", ["/api/telemetry", "/api/lock", "/api/crash", "/api/seed"])
+    def test_non_strict_bodies_are_400_and_never_stored(self, path, restate):
+        bodies = {
+            "/api/telemetry": telemetry_body(),
+            "/api/lock": lock_body("T1"),
+            "/api/crash": crash_body(),
+            "/api/seed": b'{"targets":[{"id":"A","position":[0,0,0]}]}',
+        }
+        store = seeded_store(1)
+        assert store.dispatch("POST", path, restate(bodies[path])).status == 400
+        assert store.record_count() == 0 and store.queue_length() == 1
+
+    def test_reply_bytes_are_json_dumps_with_sorted_keys(self):
+        store = seeded_store(2)
+        store.dispatch("POST", "/api/telemetry", telemetry_body())
+        for reply in (store.dispatch("GET", "/api/records"), store.dispatch("POST", "/api/x")):
+            assert reply.encode() == json.dumps(reply.body, sort_keys=True).encode()
 
 
 class TestHttpLayer:
