@@ -10,9 +10,9 @@ hovering motionless in the air.
 from .autonomy import ControlGains, MissionState
 from .bus import Envelope, MessageBus
 from .metrics import ConfusionCounts, confusion_metrics, summarize_run
-from .runner import RunResult, latency_harness, run
+from .runner import RunResult, run
 from .scenario import Scenario, load_scenario
-from .server import MissionStore, TargetAssignment
+from .server import MissionStore, TargetAssignment, latency_harness
 from .vision import VisionParams
 from .world import CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
 

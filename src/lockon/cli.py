@@ -9,9 +9,16 @@ import sys
 from pathlib import Path
 
 from .metrics import ConfusionCounts, MetricsError, confusion_metrics, summarize_run
-from .runner import LatencyHarnessError, event_log_to_jsonl, latency_harness, parse_jsonl, run
+from .runner import event_log_to_jsonl, parse_jsonl, run
 from .scenario import ScenarioError, load_scenario
-from .server import MissionStore, TargetAssignment, make_http_server, parse_targets
+from .server import (
+    LatencyHarnessError,
+    MissionStore,
+    TargetAssignment,
+    latency_harness,
+    make_http_server,
+    parse_targets,
+)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

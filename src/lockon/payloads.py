@@ -129,15 +129,18 @@ def _exactly(kind: type):
     return convert
 
 
-# field type -> (JSON value -> field value, field value -> JSON value or None,
-#                field value -> canonical JSON text)
-_CODECS = {
-    str: (_exactly(str), None, _value_text),
-    int: (_exactly(int), None, _value_text),
-    bool: (_exactly(bool), None, _value_text),
-    float: (finite_float, None, _value_text),
-    Vec3: (Vec3.from_any, Vec3.as_dict, _vec3_text),
+# field type -> (JSON value -> field value), raising ValueError for a wrong type
+# or a non-finite number; the scenario loader and target parser use it too.
+FROM_JSON = {
+    str: _exactly(str),
+    int: _exactly(int),
+    bool: _exactly(bool),
+    float: finite_float,
+    Vec3: Vec3.from_any,
 }
+
+# field type -> (field value -> JSON value or None, field value -> canonical JSON text)
+_TO_JSON = {Vec3: (Vec3.as_dict, _vec3_text)}
 
 
 def wire(cls):
@@ -153,7 +156,8 @@ def wire(cls):
         args = typing.get_args(hints[field.name])
         optional = type(None) in args
         kind = next(a for a in args if a is not type(None)) if optional else hints[field.name]
-        specs.append((field.name, *_CODECS[kind], optional))
+        to_json, to_text = _TO_JSON.get(kind, (None, _value_text))
+        specs.append((field.name, FROM_JSON[kind], to_json, to_text, optional))
     parts = []  # (text before the value, field name, value -> text), by sorted key
     for name, _, _, to_text, _ in sorted(specs, key=lambda spec: spec[0]):
         prefix = ("," if parts else "{") + encode_basestring_ascii(name) + ":"

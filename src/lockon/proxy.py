@@ -3,16 +3,16 @@
 Telemetry envelopes are forwarded as POSTs and the reply comes back on
 /telemetry/response; lock reports are forwarded and acknowledged; /land
 disarms the proxy so no request leaves the UAV after landing. Transport
-failures degrade gracefully: telemetry retries three times with a short
-backoff and then publishes a has_target=false response, lock reports retry
-once.
+failures degrade gracefully: telemetry is tried three times and then a
+has_target=false response is published, lock reports retry once. Retries
+follow at once, within the same tick: a wall-clock wait would stall the
+lockstep scheduler.
 """
 
 from __future__ import annotations
 
 import http.client
 import logging
-import time
 
 from . import bus as topics
 from .bus import Envelope, MessageBus, Publisher
@@ -23,7 +23,6 @@ log = logging.getLogger(__name__)
 
 TELEMETRY_RETRIES = 3
 LOCK_RETRIES = 1
-RETRY_BACKOFF_S = 0.05
 
 
 class TransportError(Exception):
@@ -79,16 +78,9 @@ class ProxyNode:
 
     CLIENT_ID = "proxy"
 
-    def __init__(
-        self,
-        bus: MessageBus,
-        transport,
-        uav_id: str = "uav-1",
-        backoff_s: float = RETRY_BACKOFF_S,
-    ) -> None:
+    def __init__(self, bus: MessageBus, transport, uav_id: str = "uav-1") -> None:
         self.transport = transport
         self.uav_id = uav_id
-        self.backoff_s = backoff_s
         self.active = True
         self.degraded_events = 0
         self._publisher = Publisher(bus, self.CLIENT_ID)
@@ -103,8 +95,6 @@ class ProxyNode:
                 return self.transport.post(path, body)
             except TransportError as exc:
                 log.warning("transport failure on %s (attempt %d): %s", path, attempt + 1, exc)
-                if attempt + 1 < attempts and self.backoff_s > 0:
-                    time.sleep(self.backoff_s)
         return None
 
     def forward_telemetry(self, request: TelemetryRequest, tick: int = 0) -> TelemetryResponse:
@@ -129,12 +119,10 @@ class ProxyNode:
 
     def forward_lock(self, report: LockReport) -> bool:
         """POST a lock report; true on 2xx, one retry then a logged failure."""
-        for attempt in range(LOCK_RETRIES + 1):
+        for _ in range(LOCK_RETRIES + 1):
             result = self._post_with_retries("/api/lock", report.encode(), 1)
             if result is not None and 200 <= result[0] < 300:
                 return True
-            if attempt < LOCK_RETRIES and self.backoff_s > 0:
-                time.sleep(self.backoff_s)
         log.error("lock report for %s was not acknowledged", report.target_id)
         return False
 

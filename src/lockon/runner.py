@@ -6,18 +6,12 @@ published during a tick are therefore seen by other nodes on the next tick,
 giving the protocol a reproducible one-tick transport delay. Runs terminate
 on /land (after a short grace window so every node can shut down), at
 max_time, or on a crash (altitude below ground).
-
-The module also hosts the loopback-HTTP latency harness.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import math
 import random
-import statistics
-import time as _time
 from dataclasses import dataclass
 
 from . import bus as topics
@@ -43,15 +37,11 @@ SHUTDOWN_GRACE_TICKS = 2
 
 @dataclass(slots=True)
 class TraceSample:
-    """Per-tick ground truth kept for replay verification of runs."""
+    """Per-tick ground truth for replay checks; the rest of a tick is in the event log."""
 
     tick: int
-    time: float
     pursuer_position: Vec3
-    state: str
-    reported_target_id: str | None
     reported_target_position: Vec3 | None
-    signal_sent: bool
 
 
 @dataclass(frozen=True)
@@ -140,9 +130,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
 
     if scenario.transport.mode == "http":
         # The loopback server is external in this mode; the caller seeds it.
-        address = scenario.transport.base_url.split("//", 1)[-1]
-        host, _, port = address.partition(":")
-        transport = HttpTransport(host=host or "127.0.0.1", port=int(port or 80))
+        transport = HttpTransport(host=scenario.transport.host, port=scenario.transport.port)
     else:
         if store is None:
             store = MissionStore(
@@ -165,7 +153,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             {"kind": "fsm", "tick": tick, "from": old.value, "to": new.value}
         ),
     )
-    proxy = ProxyNode(bus, transport, uav_id=scenario.uav_id, backoff_s=0.0)
+    proxy = ProxyNode(bus, transport, uav_id=scenario.uav_id)
 
     world = WorldState(
         time=0.0,
@@ -202,12 +190,8 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         trace.append(
             TraceSample(
                 tick=tick,
-                time=world.time,
                 pursuer_position=world.pursuer.position,
-                state=autonomous.state.value,
-                reported_target_id=autonomous.ctx.current_target,
                 reported_target_position=autonomous.ctx.target_position,
-                signal_sent=autonomous.ctx.signal_sent_for_current,
             )
         )
 
@@ -231,70 +215,3 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         trace=trace,
     )
 
-
-class LatencyHarnessError(Exception):
-    """The latency harness could not complete its request batch."""
-
-
-def _padded_telemetry_body(payload_bytes: int) -> bytes:
-    base = {
-        "uav_id": "latency-probe",
-        "time": 0.0,
-        "position": {"x": 0.0, "y": 0.0, "z": 0.0},
-        "state": "SEARCH",
-        "pad": "",
-    }
-    overhead = len(json.dumps(base, separators=(",", ":")).encode())
-    pad = max(0, payload_bytes - overhead)
-    base["pad"] = "x" * pad
-    return json.dumps(base, separators=(",", ":")).encode()
-
-
-def latency_harness(
-    port: int,
-    payload_bytes: int = 500,
-    n_requests: int = 1000,
-    host: str = "127.0.0.1",
-) -> dict:
-    """Measure telemetry round-trip latency over loopback HTTP.
-
-    Issues n_requests POSTs with bodies padded to payload_bytes and reports
-    p50/p95/mean in milliseconds. A failed request aborts the whole batch.
-    """
-    if n_requests <= 0:
-        raise ValueError("n_requests must be > 0")
-    if payload_bytes <= 0:
-        raise ValueError("payload_bytes must be > 0")
-    body = _padded_telemetry_body(payload_bytes)
-    headers = {"Content-Type": "application/json"}
-    durations_ms: list[float] = []
-    conn = http.client.HTTPConnection(host, port, timeout=10.0)
-    try:
-        for index in range(n_requests):
-            started = _time.perf_counter()
-            try:
-                conn.request("POST", "/api/telemetry", body=body, headers=headers)
-                response = conn.getresponse()
-                response.read()
-                status = response.status
-            except (OSError, http.client.HTTPException) as exc:
-                raise LatencyHarnessError(f"request {index} failed: {exc}") from exc
-            if status != 200:
-                raise LatencyHarnessError(f"request {index} failed with status {status}")
-            durations_ms.append((_time.perf_counter() - started) * 1000.0)
-    finally:
-        conn.close()
-
-    ordered = sorted(durations_ms)
-
-    def nearest_rank(q: float) -> float:
-        rank = max(1, min(len(ordered), math.ceil(q * len(ordered))))
-        return ordered[rank - 1]
-
-    return {
-        "p50_ms": nearest_rank(0.50),
-        "p95_ms": nearest_rank(0.95),
-        "mean_ms": statistics.fmean(durations_ms),
-        "count": n_requests,
-        "payload_bytes": len(body),
-    }

@@ -4,20 +4,25 @@ A scenario is a JSON document pinning everything a run needs: seed, timing,
 pursuer start, target trajectories, camera/vision parameters, control gains,
 and the server transport. Loading applies defaults and validates every
 field, so a loaded Scenario is always runnable and echoes the effective
-configuration.
+configuration. Fields are read with the wire codec's converters
+(``payloads.FROM_JSON``), and absent parameter keys keep the defaults of
+``VisionParams``, ``ControlGains`` and ``TransportConfig``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .autonomy import ControlGains
+from .payloads import FROM_JSON
 from .vision import VisionParams
-from .world import CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3, finite_float
+from .world import ZERO3, CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
 
 BUNDLED_SCENARIOS = ("moving_target", "accelerating_target", "hovering_target")
 
@@ -30,10 +35,24 @@ class ScenarioError(Exception):
 class TransportConfig:
     mode: str = "in_process"  # "in_process" | "http"
     base_url: str = "http://127.0.0.1:8080"
+    # The server address, parsed from base_url once by __post_init__.
+    host: str = field(init=False, repr=False, compare=False)
+    port: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("in_process", "http"):
             raise ScenarioError(f"transport.mode must be in_process or http, got {self.mode!r}")
+        try:
+            url = urlsplit(self.base_url)
+            port = url.port  # ValueError for a port that is not a number in range
+        except ValueError as exc:
+            raise ScenarioError(f"transport.base_url: {exc}") from None
+        # The runner posts to fixed /api/... paths over plain HTTP, so no other
+        # scheme, no path, query or fragment, and no port 0 could be honoured.
+        if self.base_url.rstrip("/") != "http://" + url.netloc or not url.hostname or port == 0:
+            raise ScenarioError(f"transport.base_url {self.base_url!r} is not http://host[:port]")
+        object.__setattr__(self, "host", url.hostname)
+        object.__setattr__(self, "port", port or 80)
 
 
 @dataclass(frozen=True)
@@ -49,8 +68,8 @@ class Scenario:
     camera: CameraParams
     vision: VisionParams
     gains: ControlGains
-    transport: TransportConfig = field(default_factory=TransportConfig)
-    uav_id: str = "uav-1"
+    transport: TransportConfig
+    uav_id: str
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -75,63 +94,70 @@ class Scenario:
         return round(self.max_time / self.dt)
 
 
-def _get(obj: dict, key: str, default=None, required: bool = False):
+def _field(obj: dict, key: str, kind: type, default, context: str = ""):
+    """``obj[key]`` read as a payload field of type ``kind``, else ``default``.
+
+    A default of None makes the field required. A value of the wrong JSON
+    type, or a non-finite number, is a ScenarioError naming the field.
+    """
     if key not in obj:
-        if required:
-            raise ScenarioError(f"missing required field {key!r}")
+        if default is None:
+            raise ScenarioError(f"{context}{key}: missing required field")
         return default
-    return obj[key]
-
-
-def _number(obj: dict, key: str, default: float, context: str = "") -> float:
-    """A finite JSON number field, or default when absent; ScenarioError otherwise."""
     try:
-        return finite_float(_get(obj, key, default))
+        return FROM_JSON[kind](obj[key])
     except ValueError as exc:
         raise ScenarioError(f"{context}{key}: {exc}") from None
 
 
-def _integer(obj: dict, key: str, default: int, context: str = "") -> int:
-    """A JSON integer field (not a float or bool), or default when absent."""
-    value = _get(obj, key, default)
-    if type(value) is not int:
-        raise ScenarioError(f"{context}{key}: expected an integer, got {type(value).__name__}")
-    return value
-
-
 def _section(data: dict, key: str) -> dict:
     """An optional sub-object such as ``gains``; {} when absent."""
-    value = _get(data, key, {})
+    value = data.get(key, {})
     if not isinstance(value, dict):
         raise ScenarioError(f"{key} must be an object, got {type(value).__name__}")
     return value
 
 
-def _vec(obj, context: str) -> Vec3:
+# (name, type) of each constructor field of the parameter classes; a section
+# gives any of these keys, and the class's own default fills every other one.
+_PARAM_FIELDS = {
+    cls: [(f.name, typing.get_type_hints(cls)[f.name]) for f in fields(cls) if f.init]
+    for cls in (VisionParams, ControlGains, TransportConfig)
+}
+
+
+def _params(data: dict, key: str, cls):
+    """Section ``key`` read as a ``cls``; unknown keys are ignored."""
+    section = _section(data, key)
+    values = {
+        name: _field(section, name, kind, None, key + ".")
+        for name, kind in _PARAM_FIELDS[cls]
+        if name in section
+    }
     try:
-        return Vec3.from_any(obj)
+        return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{context}: not a valid vector: {exc}") from exc
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 def _parse_target(entry: dict, index: int) -> tuple[str, TrajectorySpec]:
-    context = f"targets[{index}]"
+    context = f"targets[{index}]."
     if not isinstance(entry, dict):
-        raise ScenarioError(f"{context} must be an object")
-    target_id = str(_get(entry, "id", required=True))
-    kind_raw = str(_get(entry, "kind", required=True))
+        raise ScenarioError(f"targets[{index}] must be an object")
+    target_id = _field(entry, "id", str, None, context)
+    kind_raw = _field(entry, "kind", str, None, context)
     try:
         kind = TrajectoryKind(kind_raw)
     except ValueError as exc:
         valid = ", ".join(k.value for k in TrajectoryKind)
-        raise ScenarioError(f"{context}.kind must be one of {valid}, got {kind_raw!r}") from exc
-    p0 = _vec(_get(entry, "p0", required=True), f"{context}.p0")
-    v0 = _vec(_get(entry, "v0", [0, 0, 0]), f"{context}.v0")
-    a = _vec(_get(entry, "a", [0, 0, 0]), f"{context}.a")
+        raise ScenarioError(f"{context}kind must be one of {valid}, got {kind_raw!r}") from exc
+    p0 = _field(entry, "p0", Vec3, None, context)
+    v0 = _field(entry, "v0", Vec3, ZERO3, context)
+    a = _field(entry, "a", Vec3, ZERO3, context)
     try:
         return target_id, TrajectorySpec(kind=kind, p0=p0, v0=v0, a=a)
     except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+        raise ScenarioError(f"targets[{index}]: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
@@ -139,81 +165,50 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario root must be a JSON object")
 
     pursuer_raw = _section(data, "pursuer")
-    pursuer = PursuerState(
-        position=_vec(_get(pursuer_raw, "position", [0, 0, 10]), "pursuer.position"),
-        yaw=_number(pursuer_raw, "yaw", 0.0, "pursuer."),
-        pitch=_number(pursuer_raw, "pitch", 0.0, "pursuer."),
-        speed=_number(pursuer_raw, "speed", 0.0, "pursuer."),
-    )
+    try:
+        pursuer = PursuerState(
+            position=_field(pursuer_raw, "position", Vec3, Vec3(0.0, 0.0, 10.0), "pursuer."),
+            yaw=_field(pursuer_raw, "yaw", float, 0.0, "pursuer."),
+            pitch=_field(pursuer_raw, "pitch", float, 0.0, "pursuer."),
+            speed=_field(pursuer_raw, "speed", float, 0.0, "pursuer."),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"pursuer: {exc}") from exc
 
-    targets_raw = _get(data, "targets", required=True)
+    targets_raw = data.get("targets")
     if not isinstance(targets_raw, list):
         raise ScenarioError("targets must be a list")
     targets = tuple(_parse_target(entry, i) for i, entry in enumerate(targets_raw))
 
-    dt = _number(data, "dt", 0.05)
-    frame_period = _number(data, "frame_period", 0.1)
+    dt = _field(data, "dt", float, 0.05)
+    frame_period = _field(data, "frame_period", float, 0.1)
 
     camera_raw = _section(data, "camera")
     try:
         camera = CameraParams(
-            hfov=math.radians(_number(camera_raw, "hfov_deg", 90.0, "camera.")),
-            vfov=math.radians(_number(camera_raw, "vfov_deg", 60.0, "camera.")),
+            hfov=math.radians(_field(camera_raw, "hfov_deg", float, 90.0, "camera.")),
+            vfov=math.radians(_field(camera_raw, "vfov_deg", float, 60.0, "camera.")),
             frame_period=frame_period,
         )
     except ValueError as exc:
         raise ScenarioError(f"camera: {exc}") from exc
 
-    vision_raw = _section(data, "vision")
-    try:
-        vision = VisionParams(
-            p_detect=_number(vision_raw, "p_detect", 0.9, "vision."),
-            detector_latency_frames=_integer(vision_raw, "detector_latency_frames", 1, "vision."),
-            track_window=_number(vision_raw, "track_window", 0.35, "vision."),
-            p_track_dropout=_number(vision_raw, "p_track_dropout", 0.0, "vision."),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"vision: {exc}") from exc
-
-    gains_raw = _section(data, "gains")
-    try:
-        gains = ControlGains(
-            k_yaw=_number(gains_raw, "k_yaw", 0.8, "gains."),
-            k_pitch=_number(gains_raw, "k_pitch", 0.8, "gains."),
-            v_cruise=_number(gains_raw, "v_cruise", 8.0, "gains."),
-            v_lock=_number(gains_raw, "v_lock", 6.0, "gains."),
-            activation_radius=_number(gains_raw, "activation_radius", 10.0, "gains."),
-            lock_duration=_number(gains_raw, "lock_duration", 10.0, "gains."),
-            camera_grace=_number(gains_raw, "camera_grace", 0.5, "gains."),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"gains: {exc}") from exc
-
-    # Other transport keys, such as the retired latency_ms, are ignored.
-    transport_raw = _section(data, "transport")
-    transport = TransportConfig(
-        mode=str(_get(transport_raw, "mode", "in_process")),
-        base_url=str(_get(transport_raw, "base_url", "http://127.0.0.1:8080")),
+    return Scenario(
+        name=_field(data, "name", str, name),
+        seed=_field(data, "seed", int, 0),
+        dt=dt,
+        frame_period=frame_period,
+        max_time=_field(data, "max_time", float, 60.0),
+        telemetry_period=_field(data, "telemetry_period", float, 1.0),
+        pursuer_init=pursuer,
+        targets=targets,
+        camera=camera,
+        vision=_params(data, "vision", VisionParams),
+        gains=_params(data, "gains", ControlGains),
+        # Other transport keys, such as the retired latency_ms, are ignored.
+        transport=_params(data, "transport", TransportConfig),
+        uav_id=_field(data, "uav_id", str, "uav-1"),
     )
-
-    try:
-        return Scenario(
-            name=str(_get(data, "name", name)),
-            seed=_integer(data, "seed", 0),
-            dt=dt,
-            frame_period=frame_period,
-            max_time=_number(data, "max_time", 60.0),
-            telemetry_period=_number(data, "telemetry_period", 1.0),
-            pursuer_init=pursuer,
-            targets=targets,
-            camera=camera,
-            vision=vision,
-            gains=gains,
-            transport=transport,
-            uav_id=str(_get(data, "uav_id", "uav-1")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def bundled_scenario_text(name: str) -> str:

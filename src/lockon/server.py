@@ -17,12 +17,17 @@ MAX_BODY_BYTES 413; every error reply is ``{"error": message}``.
 Assignment policy is a FIFO queue whose head stays assigned until a lock
 report consumes it. Records are append-only with gap-free ids. A single
 coarse lock makes the store safe under the threading HTTP server.
+
+The module also hosts the loopback-HTTP latency harness.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import math
+import statistics
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -30,6 +35,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from .payloads import (
+    FROM_JSON,
     CrashReport,
     DecodeError,
     LockReport,
@@ -96,8 +102,8 @@ def parse_targets(doc) -> list[TargetAssignment]:
     """The target queue of a ``{"targets": [{"id", "position" | "p0"}, ...]}`` document.
 
     Shared by ``/api/seed`` and ``lockon serve --targets`` (which takes a
-    scenario file). A malformed entry or a non-finite position raises
-    ValueError naming the entry.
+    scenario file). A malformed entry, an ``id`` that is not a string or a
+    non-finite position raises ValueError naming the entry.
     """
     entries = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -107,10 +113,14 @@ def parse_targets(doc) -> list[TargetAssignment]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ValueError(f"targets[{index}] must be an object with an 'id'")
         try:
+            target_id = FROM_JSON[str](entry["id"])
+        except ValueError as exc:
+            raise ValueError(f"targets[{index}].id: {exc}") from None
+        try:
             position = Vec3.from_any(entry.get("position", entry.get("p0")))
         except ValueError as exc:
             raise ValueError(f"targets[{index}] position: {exc}") from None
-        targets.append(TargetAssignment(str(entry["id"]), position))
+        targets.append(TargetAssignment(target_id, position))
     return targets
 
 
@@ -298,3 +308,71 @@ class ServerThread:
         self.httpd.shutdown()
         self.httpd.server_close()
         self._thread.join(timeout=5.0)
+
+
+class LatencyHarnessError(Exception):
+    """The latency harness could not complete its request batch."""
+
+
+def _padded_telemetry_body(payload_bytes: int) -> bytes:
+    base = {
+        "uav_id": "latency-probe",
+        "time": 0.0,
+        "position": {"x": 0.0, "y": 0.0, "z": 0.0},
+        "state": "SEARCH",
+        "pad": "",
+    }
+    overhead = len(json.dumps(base, separators=(",", ":")).encode())
+    pad = max(0, payload_bytes - overhead)
+    base["pad"] = "x" * pad
+    return json.dumps(base, separators=(",", ":")).encode()
+
+
+def latency_harness(
+    port: int,
+    payload_bytes: int = 500,
+    n_requests: int = 1000,
+    host: str = "127.0.0.1",
+) -> dict:
+    """Measure telemetry round-trip latency over loopback HTTP.
+
+    Issues n_requests POSTs with bodies padded to payload_bytes and reports
+    p50/p95/mean in milliseconds. A failed request aborts the whole batch.
+    """
+    if n_requests <= 0:
+        raise ValueError("n_requests must be > 0")
+    if payload_bytes <= 0:
+        raise ValueError("payload_bytes must be > 0")
+    body = _padded_telemetry_body(payload_bytes)
+    headers = {"Content-Type": "application/json"}
+    durations_ms: list[float] = []
+    conn = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        for index in range(n_requests):
+            started = _time.perf_counter()
+            try:
+                conn.request("POST", "/api/telemetry", body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                status = response.status
+            except (OSError, http.client.HTTPException) as exc:
+                raise LatencyHarnessError(f"request {index} failed: {exc}") from exc
+            if status != 200:
+                raise LatencyHarnessError(f"request {index} failed with status {status}")
+            durations_ms.append((_time.perf_counter() - started) * 1000.0)
+    finally:
+        conn.close()
+
+    ordered = sorted(durations_ms)
+
+    def nearest_rank(q: float) -> float:
+        rank = max(1, min(len(ordered), math.ceil(q * len(ordered))))
+        return ordered[rank - 1]
+
+    return {
+        "p50_ms": nearest_rank(0.50),
+        "p95_ms": nearest_rank(0.95),
+        "mean_ms": statistics.fmean(durations_ms),
+        "count": n_requests,
+        "payload_bytes": len(body),
+    }

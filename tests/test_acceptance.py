@@ -14,9 +14,9 @@ import pytest
 
 from lockon.bus import Envelope, MessageBus
 from lockon.cli import main as cli_main
-from lockon.runner import event_log_to_jsonl, latency_harness, run
+from lockon.runner import event_log_to_jsonl, run
 from lockon.scenario import load_scenario
-from lockon.server import ApiError, MissionStore, ServerThread, TargetAssignment
+from lockon.server import ApiError, MissionStore, ServerThread, TargetAssignment, latency_harness
 from lockon.world import Vec3, distance
 
 from conftest import make_scenario

@@ -65,11 +65,12 @@ class TestServeCommand:
         "document",
         [
             {"targets": [{"position": [60, 0, 10]}]},
+            {"targets": [{"id": 7, "p0": [60, 0, 10]}]},
             {"targets": [{"id": "T1", "p0": [float("nan"), 0, 10]}]},
             {"targets": [{"id": "T1", "p0": [0, 0, 0]}, {"id": "T1", "p0": [1, 0, 0]}]},
             [1, 2, 3],
         ],
-        ids=["missing-id", "nan-position", "duplicate-id", "not-an-object"],
+        ids=["missing-id", "numeric-id", "nan-position", "duplicate-id", "not-an-object"],
     )
     def test_bad_targets_file_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "targets.json"
@@ -141,3 +142,4 @@ def test_serve_subprocess_round_trip(tmp_path, port_arg):
     finally:
         process.terminate()
         process.wait(timeout=5)
+        process.stdout.close()

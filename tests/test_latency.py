@@ -5,8 +5,13 @@ import socket
 
 import pytest
 
-from lockon.runner import LatencyHarnessError, _padded_telemetry_body, latency_harness
-from lockon.server import MissionStore, ServerThread
+from lockon.server import (
+    LatencyHarnessError,
+    MissionStore,
+    ServerThread,
+    _padded_telemetry_body,
+    latency_harness,
+)
 
 
 def free_port():

@@ -90,5 +90,5 @@ def test_autonomous_node_survives_any_bytes(ticks):
 def test_proxy_node_survives_any_bytes(ticks):
     bus = MessageBus()
     store = MissionStore([TargetAssignment("T1", Vec3(60.0, 0.0, 10.0))])
-    node = ProxyNode(bus, InProcessTransport(store), backoff_s=0.0)
+    node = ProxyNode(bus, InProcessTransport(store))
     feed(bus, ticks, node.step)

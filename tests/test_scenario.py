@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from lockon.scenario import ScenarioError, load_scenario, scenario_from_dict
+from lockon.autonomy import ControlGains
+from lockon.scenario import ScenarioError, TransportConfig, load_scenario, scenario_from_dict
+from lockon.vision import VisionParams
 from lockon.world import TrajectoryKind
 
 from conftest import make_scenario
@@ -87,6 +89,37 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=re.escape(field)):
             make_scenario({section: {key: value}} if section else {key: value})
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"targets": [{"id": None, "kind": "stationary", "p0": [5, 0, 1]}]}, "targets[0].id"),
+            ({"uav_id": ["a"]}, "uav_id"),
+            ({"name": 7}, "name"),
+            ({"transport": {"mode": 1}}, "transport.mode"),
+            ({"transport": {"base_url": 8080}}, "transport.base_url"),
+            ({"transport": {"base_url": "http://127.0.0.1:notaport"}}, "transport.base_url"),
+            ({"transport": {"base_url": "http://127.0.0.1:8080/api"}}, "transport.base_url"),
+            ({"transport": {"base_url": "https://127.0.0.1:8080"}}, "transport.base_url"),
+            ({"transport": {"base_url": "http://127.0.0.1:0"}}, "transport.base_url"),
+            ({"pursuer": {"speed": -1.0}}, "pursuer"),
+        ],
+    )
+    def test_bad_value_names_field(self, overrides, field):
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            make_scenario(overrides)
+
+    @pytest.mark.parametrize(
+        "base_url, host, port",
+        [
+            ("http://127.0.0.1:8080", "127.0.0.1", 8080),
+            ("http://[::1]:8080/", "::1", 8080),
+            ("http://localhost", "localhost", 80),
+        ],
+    )
+    def test_base_url_gives_the_server_address(self, base_url, host, port):
+        transport = make_scenario(transport={"mode": "http", "base_url": base_url}).transport
+        assert (transport.host, transport.port) == (host, port)
+
     def test_non_finite_position_names_field(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"targets": [{"id": "T1", "kind": "stationary", "p0": [NaN, 0, 10]}]}')
@@ -109,6 +142,12 @@ class TestDefaults:
         assert scenario.camera.hfov == pytest.approx(math.radians(90))
         assert scenario.camera.vfov == pytest.approx(math.radians(60))
         assert scenario.camera.frame_period == 0.1
+
+    def test_absent_sections_take_the_class_defaults(self):
+        scenario = scenario_from_dict({"targets": []})
+        assert scenario.gains == ControlGains()
+        assert scenario.vision == VisionParams()
+        assert scenario.transport == TransportConfig()
 
     def test_tick_helpers(self):
         scenario = make_scenario()

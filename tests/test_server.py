@@ -210,6 +210,8 @@ class TestSeeding:
             b'{"targets": [{"id": "A", "position": {"x": 0, "y": Infinity, "z": 0}}]}',
             b'{"targets": [{"position": [0, 0, 0]}]}',
             b'{"targets": [{"id": "A"}]}',
+            b'{"targets": [{"id": {"a": 1}, "position": [0, 0, 0]}]}',
+            b'{"targets": [{"id": 7, "position": [0, 0, 0]}]}',
             b'{"targets": {"id": "A"}}',
             b"[]",
         ],
