@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from .metrics import ConfusionCounts, MetricsError, confusion_metrics, summarize_run
+from .payloads import blame_non_finite, parse_json
 from .runner import event_log_to_jsonl, parse_jsonl, run
 from .scenario import ScenarioError, load_scenario
 from .server import (
@@ -57,8 +58,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_targets_file(path: str) -> list[TargetAssignment]:
+    data = Path(path).read_bytes()
     try:
-        return parse_targets(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            doc = parse_json(data)
+        except (ValueError, RecursionError) as exc:
+            blame_non_finite(data, exc, parse_targets)
+            raise ValueError(f"invalid JSON: {exc}") from None
+        return parse_targets(doc)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

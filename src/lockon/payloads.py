@@ -197,10 +197,8 @@ def wire(cls):
     def decode(cls, data: bytes | str):
         try:
             obj = parse_json(data)
-        except _NonFinite as exc:
-            _name_non_finite_field(build, cls, data)
-            raise DecodeError(f"not valid JSON: {exc}") from None
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
+            blame_non_finite(data, exc, lambda obj: type(obj) is dict and build(cls, obj))
             raise DecodeError(f"not valid JSON: {exc}") from None
         if type(obj) is not dict:
             raise DecodeError("payload must be a JSON object")
@@ -212,21 +210,24 @@ def wire(cls):
     return cls
 
 
-def _name_non_finite_field(build, cls, data: bytes | str) -> None:
-    """Raise build's DecodeError if a known field holds the non-finite number.
+def blame_non_finite(data: bytes | str, error: Exception, read) -> None:
+    """Let ``read`` name the field whose non-finite number failed ``parse_json(data)``.
 
     The strict parser stops at the first NaN, Infinity or overflowing
-    literal without knowing whose value it is; parsing the text again with
-    json's lenient defaults lets the field converters name it. Returns when
-    no known field is at fault (the value sits in an unknown field).
+    literal without knowing whose value it is. When that is why ``error``
+    was raised, ``read`` is given json's lenient parse of the same text, so
+    its own field checks raise an error naming the field. Returns for any
+    other parse error, or when ``read`` accepts the document (the value sits
+    where no field reads it).
     """
+    if not isinstance(error, _NonFinite):
+        return
     text = data if isinstance(data, str) else data.decode("utf-8")
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError):
         return
-    if type(obj) is dict:
-        build(cls, obj)
+    read(obj)
 
 
 @wire

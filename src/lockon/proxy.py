@@ -41,7 +41,14 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    """Loopback HTTP client over a persistent connection."""
+    """Loopback HTTP/1.1 client that keeps one connection open across requests.
+
+    The server closes a connection that has been idle too long. A request
+    that then fails on the reused connection with a ConnectionError is sent
+    once more on a new connection, so the idle close does not use up one of
+    the proxy's attempts. Any other failure closes the connection, and the
+    next request opens a new one.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8080, timeout: float = 5.0) -> None:
         self.host = host
@@ -55,15 +62,24 @@ class HttpTransport:
         return self._conn
 
     def post(self, path: str, body: bytes) -> tuple[int, bytes]:
+        reused = self._conn is not None
         try:
-            conn = self._connection()
-            conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-            return response.status, data
+            try:
+                return self._exchange(path, body)
+            except ConnectionError:  # broken pipe, reset, or closed before the reply
+                if not reused:
+                    raise
+                self.close()
+                return self._exchange(path, body)
         except (OSError, http.client.HTTPException) as exc:
             self.close()
             raise TransportError(str(exc)) from exc
+
+    def _exchange(self, path: str, body: bytes) -> tuple[int, bytes]:
+        conn = self._connection()
+        conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
 
     def close(self) -> None:
         if self._conn is not None:

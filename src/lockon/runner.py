@@ -166,44 +166,48 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 
     tick = 0
-    while True:
-        if tick > 0:
-            world = world_step(world, autonomous.guidance, dt)
-            if world.pursuer.position.z < 0.0:
-                proxy.report_crash(
-                    CrashReport(
-                        uav_id=scenario.uav_id,
-                        time=world.time,
-                        position=world.pursuer.position,
+    try:
+        while True:
+            if tick > 0:
+                world = world_step(world, autonomous.guidance, dt)
+                if world.pursuer.position.z < 0.0:
+                    proxy.report_crash(
+                        CrashReport(
+                            uav_id=scenario.uav_id,
+                            time=world.time,
+                            position=world.pursuer.position,
+                        )
                     )
+                    terminated_by = "crash"
+                    break
+
+            frame_due = tick % frame_ticks == 0
+            truth = _camera_truth(world, consumed, scenario.camera) if frame_due else None
+            vision.step(tick, truth, frame_due)
+            autonomous.step(tick, world.time, world.pursuer)
+            proxy.step(tick)
+            bus.deliver()
+
+            trace.append(
+                TraceSample(
+                    tick=tick,
+                    pursuer_position=world.pursuer.position,
+                    reported_target_position=autonomous.ctx.target_position,
                 )
-                terminated_by = "crash"
-                break
-
-        frame_due = tick % frame_ticks == 0
-        truth = _camera_truth(world, consumed, scenario.camera) if frame_due else None
-        vision.step(tick, truth, frame_due)
-        autonomous.step(tick, world.time, world.pursuer)
-        proxy.step(tick)
-        bus.deliver()
-
-        trace.append(
-            TraceSample(
-                tick=tick,
-                pursuer_position=world.pursuer.position,
-                reported_target_position=autonomous.ctx.target_position,
             )
-        )
 
-        if land_seen_tick is not None and (
-            tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= max_ticks + 1
-        ):
-            terminated_by = "land"
-            break
-        if land_seen_tick is None and tick >= max_ticks:
-            terminated_by = "timeout"
-            break
-        tick += 1
+            if land_seen_tick is not None and (
+                tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= max_ticks + 1
+            ):
+                terminated_by = "land"
+                break
+            if land_seen_tick is None and tick >= max_ticks:
+                terminated_by = "timeout"
+                break
+            tick += 1
+    finally:
+        if isinstance(transport, HttpTransport):
+            transport.close()
 
     events.append({"kind": "end", "terminated_by": terminated_by, "tick": tick})
     report = summarize_run(events)

@@ -11,7 +11,6 @@ configuration. Fields are read with the wire codec's converters
 
 from __future__ import annotations
 
-import json
 import math
 import typing
 from dataclasses import dataclass, field, fields
@@ -20,7 +19,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .autonomy import ControlGains
-from .payloads import FROM_JSON
+from .payloads import FROM_JSON, blame_non_finite, parse_json
 from .vision import VisionParams
 from .world import ZERO3, CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
 
@@ -78,6 +77,9 @@ class Scenario:
             raise ScenarioError("max_time must be > 0")
         if self.telemetry_period <= 0:
             raise ScenarioError("telemetry_period must be > 0")
+        for name in ("frame_period", "max_time"):
+            if not math.isfinite(getattr(self, name) / self.dt):
+                raise ScenarioError(f"{name} / dt overflows the float range")
         ratio = self.frame_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("frame_period must be a positive integer multiple of dt")
@@ -211,11 +213,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     )
 
 
-def bundled_scenario_text(name: str) -> str:
+def bundled_scenario_bytes(name: str) -> bytes:
     try:
-        return (
-            resources.files("lockon").joinpath(f"scenarios/{name}.json").read_text(encoding="utf-8")
-        )
+        return resources.files("lockon").joinpath(f"scenarios/{name}.json").read_bytes()
     except FileNotFoundError as exc:
         raise ScenarioError(
             f"no bundled scenario {name!r}; available: {', '.join(BUNDLED_SCENARIOS)}"
@@ -223,16 +223,22 @@ def bundled_scenario_text(name: str) -> str:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario from a file path or a bundled name."""
+    """Load and validate a scenario from a file path or a bundled name.
+
+    The file is read by the strict payload parser (``payloads.parse_json``):
+    bytes that are not UTF-8, or JSON that is not strict or nests too deep,
+    are a ScenarioError like any other malformed file.
+    """
     p = Path(path)
     if p.exists():
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
         default_name = p.stem
     else:
-        text = bundled_scenario_text(str(path))
+        data = bundled_scenario_bytes(str(path))
         default_name = str(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(data, name=default_name)
+        doc = parse_json(data)
+    except (ValueError, RecursionError) as exc:
+        blame_non_finite(data, exc, lambda doc: scenario_from_dict(doc, name=default_name))
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    return scenario_from_dict(doc, name=default_name)

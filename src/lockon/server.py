@@ -11,8 +11,17 @@ request, in-process or HTTP:
     GET  /api/records[?kind=...] -> 200, records in insertion order
 
 A body that does not decode (malformed JSON, a missing or mistyped field, a
-non-finite number) gets 400, an unknown endpoint 404, and an HTTP body over
-MAX_BODY_BYTES 413; every error reply is ``{"error": message}``.
+non-finite number) gets 400 and an unknown endpoint 404.
+
+The HTTP layer speaks HTTP/1.1 over persistent connections, one thread per
+connection. A connection idle for ``_Handler.timeout`` seconds is closed,
+and closing the server ends every open connection. A request it cannot
+frame gets a reply with ``Connection: close`` and ends the connection: a bad
+``Content-Length`` gets 400, a body over MAX_BODY_BYTES 413 and a chunked
+body 411, on a GET too (whose body is otherwise read and ignored), and the
+stdlib's own checks (a bad request line or header, an unsupported method)
+their 4xx or 5xx. Every error reply, from either layer, is
+``{"error": message}`` JSON.
 
 Assignment policy is a FIFO queue whose head stays assigned until a lock
 report consumes it. Records are append-only with gap-free ids. A single
@@ -27,6 +36,7 @@ import http.client
 import json
 import logging
 import math
+import socket
 import statistics
 import threading
 import time as _time
@@ -49,6 +59,7 @@ log = logging.getLogger(__name__)
 
 RECORD_KINDS = ("Telemetry", "Lock", "Crash")
 MAX_BODY_BYTES = 1 << 20  # larger POST bodies get 413
+LINGER_S = 1.0  # how long a rejected connection's unread input is drained
 
 
 @dataclass
@@ -251,43 +262,131 @@ class MissionStore:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 over persistent connections: one thread serves one client.
+
+    Each reply leaves in one write with Nagle's algorithm off, so a
+    kept-alive exchange never waits for a delayed ACK (RFC 896; RFC 1122
+    4.2.3.2). A client silent for ``timeout`` seconds is disconnected, which
+    frees its thread.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 30.0  # idle seconds before the server closes a connection
     store: MissionStore  # set by make_http_server
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError as exc:  # the client reset or abandoned the connection
+            log.debug("http connection from %s dropped: %s", self.client_address[0], exc)
+
     def _reply(self, reply: _Reply) -> None:
+        """Send the status line, headers and body in one write."""
         data = reply.encode()
-        self.send_response(reply.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        self.log_request(reply.status, len(data))
+        head = (
+            f"{self.protocol_version} {reply.status} {self.responses[reply.status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+            + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
+        ).encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + data)
+
+    def _reject(self, status: int, message: str) -> None:
+        """Answer an error after which the input cannot be read as requests, then close.
+
+        Closing a socket with unread input resets the connection, and the
+        reset can destroy the reply before the client reads it: a client
+        still sending an oversize body would see a broken pipe, not the 413.
+        So the rest of the input is read and dropped, for up to LINGER_S.
+        """
+        self.close_connection = True
+        self._reply(_Reply(status, {"error": message}))
+        sock = self.request
+        deadline = _time.monotonic() + LINGER_S
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while (left := deadline - _time.monotonic()) > 0:
+                sock.settimeout(left)
+                if not sock.recv(65536):
+                    break
+        except OSError:  # the client is gone, or LINGER_S is up
+            pass
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """The stdlib's own errors (bad request line, unknown method, ...) as JSON replies."""
+        self.log_error("code %d, message %s", code, message)
+        self._reject(code, message or self.responses[code][0])
+
+    def _read_body(self) -> bytes | None:
+        """The request body as framed by Content-Length; None after rejecting the request."""
+        if "Transfer-Encoding" in self.headers:
+            self._reject(411, "the body needs a Content-Length; Transfer-Encoding is not supported")
+            return None
+        length = self.headers.get("Content-Length", "0")
+        try:  # RFC 9110: 1*DIGIT, which int() alone does not insist on ("+1", " 1", "1_0")
+            size = int(length) if length.isascii() and length.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            size = -1
+        if size < 0:
+            self._reject(400, "Content-Length must be a non-negative integer")
+        elif size > MAX_BODY_BYTES:
+            self._reject(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        else:
+            return self.rfile.read(size)
+        return None
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        try:
-            size = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            size = -1
-        if 0 <= size <= MAX_BODY_BYTES:
-            self._reply(self.store.dispatch("POST", self.path, self.rfile.read(size)))
-            return
-        self.close_connection = True  # the unread body would be taken for the next request
-        if size < 0:
-            self._reply(_Reply(400, {"error": "Content-Length must be a non-negative integer"}))
-        else:
-            self._reply(_Reply(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
+        body = self._read_body()
+        if body is not None:
+            self._reply(self.store.dispatch("POST", self.path, body))
 
     def do_GET(self) -> None:  # noqa: N802
-        self._reply(self.store.dispatch("GET", self.path))
+        # A body is read and ignored, so that it is not taken for the next request.
+        if self._read_body() is not None:
+            self._reply(self.store.dispatch("GET", self.path))
 
     def log_message(self, format: str, *args) -> None:
-        log.debug("http %s", format % args)
+        log.debug("http " + format, *args)
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """A threading HTTP server whose ``server_close`` also ends open connections.
+
+    Without that, a kept-alive connection would go on being served, and
+    changing the store, after the server was closed.
+    """
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:  # its thread reads EOF, or fails its write, and closes it
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 def make_http_server(store: MissionStore, port: int = 0, host: str = "127.0.0.1") -> ThreadingHTTPServer:
     """Bind a threading HTTP server over the store; port 0 picks a free one."""
     handler = type("BoundHandler", (_Handler,), {"store": store})
-    return ThreadingHTTPServer((host, port), handler)
+    return _HttpServer((host, port), handler)
 
 
 class ServerThread:

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import http.client
 import json
 import subprocess
 import sys
 import time
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -72,10 +74,26 @@ class TestServeCommand:
         ],
         ids=["missing-id", "numeric-id", "nan-position", "duplicate-id", "not-an-object"],
     )
-    def test_bad_targets_file_is_an_error(self, tmp_path, capsys, document):
+    def test_bad_targets_file_is_an_error(self, tmp_path, capsys, monkeypatch, document):
+        # A file wrongly accepted would start serving and hang the test: fail instead.
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self: pytest.fail("served"))
         path = tmp_path / "targets.json"
         path.write_text(json.dumps(document))
         assert main(["serve", "--port", "0", "--targets", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 200_000 + b"]" * 200_000, '{"targets": [], "name": "caf\xe9"}'.encode("latin-1")],
+        ids=["nested-200000-deep", "not-utf-8"],
+    )
+    def test_unparseable_file_is_an_error(self, tmp_path, capsys, monkeypatch, command, data):
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self: pytest.fail("served"))
+        path = tmp_path / "file.json"
+        path.write_bytes(data)
+        option = "--scenario" if command == "run" else "--targets"
+        assert main([command, option, str(path)] + (["--port", "0"] if command == "serve" else [])) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_nan_position_raises_scenario_error(self, tmp_path):
@@ -100,6 +118,27 @@ class TestLatencyCommand:
 
     def test_zero_count_rejected(self, capsys):
         assert main(["latency", "--port", "59999", "--count", "0"]) == 1
+
+
+def test_serve_stops_on_sigterm_with_an_idle_connection_open():
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "lockon.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(process.stdout.readline().strip().rsplit(":", 1)[-1])
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5.0)
+        conn.request("GET", "/api/records")
+        assert conn.getresponse().read() == b'{"records": []}'  # the connection stays open
+        process.terminate()
+        process.wait(timeout=5)  # raises if the open connection kept the server up
+        conn.close()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=5)
+        process.stdout.close()
 
 
 @pytest.mark.parametrize("port_arg", ["0"])

@@ -1,11 +1,13 @@
 """Proxy forwarding, retries, degraded-link fallback, and /land disarm."""
 
+import time
+
 import pytest
 
 from lockon.bus import MessageBus, Publisher
-from lockon.payloads import LockReport, TelemetryRequest, TelemetryResponse
-from lockon.proxy import InProcessTransport, ProxyNode, TransportError
-from lockon.server import MissionStore, TargetAssignment
+from lockon.payloads import CrashReport, LockReport, TelemetryRequest, TelemetryResponse
+from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
+from lockon.server import MissionStore, ServerThread, TargetAssignment
 from lockon.world import Vec3
 
 
@@ -77,6 +79,29 @@ class TestForwardTelemetry:
         bus, _, proxy = make_proxy(store=store, transport=transport)
         response = proxy.forward_telemetry(request())
         assert response.has_target and proxy.degraded_events == 0
+
+
+    def test_requests_after_the_server_closed_the_idle_connection(self, monkeypatch, caplog):
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        crash = CrashReport(uav_id="uav-1", time=2.0, position=Vec3(0, 0, -1))
+        with ServerThread(store) as server:
+            monkeypatch.setattr(server.httpd.RequestHandlerClass, "timeout", 0.2)
+            transport = HttpTransport(port=server.port)
+            _, _, proxy = make_proxy(store=store, transport=transport)
+            try:
+                assert proxy.forward_telemetry(request()).has_target
+                time.sleep(0.6)  # the server closes the connection after 0.2 s idle
+                response = proxy.forward_telemetry(request(1.0))
+                time.sleep(0.6)
+                crashed = proxy.report_crash(crash)  # a single attempt
+            finally:
+                transport.close()
+        assert response.has_target and response.target_id == "T1"
+        assert crashed
+        assert proxy.degraded_events == 0
+        assert (store.record_count("Telemetry"), store.record_count("Crash")) == (2, 1)
+        # The stale connection cost no attempt: each request was sent again at once.
+        assert not [r for r in caplog.records if "transport failure" in r.getMessage()]
 
 
 class TestForwardLock:

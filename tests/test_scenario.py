@@ -41,6 +41,21 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[" * 200_000 + b"]" * 200_000,
+            '{"targets": [], "name": "caf\xe9"}'.encode("latin-1"),
+            '{"targets": []}'.encode("utf-16"),
+        ],
+        ids=["nested-200000-deep", "latin-1", "utf-16"],
+    )
+    def test_unparseable_file_is_a_scenario_error(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load_scenario(path)
+
 
 class TestValidation:
     def test_zero_dt_names_the_field(self):
@@ -50,6 +65,17 @@ class TestValidation:
     def test_frame_period_must_divide(self):
         with pytest.raises(ScenarioError, match="frame_period"):
             make_scenario(frame_period=0.07)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"dt": 1e-320, "frame_period": 1e300}, "frame_period / dt"),
+            ({"dt": 1e-300, "max_time": 1e300}, "max_time / dt"),
+        ],
+    )
+    def test_tick_count_overflow_names_both_fields(self, overrides, field):
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            make_scenario(overrides)
 
     def test_duplicate_target_ids_rejected(self):
         with pytest.raises(ScenarioError, match="unique"):

@@ -3,8 +3,11 @@
 import codecs
 import http.client
 import json
+import logging
 import random
 import socket
+import struct
+import time
 from urllib.parse import quote
 
 import pytest
@@ -344,6 +347,152 @@ class TestHttpLayer:
             transport.close()
 
 
+def read_until_eof(sock):
+    """Everything the server sends before closing; a reset raises ConnectionResetError."""
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+def split_reply(data):
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {k.strip().lower(): v.strip() for k, _, v in (line.partition(":") for line in lines[1:])}
+    return int(lines[0].split()[1]), headers, body
+
+
+class TestPersistentConnections:
+    def test_requests_share_one_connection(self):
+        with ServerThread(seeded_store(1)) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+            try:
+                socks = set()
+                for i in range(20):
+                    if i % 4 == 3:
+                        conn.request("GET", "/api/records?kind=Lock")
+                    else:
+                        conn.request("POST", "/api/telemetry", body=telemetry_body(t=float(i)))
+                    response = conn.getresponse()
+                    assert response.status == 200 and not response.will_close
+                    response.read()
+                    socks.add(conn.sock)
+                assert len(socks) == 1 and None not in socks
+            finally:
+                conn.close()
+
+    def test_idle_connection_is_closed_while_another_client_is_served(self, monkeypatch):
+        with ServerThread(seeded_store(1)) as server:
+            monkeypatch.setattr(server.httpd.RequestHandlerClass, "timeout", 0.2)
+            busy = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as idle:
+                try:
+                    started = time.monotonic()
+                    sock = None
+                    while time.monotonic() - started < 0.8:  # four idle timeouts
+                        busy.request("POST", "/api/telemetry", body=telemetry_body())
+                        response = busy.getresponse()
+                        assert response.status == 200 and response.read()
+                        assert busy.sock is not None and sock in (None, busy.sock)
+                        sock = busy.sock
+                        time.sleep(0.02)
+                    assert read_until_eof(idle) == b""  # closed by the server, no reply
+                finally:
+                    busy.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /api/records HTTP/9\r\n\r\n", 400),
+            (b"POST /api/nowhere HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", 400),
+            (
+                b"POST /api/telemetry HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (4 * MAX_BODY_BYTES)
+                + b"x" * (4 * MAX_BODY_BYTES),
+                413,
+            ),
+            (b"POST /api/seed HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 411),
+            (b"PUT /api/seed HTTP/1.1\r\nContent-Length: 65536\r\n\r\n" + b"y" * 65536, 501),
+            (b"DELETE /api/records HTTP/1.1\r\n\r\n", 501),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /api/records HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431),
+        ],
+        ids=[
+            "bad-request-line", "bad-version", "signed-length", "oversize-body-sent",
+            "chunked", "put-with-body", "delete", "long-uri", "too-many-headers",
+        ],
+    )
+    def test_rejected_request_gets_json_then_a_clean_close(self, request_bytes, status):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(request_bytes)
+                reply_status, headers, body = split_reply(read_until_eof(sock))
+        assert reply_status == status
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert "error" in json.loads(body)
+
+    def test_head_gets_json_headers_and_no_body(self):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(b"HEAD /api/records HTTP/1.1\r\n\r\n")
+                reply_status, headers, body = split_reply(read_until_eof(sock))
+        assert (reply_status, body) == (501, b"")
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+
+    def test_get_body_is_read_and_ignored(self):
+        # Left unread, this body would be taken for the next request and record a crash.
+        smuggled = b"POST /api/crash HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(crash_body())
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+            try:
+                for body in (smuggled + crash_body(), None):
+                    conn.request("GET", "/api/records", body=body)
+                    response = conn.getresponse()
+                    assert (response.status, response.read()) == (200, b'{"records": []}')
+                    assert not response.will_close
+            finally:
+                conn.close()
+        assert store.record_count() == 0
+
+    def test_client_reset_is_logged_at_debug_not_printed(self, capsys, caplog):
+        caplog.set_level(logging.DEBUG, logger="lockon.server")
+        with ServerThread(MissionStore([])) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+            conn.request("GET", "/api/records")
+            assert conn.getresponse().read() == b'{"records": []}'
+            # SO_LINGER 0: closing sends a reset to the thread waiting for the next request.
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            deadline = time.monotonic() + 5.0
+            while "dropped" not in caplog.text and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert "dropped" in caplog.text
+        assert capsys.readouterr().err == ""
+
+    def test_server_thread_exit_ends_an_idle_kept_alive_connection(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+            conn.request("GET", "/api/records")
+            assert conn.getresponse().read() == b'{"records": []}'  # kept alive
+            started = time.monotonic()
+        try:
+            assert time.monotonic() - started < 2.0
+            assert not server._thread.is_alive()
+            # The closed server ends the connection instead of serving it on.
+            assert read_until_eof(conn.sock) == b""
+            with pytest.raises((OSError, http.client.HTTPException)):
+                conn.request("POST", "/api/crash", body=crash_body())
+                conn.getresponse()
+            assert store.record_count() == 0
+        finally:
+            conn.close()
+
+
 POST_PATHS = ["/api/telemetry", "/api/lock", "/api/crash", "/api/seed"]
 VALID_BODIES = [
     json.loads(telemetry_body()),
@@ -373,11 +522,13 @@ def test_every_endpoint_answers_arbitrary_bodies_with_json():
         @settings(max_examples=200, deadline=None)
         @given(st.sampled_from(POST_PATHS), request_bodies(), st.text(max_size=8))
         def check(path, body, kind):
-            conn.request("POST", path, body=body)
-            post = conn.getresponse()
-            conn.request("GET", "/api/records?kind=" + quote(kind))
-            get = conn.getresponse()
-            for response in (post, get):
+            # On a persistent connection each reply is read before the next request.
+            for method, target, data in (
+                ("POST", path, body),
+                ("GET", "/api/records?kind=" + quote(kind), None),
+            ):
+                conn.request(method, target, body=data)
+                response = conn.getresponse()
                 assert response.status // 100 in (2, 4)
                 assert response.getheader("Content-Type") == "application/json"
                 assert isinstance(json.loads(response.read(), parse_constant=pytest.fail), dict)
