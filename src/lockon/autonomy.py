@@ -28,7 +28,7 @@ from typing import Callable, Union
 from . import bus as topics
 from .bus import MessageBus, Publisher
 from .payloads import DecodeError, LockReport, OffsetMessage, TelemetryRequest, TelemetryResponse
-from .world import GuidanceCommand, PursuerState, Vec3, distance, wrap_angle
+from .world import GuidanceCommand, PursuerState, Vec3, distance, value, wrap_angle
 
 
 class StateMachineError(Exception):
@@ -101,34 +101,34 @@ class MissionContext:
 
 # Events. External ones are decoded from bus envelopes; the rest are sensed
 # internally by the node each tick.
-@dataclass(frozen=True)
+@value
 class TelemetryResponseEvent:
     target_id: str
     position: Vec3
     remaining: int
 
 
-@dataclass(frozen=True)
+@value
 class DistanceBelowThreshold:
     pass
 
 
-@dataclass(frozen=True)
+@value
 class CameraOffsetEvent:
     offset: OffsetMessage
 
 
-@dataclass(frozen=True)
+@value
 class CameraStale:
     pass
 
 
-@dataclass(frozen=True)
+@value
 class LockTimerElapsed:
     pass
 
 
-@dataclass(frozen=True)
+@value
 class NoMoreTargets:
     pass
 
@@ -143,13 +143,13 @@ Event = Union[
 ]
 
 
-@dataclass(frozen=True)
+@value
 class PublishAction:
     topic: str
     payload: bytes
 
 
-@dataclass(frozen=True)
+@value
 class SetGuidance:
     command: GuidanceCommand
 

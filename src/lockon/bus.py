@@ -12,8 +12,9 @@ whole but does not accept concurrent calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
+
+from .world import value
 
 # The fixed topic vocabulary used by the mission protocol.
 TELEMETRY = "/telemetry"
@@ -39,7 +40,7 @@ def validate_topic(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
+@value
 class Envelope:
     """A published message as seen by subscribers."""
 

@@ -8,9 +8,11 @@ longest continuous containment streak per target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import bus as topics
+from .world import finite_float
 
 
 class MetricsError(Exception):
@@ -112,50 +114,103 @@ def _streak_spans(offset_ticks: list[int], frame_ticks: int, dt: float) -> list[
     return spans
 
 
+# Ticks up to 2**53 convert to floats exactly; with dt * 2**53 finite, no
+# tick span times dt overflows either.
+_MAX_TICK = 2**53
+
+
+def _tick(value) -> int:
+    if type(value) is not int or not 0 <= value <= _MAX_TICK:
+        raise MetricsError(f"tick {value!r:.40} is not an integer in [0, 2**53]")
+    return value
+
+
+def _target_id(payload: dict, topic: str) -> str:
+    target_id = payload.get("target_id")
+    if type(target_id) is not str:
+        raise MetricsError(f"a {topic} message without a target_id string")
+    return target_id
+
+
+def _positive(meta: dict, key: str) -> float:
+    """A finite, positive number from the meta header."""
+    try:
+        value = finite_float(meta.get(key))
+    except ValueError as exc:
+        raise MetricsError(f"meta {key}: {exc}") from None
+    if value <= 0.0:
+        raise MetricsError(f"meta {key} must be > 0")
+    return value
+
+
 def summarize_run(entries: list[dict]) -> RunReport:
     """Build a RunReport from parsed event-log entries.
 
     The log must open with the meta line written by the scheduler and close
     with a terminal entry (land, timeout, or crash); anything else is
     rejected as an incomplete run. Messages the scheduler logged as
-    malformed (their payload was not strict JSON) are skipped.
+    malformed (their payload was not strict JSON) are skipped. A log the
+    scheduler could not have written raises MetricsError: an entry that is
+    not an object, a dt that is not positive and finite or so large that
+    tick spans overflow, a message without a topic or an integer tick, a
+    payload that is not an object, an assignment or lock without a target
+    id.
     """
-    meta = next((e for e in entries if e.get("kind") == "meta"), None)
+    meta = end = None
+    messages = []
+    topic_counts: dict[str, int] = {}
+    for entry in entries:
+        if type(entry) is not dict:
+            raise MetricsError("every event-log entry must be an object")
+        kind = entry.get("kind")
+        if kind == "msg":
+            if entry.get("malformed"):
+                continue
+            topic, tick, payload = entry.get("topic"), entry.get("tick"), entry.get("payload")
+            if type(topic) is not str or type(tick) is not int or not 0 <= tick <= _MAX_TICK:
+                raise MetricsError("every message needs a topic string and a tick in [0, 2**53]")
+            if payload is not None and type(payload) is not dict:
+                raise MetricsError(f"a {topic} payload must be an object or null")
+            messages.append(entry)
+            topic_counts[topic] = topic_counts.get(topic, 0) + 1
+        elif kind == "meta" and meta is None:
+            meta = entry
+        elif kind == "end" and end is None:
+            end = entry
     if meta is None:
         raise MetricsError("event log has no meta header")
-    end = next((e for e in entries if e.get("kind") == "end"), None)
     if end is None:
         raise MetricsError("event log has no terminal entry (incomplete run)")
-    dt = float(meta["dt"])
-    frame_ticks = max(1, round(float(meta["frame_period"]) / dt))
-
-    messages = [e for e in entries if e.get("kind") == "msg" and not e.get("malformed")]
-    topic_counts: dict[str, int] = {}
-    for message in messages:
-        topic_counts[message["topic"]] = topic_counts.get(message["topic"], 0) + 1
+    terminated_by = end.get("terminated_by")
+    if type(terminated_by) is not str:
+        raise MetricsError("the terminal entry has no terminated_by text")
+    dt = _positive(meta, "dt")
+    if not math.isfinite(dt * _MAX_TICK):
+        raise MetricsError("meta dt is so large that tick spans overflow the float range")
+    frame_ratio = _positive(meta, "frame_period") / dt
+    if not math.isfinite(frame_ratio):
+        raise MetricsError("meta frame_period / dt overflows the float range")
+    frame_ticks = max(1, round(frame_ratio))
 
     # Engagements in order of first assignment.
     engaged: list[tuple[str, int]] = []  # (target_id, tick of first assignment)
     seen: set[str] = set()
+    locks: dict[str, int] = {}
+    signal_ticks: list[int] = []
+    offset_ticks_all: list[int] = []
     for message in messages:
-        if message["topic"] != topics.TELEMETRY_RESPONSE:
-            continue
-        payload = message.get("payload") or {}
-        if payload.get("has_target") and payload.get("target_id") not in seen:
-            seen.add(payload["target_id"])
-            engaged.append((payload["target_id"], message["tick"]))
-
-    locks = {
-        (m.get("payload") or {}).get("target_id"): m["tick"]
-        for m in messages
-        if m["topic"] == topics.LOCK
-    }
-    signal_ticks = [m["tick"] for m in messages if m["topic"] == topics.SIGNAL_PROCESS_IMAGE]
-    offset_ticks_all = [
-        (m.get("payload") or {}).get("tick", m["tick"])
-        for m in messages
-        if m["topic"] == topics.IMAGE_MESSAGE
-    ]
+        topic, payload = message["topic"], message.get("payload") or {}
+        if topic == topics.IMAGE_MESSAGE:
+            offset_ticks_all.append(_tick(payload.get("tick", message["tick"])))
+        elif topic == topics.TELEMETRY_RESPONSE and payload.get("has_target"):
+            target_id = _target_id(payload, topic)
+            if target_id not in seen:
+                seen.add(target_id)
+                engaged.append((target_id, message["tick"]))
+        elif topic == topics.LOCK:
+            locks[_target_id(payload, topic)] = message["tick"]
+        elif topic == topics.SIGNAL_PROCESS_IMAGE:
+            signal_ticks.append(message["tick"])
 
     outcomes = []
     for index, (target_id, start_tick) in enumerate(engaged):
@@ -195,5 +250,5 @@ def summarize_run(entries: list[dict]) -> RunReport:
     return RunReport(
         per_target=tuple(outcomes),
         topic_counts=topic_counts,
-        terminated_by=str(end["terminated_by"]),
+        terminated_by=terminated_by,
     )

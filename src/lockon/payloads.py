@@ -1,9 +1,9 @@
 """JSON wire schemas shared by the bus nodes and the mission server.
 
 Five payload types travel as UTF-8 JSON: telemetry requests and responses,
-lock reports, camera offset messages, and crash reports. Each is a frozen
-dataclass whose codec the ``wire`` decorator compiles once from its field
-types.
+lock reports, camera offset messages, and crash reports. Each is a frozen,
+slotted ``world.value`` dataclass whose codec the ``wire`` decorator
+compiles once from its field types.
 
 Parse contract: every payload, on the bus, at the mission server and in the
 run log, goes through one strict parser (``parse_json``). The bytes must be
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
-from .world import Vec3, finite_float
+from .world import Vec3, finite_float, value
 
 
 class DecodeError(Exception):
@@ -231,7 +231,7 @@ def blame_non_finite(data: bytes | str, error: Exception, read) -> None:
 
 
 @wire
-@dataclass(frozen=True)
+@value
 class TelemetryRequest:
     uav_id: str
     time: float
@@ -240,7 +240,7 @@ class TelemetryRequest:
 
 
 @wire
-@dataclass(frozen=True)
+@value
 class TelemetryResponse:
     has_target: bool
     target_id: str | None
@@ -255,7 +255,7 @@ class TelemetryResponse:
 
 
 @wire
-@dataclass(frozen=True)
+@value
 class LockReport:
     uav_id: str
     target_id: str
@@ -271,7 +271,7 @@ class LockReport:
 
 
 @wire
-@dataclass(frozen=True)
+@value
 class OffsetMessage:
     """Normalized image-plane offset of the target from camera center."""
 
@@ -287,7 +287,7 @@ class OffsetMessage:
 
 
 @wire
-@dataclass(frozen=True)
+@value
 class CrashReport:
     uav_id: str
     time: float

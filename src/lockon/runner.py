@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import bus as topics
 from .autonomy import AutonomousNode
 from .bus import Envelope, MessageBus
-from .metrics import RunReport, summarize_run
+from .metrics import MetricsError, RunReport, summarize_run
 from .payloads import CrashReport, parse_json
 from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
@@ -68,12 +68,25 @@ def event_log_to_jsonl(entries: list[dict]) -> str:
 
 
 def parse_jsonl(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """Parse each non-blank line with the strict payload parser; MetricsError if one fails.
+
+    Lines end at "\n" only: ``str.splitlines`` would also split at U+2028 and
+    other separators that JSON allows unescaped inside a string.
+    """
+    entries = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            try:
+                entries.append(parse_json(line))
+            except (ValueError, RecursionError) as exc:
+                raise MetricsError(f"line {number}: not valid JSON: {exc}") from None
+    return entries
 
 
 def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float, float] | None:
     """Projection of the in-frame target nearest the camera center."""
     best: tuple[float, float] | None = None
+    best_norm = 0.0
     for track in world.targets:
         if track.target_id in consumed:
             continue
@@ -81,8 +94,9 @@ def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float,
         uv = project_to_camera(world.pursuer, position, camera)
         if uv is None:
             continue
-        if best is None or uv[0] ** 2 + uv[1] ** 2 < best[0] ** 2 + best[1] ** 2:
-            best = uv
+        norm = uv[0] ** 2 + uv[1] ** 2
+        if best is None or norm < best_norm:
+            best, best_norm = uv, norm
     return best
 
 

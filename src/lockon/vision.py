@@ -22,6 +22,7 @@ from enum import Enum
 from . import bus as topics
 from .bus import Envelope, MessageBus, Publisher
 from .payloads import OffsetMessage
+from .world import value
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class PipelineMode(Enum):
     TRACKING = "tracking"
 
 
-@dataclass(frozen=True)
+@value
 class PipelineState:
     mode: PipelineMode = PipelineMode.DETECTING
     last_known: tuple[float, float] | None = None

@@ -62,6 +62,36 @@ class TestRunCommand:
         assert "no bundled scenario" in capsys.readouterr().err
 
 
+def first_message(lines: list[str], change) -> list[str]:
+    """``lines`` with ``change`` applied to the first message entry."""
+    index = next(i for i, line in enumerate(lines) if '"kind":"msg"' in line)
+    entry = json.loads(lines[index])
+    change(entry)
+    return lines[:index] + [json.dumps(entry)] + lines[index + 1:]
+
+
+class TestMetricsLogBoundary:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda lines: [lines[0].replace('"dt":0.05', '"dt":0')] + lines[1:],
+            lambda lines: [lines[0].replace('"dt":0.05', '"dt":NaN')] + lines[1:],
+            lambda lines: first_message(lines, lambda entry: entry.pop("topic")),
+            lambda lines: first_message(lines, lambda entry: entry.update(payload=[1])),
+            lambda lines: lines[:1] + ["[1]"] + lines[1:],
+            lambda lines: lines[:1] + ["[" * 100_000] + lines[1:],
+        ],
+        ids=["dt 0", "dt NaN", "no topic", "list payload", "list entry", "deep entry"],
+    )
+    def test_malformed_log_exits_1_with_error(self, tmp_path, capsys, mutate):
+        log = tmp_path / "events.jsonl"
+        main(["run", "--scenario", "moving_target", "--log", str(log)])
+        log.write_text("\n".join(mutate(log.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert main(["metrics", "--log", str(log)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestServeCommand:
     @pytest.mark.parametrize(
         "document",

@@ -1,6 +1,10 @@
 """Detection metrics and run-report summarization."""
 
+import functools
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockon.metrics import (
     REASON_CONTAINMENT,
@@ -11,6 +15,10 @@ from lockon.metrics import (
     confusion_metrics,
     summarize_run,
 )
+from lockon.runner import event_log_to_jsonl, parse_jsonl, run
+from lockon.scenario import load_scenario
+
+from conftest import json_values
 
 
 class TestConfusionMetrics:
@@ -175,3 +183,87 @@ class TestSummarizeRun:
         assert report.per_target[0].locked
         assert not report.per_target[1].locked
         assert report.per_target[1].reason == REASON_NEVER_DETECTED
+
+
+# --- Mutated real logs --------------------------------------------------------
+
+@functools.cache
+def real_log() -> tuple[dict, ...]:
+    """moving_target's event log as read back from its JSONL text."""
+    return tuple(parse_jsonl(event_log_to_jsonl(run(load_scenario("moving_target")).event_log)))
+
+
+@st.composite
+def mutated_logs(draw):
+    """A real log with one entry replaced, or one of its (payload) fields set or deleted."""
+    entries = list(real_log())
+    first_of_each = sorted({(e["kind"], e.get("topic") or ""): i
+                            for i, e in reversed(list(enumerate(entries)))}.values())
+    index = draw(st.sampled_from(first_of_each) | st.integers(0, len(entries) - 1))
+    entry = dict(entries[index])
+    target = entry
+    if type(entry.get("payload")) is dict and draw(st.booleans()):
+        target = entry["payload"] = dict(entry["payload"])
+    key = draw(st.sampled_from(sorted(target) + ["extra"]))
+    action = draw(st.sampled_from(["set", "delete", "replace entry"]))
+    if action == "set":
+        target[key] = draw(json_values)
+    elif action == "delete":
+        target.pop(key, None)
+    else:
+        entry = draw(json_values)
+    entries[index] = entry
+    return entries
+
+
+class TestMalformedLogs:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_logs())
+    def test_one_mutated_field_gives_a_report_or_metrics_error(self, entries):
+        try:
+            report = summarize_run(entries)
+        except MetricsError:
+            return
+        json.dumps(report.as_dict())
+
+    def test_a_dt_whose_tick_spans_overflow_is_a_metrics_error(self):
+        # Was a report with max_containment_s Infinity, which json.dumps writes as a bare token.
+        offsets = [msg(t, "/image/message", {"x": 0, "y": 0, "tick": t}) for t in (3, 4, 5)]
+        entries = [meta(dt=1e308, frame_period=1e308), assignment(1, "T1"),
+                   msg(2, "/signal/process_image"), *offsets, end("timeout", 6)]
+        with pytest.raises(MetricsError, match="overflow"):
+            summarize_run(entries)
+
+    @pytest.mark.parametrize(
+        "topic, field, value",
+        [
+            ("meta", "dt", 0),
+            ("meta", "dt", "0.05"),
+            ("meta", "frame_period", 1e308),
+            ("end", "terminated_by", None),
+            ("/telemetry", "topic", None),
+            ("/telemetry", "tick", 2**60),
+            ("/telemetry", "payload", [1]),
+            ("/telemetry", None, [1]),
+            ("/telemetry/response", "payload.target_id", ["T1"]),
+            ("/lock", "payload.target_id", None),
+            ("/image/message", "payload.tick", 1.5),
+        ],
+    )
+    def test_each_observed_crash_is_a_metrics_error(self, topic, field, value):
+        """Each raised KeyError, AttributeError, TypeError or ZeroDivisionError, or
+        (a string dt, a lock without a target, a fractional tick) was taken as is."""
+        entries = list(real_log())
+        index = next(i for i, e in enumerate(entries) if topic in (e["kind"], e.get("topic")))
+        entry = entries[index] = dict(entries[index])
+        if field is None:
+            entries[index] = value
+        else:
+            if field.startswith("payload."):
+                entry["payload"] = dict(entry["payload"])
+                entry, field = entry["payload"], field[len("payload."):]
+            entry[field] = value
+            if value is None:
+                del entry[field]
+        with pytest.raises(MetricsError):
+            summarize_run(entries)

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 
+import pytest
+
+from lockon.metrics import MetricsError
 from lockon.runner import event_log_to_jsonl, parse_jsonl, run
 from lockon.scenario import load_scenario
 from lockon.server import MissionStore, TargetAssignment
@@ -70,6 +73,16 @@ class TestDeterminism:
         result = run(make_scenario(max_time=20.0))
         text = event_log_to_jsonl(result.event_log)
         assert parse_jsonl(text) == result.event_log
+
+    def test_jsonl_lines_end_at_newline_only(self):
+        # JSON allows U+2028 and U+0085 unescaped in a string; splitlines cut there.
+        text = '{"kind":"meta","note":"a\u2028b\x85c"}\r\n\n{"kind":"end"}\n'
+        assert parse_jsonl(text) == [{"kind": "meta", "note": "a\u2028b\x85c"}, {"kind": "end"}]
+
+    @pytest.mark.parametrize("line", ['{"dt":NaN}', '{"dt":1e400}', "[" * 100_000, "{"])
+    def test_jsonl_names_the_line_that_is_not_strict_json(self, line):
+        with pytest.raises(MetricsError, match="^line 2: "):
+            parse_jsonl("{}\n" + line + "\n")
 
 
 class TestMultiTarget:

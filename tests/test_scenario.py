@@ -169,6 +169,12 @@ class TestDefaults:
         assert scenario.camera.vfov == pytest.approx(math.radians(60))
         assert scenario.camera.frame_period == 0.1
 
+    @pytest.mark.parametrize("key", ["hfov_deg", "vfov_deg"])
+    def test_subnormal_fov_is_a_scenario_error(self, key):
+        # 3e-322 degrees is 5e-324 rad, whose half-angle tangent is 0.
+        with pytest.raises(ScenarioError, match=f"camera: {key[:4]} is too small"):
+            make_scenario({"camera": {key: 3e-322}})
+
     def test_absent_sections_take_the_class_defaults(self):
         scenario = scenario_from_dict({"targets": []})
         assert scenario.gains == ControlGains()

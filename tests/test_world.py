@@ -308,6 +308,73 @@ class TestStepMatchesReference:
                 advance(make_world(), command, 0.05)
 
 
+def reference_project(pursuer, target, cam):
+    """The earlier project_to_camera body, kept as the oracle: it recomputes
+    the camera triad and both tangents on every call."""
+    yaw, pitch = pursuer.yaw, pursuer.pitch
+    cp = math.cos(pitch)
+    fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
+    rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
+    dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
+    origin = pursuer.position
+    px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    f = px * fx + py * fy + pz * fz
+    if f <= 0.0:
+        return None
+    u = ((px * rx + py * ry + pz * rz) / f) / math.tan(cam.hfov / 2.0)
+    v = ((px * dx + py * dy + pz * dz) / f) / math.tan(cam.vfov / 2.0)
+    if abs(u) > 1.0 or abs(v) > 1.0:
+        return None
+    return (u, v)
+
+
+fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
+
+
+class TestProjectionMatchesReference:
+    @given(
+        position=vectors,
+        yaw=angles,
+        pitch=angles,
+        targets=st.lists(vectors, min_size=1, max_size=4),
+        hfov=fovs,
+        vfov=fovs,
+    )
+    def test_bit_identical_to_per_call_body(self, position, yaw, pitch, targets, hfov, vfov):
+        # Several targets per pursuer: the first call fills the triad cache.
+        pursuer = PursuerState(position, yaw, pitch, 0.0)
+        cam = CameraParams(hfov=hfov, vfov=vfov, frame_period=0.1)
+        for target in targets:
+            new, old = project_to_camera(pursuer, target, cam), reference_project(pursuer, target, cam)
+            if old is None:
+                assert new is None
+            else:
+                assert new is not None
+                assert [c.hex() for c in new] == [c.hex() for c in old]
+
+    def test_caches_do_not_enter_equality_or_repr(self):
+        used = PursuerState(Vec3(1, 2, 3), 0.4, -0.2, 5.0)
+        fresh = PursuerState(Vec3(1, 2, 3), 0.4, -0.2, 5.0)
+        project_to_camera(used, Vec3(20, 2, 3), CAM)
+        assert used._triad is not None and fresh._triad is None
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert "triad" not in repr(used)
+        assert dataclasses.replace(used)._triad is None
+
+        other = CameraParams(hfov=CAM.hfov, vfov=CAM.vfov, frame_period=CAM.frame_period)
+        object.__setattr__(other, "tan_half_hfov", 0.0)
+        assert other == CAM and hash(other) == hash(CAM) and repr(other) == repr(CAM)
+        assert "tan" not in repr(CAM)
+        assert CAM.tan_half_hfov == math.tan(CAM.hfov / 2.0)
+        assert dataclasses.replace(other).tan_half_hfov == CAM.tan_half_hfov
+
+    def test_fov_whose_half_tangent_is_zero_rejected(self):
+        # The per-call body divided by zero here once a target was ahead.
+        for fovs in ((5e-324, 1.0), (1.0, 5e-324)):
+            with pytest.raises(ValueError, match="too small"):
+                CameraParams(*fovs, frame_period=0.1)
+
+
 class TestAngles:
     def test_wrap_into_half_open_interval(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
