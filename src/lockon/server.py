@@ -11,16 +11,26 @@ request, in-process or HTTP:
     GET  /api/records[?kind=...] -> 200, records in insertion order
 
 A body that does not decode (malformed JSON, a missing or mistyped field, a
-non-finite number) gets 400 and an unknown endpoint 404.
+non-finite number) gets 400 and an unknown endpoint 404. Each record kind
+also has its own list, so ``GET /api/records?kind=Lock`` reads only the
+lock records, in insertion order, however many telemetry records there are.
 
 The HTTP layer speaks HTTP/1.1 over persistent connections, one thread per
 connection. A connection idle for ``_Handler.timeout`` seconds is closed,
 and closing the server ends every open connection. A request it cannot
 frame gets a reply with ``Connection: close`` and ends the connection: a bad
-``Content-Length`` gets 400, a body over MAX_BODY_BYTES 413 and a chunked
-body 411, on a GET too (whose body is otherwise read and ignored), and the
-stdlib's own checks (a bad request line or header, an unsupported method)
-their 4xx or 5xx. Every error reply, from either layer, is
+``Content-Length`` or a body that ends short of it gets 400, a body over
+MAX_BODY_BYTES 413 and a chunked body 411, on a GET too (whose body is
+otherwise read and ignored). The request line gets the stdlib's answers (400
+for a bad line or version, 505 from HTTP/2.0 up, 414 over 65536 bytes, 501
+for another method than GET and POST). ``read_headers`` reads the header
+block with the stdlib's limits, 431 for a line over MAX_LINE_BYTES or for
+MAX_HEADER_LINES lines without the blank one, and answers 400 for a line
+another reader could split differently: no colon, an empty name, a blank or
+another byte than visible ASCII in the name (so ``Content-Length : 5``), a
+CR inside the line, an obs-fold continuation line, and a repeated
+``Content-Length`` or ``Transfer-Encoding``. Names match in any case and
+lines may end in LF alone. Every error reply, from either layer, is
 ``{"error": message}`` JSON.
 
 Assignment policy is a FIFO queue whose head stays assigned until a lock
@@ -36,6 +46,7 @@ import http.client
 import json
 import logging
 import math
+import re
 import socket
 import statistics
 import threading
@@ -60,6 +71,14 @@ log = logging.getLogger(__name__)
 RECORD_KINDS = ("Telemetry", "Lock", "Crash")
 MAX_BODY_BYTES = 1 << 20  # larger POST bodies get 413
 LINGER_S = 1.0  # how long a rejected connection's unread input is drained
+MAX_LINE_BYTES = 65536  # a longer header line gets 431 (the stdlib gives a request line 414)
+MAX_HEADER_LINES = 100  # header lines, counting the blank one that ends them; more get 431
+
+# One header field line: a name of visible ASCII characters other than the
+# colon, the colon, optional blanks, and a value with no CR, ending in CRLF, in
+# LF or (at EOF) in nothing. The value keeps trailing blanks.
+_FIELD_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
+_FRAMING_FIELDS = ("content-length", "transfer-encoding")  # one of each at most
 
 
 @dataclass
@@ -146,6 +165,8 @@ class MissionStore:
         self._lock = threading.Lock()
         self._queue: list[TargetAssignment] = list(targets or [])
         self._records: list[MissionRecord] = []
+        # The same records, one list per kind, so a filtered query reads only its kind.
+        self._by_kind: dict[str, list[MissionRecord]] = {kind: [] for kind in RECORD_KINDS}
         self._clock = clock
         _check_unique(self._queue)
 
@@ -180,6 +201,7 @@ class MissionStore:
             body=body,
         )
         self._records.append(record)
+        self._by_kind[kind].append(record)
         return record
 
     def seed(self, targets: list[TargetAssignment]) -> None:
@@ -248,7 +270,7 @@ class MissionStore:
         if kind is not None and kind not in RECORD_KINDS:
             raise ApiError(400, f"unknown record kind {kind!r}")
         with self._lock:
-            records = [r.as_dict() for r in self._records if kind is None or r.kind == kind]
+            records = [r.as_dict() for r in self._kind(kind)]
         return _Reply(200, {"records": records})
 
     # Introspection used by tests and the scheduler.
@@ -258,7 +280,47 @@ class MissionStore:
 
     def record_count(self, kind: str | None = None) -> int:
         with self._lock:
-            return sum(1 for r in self._records if kind is None or r.kind == kind)
+            return len(self._kind(kind))
+
+    def _kind(self, kind: str | None) -> list[MissionRecord]:
+        return self._records if kind is None else self._by_kind.get(kind, [])
+
+
+def read_headers(rfile) -> dict[str, str]:
+    """Read a request's header block as ``{lower-case name: first value}``.
+
+    A line over MAX_LINE_BYTES, or MAX_HEADER_LINES lines without the blank
+    one, raise ApiError 431 (the limits of the stdlib's own reader). A line
+    that is not a field (no colon, an empty name, blanks or other bytes than
+    visible ASCII in the name, a CR inside it, or a continuation line
+    starting with a blank) and a repeated Content-Length or
+    Transfer-Encoding raise ApiError 400: each would let another reader
+    frame the body differently (RFC 9112 2.2, 5.1, 5.2, 6.3). A value is
+    what follows the colon and its leading blanks, as the stdlib reads it.
+    """
+    headers: dict[str, str] = {}
+    readline = rfile.readline
+    for _ in range(MAX_HEADER_LINES):
+        line = readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise ApiError(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
+            raise ApiError(400, f"Bad header line ({line[:100].decode('latin-1')!r})")
+        name = field[1].decode().lower()
+        if name not in headers:
+            headers[name] = field[2].decode("latin-1")
+        elif name in _FRAMING_FIELDS:
+            raise ApiError(400, f"Repeated header field ({name!r})")
+    raise ApiError(431, "Too many headers")
+
+
+# The last Date header as (second, text), shared by every connection and
+# replaced in one assignment, so that no thread reads one second's text with
+# another's number.
+_date = (-1, "")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -280,6 +342,72 @@ class _Handler(BaseHTTPRequestHandler):
             super().handle()
         except ConnectionError as exc:  # the client reset or abandoned the connection
             log.debug("http connection from %s dropped: %s", self.client_address[0], exc)
+
+    def parse_request(self) -> bool:
+        """Read the request line as the stdlib does, then the header block.
+
+        ``self.headers`` becomes a dict from lower-case field name to the
+        field's first value. On failure the error reply has been sent.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                number = version[5:].split(".")
+                if len(number) != 2 or not all(n.isdigit() and len(n) <= 10 for n in number):
+                    raise ValueError
+                major_minor = int(number[0]), int(number[1])  # ValueError on a digit like "²"
+            except ValueError:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            self.close_connection = major_minor < (1, 1)
+            if major_minor >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # "//host/path" would read as a scheme-relative URL, so "//" becomes "/".
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = headers = read_headers(self.rfile)
+        except ApiError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        """The stdlib's Date text, formatted at most once a second."""
+        global _date
+        now = int(_time.time() if timestamp is None else timestamp)
+        second, text = _date
+        if second != now:
+            text = super().date_time_string(now)
+            _date = (now, text)
+        return text
 
     def _reply(self, reply: _Reply) -> None:
         """Send the status line, headers and body in one write."""
@@ -321,10 +449,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes | None:
         """The request body as framed by Content-Length; None after rejecting the request."""
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self._reject(411, "the body needs a Content-Length; Transfer-Encoding is not supported")
             return None
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("content-length", "0")
         try:  # RFC 9110: 1*DIGIT, which int() alone does not insist on ("+1", " 1", "1_0")
             size = int(length) if length.isascii() and length.isdigit() else -1
         except ValueError:  # more digits than int() converts
@@ -333,8 +461,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reject(400, "Content-Length must be a non-negative integer")
         elif size > MAX_BODY_BYTES:
             self._reject(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        elif len(body := self.rfile.read(size)) < size:  # RFC 9112 6.3: an incomplete message
+            self._reject(400, f"the input ended {size - len(body)} bytes short of Content-Length")
         else:
-            return self.rfile.read(size)
+            return body
         return None
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)

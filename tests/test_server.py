@@ -2,6 +2,7 @@
 
 import codecs
 import http.client
+import io
 import json
 import logging
 import random
@@ -21,6 +22,7 @@ from lockon.server import (
     MissionStore,
     ServerThread,
     TargetAssignment,
+    read_headers,
 )
 from lockon.world import Vec3
 
@@ -561,3 +563,350 @@ def test_in_process_and_http_transports_agree():
             check()
         finally:
             remote.close()
+
+
+def parse_replies(data):
+    """Every reply in ``data`` as (status, headers, body); fails on bytes that are not replies."""
+    replies = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        assert sep, f"unterminated reply head {data[:200]!r}"
+        status, headers, _ = split_reply(head + sep)
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        size = 0 if status == 100 else int(headers["content-length"])
+        body, data = rest[:size], rest[size:]
+        assert len(body) == size
+        replies.append((status, headers, body))
+    return replies
+
+
+def exchange(port, data):
+    """Send ``data`` on a new connection, end the input, and read every reply until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        return parse_replies(read_until_eof(sock))
+
+
+def read_reply(sock, buffer=b""):
+    """One reply with a Content-Length body from ``sock``, and the bytes read past it."""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed inside a reply head {buffer!r}"
+        buffer += chunk
+    status, headers, rest = split_reply(buffer)
+    size = 0 if status == 100 else int(headers["content-length"])
+    while len(rest) < size:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside a reply body"
+        rest += chunk
+    return (status, headers, rest[:size]), rest[size:]
+
+
+def crash_request(head=b"POST /api/crash HTTP/1.1", framing=b"Content-Length: %d"):
+    body = crash_body()
+    return head + b"\r\n" + framing % len(body) + b"\r\n\r\n" + body
+
+
+class TestRequestHeads:
+    """Request-line and header-block behaviours of the stdlib's reader that the server keeps."""
+
+    def test_expect_100_continue_gets_100_then_the_reply(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                head, _, body = crash_request(
+                    framing=b"Expect: 100-continue\r\nContent-Length: %d"
+                ).partition(b"\r\n\r\n")
+                sock.sendall(head + b"\r\n\r\n")
+                interim, rest = read_reply(sock)
+                assert interim[0] == 100 and rest == b""
+                sock.sendall(body)
+                (status, headers, data), rest = read_reply(sock)
+        assert (status, rest) == (201, b"") and "connection" not in headers
+        assert json.loads(data) == {"record_id": 1, "recorded": True}
+        assert store.record_count("Crash") == 1
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"GET /api/records HTTP/1.0", b"GET /api/records HTTP/1.1\r\nConnection: close"],
+        ids=["http-1.0", "http-1.1-connection-close"],
+    )
+    def test_closing_requests_get_connection_close_then_eof(self, head):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(head + b"\r\n\r\n")  # the input stays open: the server closes
+                [(status, headers, body)] = parse_replies(read_until_eof(sock))
+        assert (status, headers["connection"], body) == (200, "close", b'{"records": []}')
+
+    def test_http_1_0_with_keep_alive_stays_open(self):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                rest = b""
+                for _ in range(2):
+                    sock.sendall(b"GET /api/records HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+                    (status, headers, body), rest = read_reply(sock, rest)
+                    assert (status, body) == (200, b'{"records": []}')
+                    assert "connection" not in headers
+
+    def test_double_slash_path_is_served_as_single_slash(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            replies = exchange(
+                server.port,
+                crash_request(head=b"POST //api/crash HTTP/1.1")
+                + b"GET ///api/records?kind=Crash HTTP/1.1\r\n\r\n",
+            )
+        assert [status for status, _, _ in replies] == [201, 200]
+        assert [r["kind"] for r in json.loads(replies[1][2])["records"]] == ["Crash"]
+
+    def test_header_names_match_in_any_case(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            [(status, _, _)] = exchange(server.port, crash_request(framing=b"content-LENGTH: %d"))
+            assert status == 201 and store.record_count() == 1
+            [(status, headers, body)] = exchange(
+                server.port,
+                b"POST /api/crash HTTP/1.1\r\nTRANSFER-ENCODING: chunked\r\n\r\n0\r\n\r\n",
+            )
+        assert (status, headers["connection"]) == (411, "close")
+        assert "error" in json.loads(body) and store.record_count() == 1
+
+    def test_lines_ending_in_lf_alone_are_accepted(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            request = crash_request(framing=b"Host: x\nContent-Length: %d")
+            head, _, body = request.partition(b"\r\n\r\n")
+            replies = exchange(server.port, head.replace(b"\r\n", b"\n") + b"\n\n" + body)
+        assert [status for status, _, _ in replies] == [201]
+        assert store.record_count("Crash") == 1
+
+    @pytest.mark.parametrize(
+        "fields, status",
+        [
+            ([b"X: y"] * 99, 200),
+            ([b"X: y"] * 100, 431),
+            ([b"X: " + b"a" * (65536 - 5)], 200),  # 65536 bytes with its CRLF
+            ([b"X: " + b"a" * (65536 - 4)], 431),
+        ],
+        ids=["99-fields", "100-fields", "65536-byte-line", "65537-byte-line"],
+    )
+    def test_header_block_limits(self, fields, status):
+        with ServerThread(MissionStore([])) as server:
+            request = b"GET /api/records HTTP/1.1\r\n" + b"".join(f + b"\r\n" for f in fields)
+            [(reply_status, headers, body)] = exchange(server.port, request + b"\r\n")
+        assert reply_status == status
+        assert headers.get("connection") == (None if status == 200 else "close")
+        assert isinstance(json.loads(body), dict)
+
+
+SMUGGLED = crash_request()
+
+
+class TestHeaderLinesThatFrameBodiesDifferently:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"Content-Length : %d",
+            b"Content-Length %d",
+            b"Content-Length: 0\r\nContent-Length: %d",
+            b": 5",
+            b"Content-Length\t: %d",
+            b" Content-Length: %d",
+            b"\tfolded",
+            b"X-\x01: 1\r\nContent-Length: %d",
+            b"X-\x7f: 1",
+            b"X-\xc3\xa9: 1",
+            b"X: a\rContent-Length: %d",
+            b"X: a\r",
+            b"Transfer-Encoding: chunked\r\nTransfer-Encoding: chunked",
+            b"From x",
+        ],
+        ids=[
+            "blank-before-colon", "no-colon", "repeated-length", "empty-name", "tab-before-colon",
+            "leading-blank", "obs-fold", "control-byte-in-name", "del-in-name", "non-ascii-name",
+            "bare-cr", "cr-before-crlf", "repeated-te", "envelope-line",
+        ],
+    )
+    def test_a_body_never_runs_as_a_second_request(self, line):
+        # The stdlib's parser ended the header block at the first line that was
+        # not a field, split lines at a bare CR and kept the first of repeated
+        # fields, so with the first three lines the body ran as a POST.
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            head = b"GET /api/records HTTP/1.1\r\nX-Before: 1\r\n" + line.replace(b"%d", b"%d" % len(SMUGGLED))
+            [(status, headers, body)] = exchange(server.port, head + b"\r\n\r\n" + SMUGGLED)
+        assert (status, headers["connection"]) == (400, "close")
+        assert "error" in json.loads(body)
+        assert store.record_count() == 0
+
+    def test_body_ending_short_of_content_length_is_400_and_not_stored(self):
+        store = MissionStore([])
+        with ServerThread(store) as server:
+            request = b"POST /api/crash HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (len(crash_body()) + 5)
+            [(status, headers, body)] = exchange(server.port, request + crash_body())
+        assert (status, headers["connection"]) == (400, "close")
+        assert "error" in json.loads(body)
+        assert store.record_count() == 0
+
+    def test_repeated_other_fields_keep_the_first_value(self):
+        with ServerThread(MissionStore([])) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(b"GET /api/records HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n")
+                [(status, headers, _)] = parse_replies(read_until_eof(sock))
+        assert (status, headers["connection"]) == (200, "close")
+
+
+def test_date_header_is_formatted_once_a_second(monkeypatch):
+    import email.utils
+
+    import lockon.server as server_module
+
+    formatdate, calls = email.utils.formatdate, []
+    monkeypatch.setattr(server_module, "_date", (-1, ""))
+    monkeypatch.setattr(email.utils, "formatdate", lambda t, **kw: calls.append(t) or formatdate(t, **kw))
+    handler = server_module._Handler.__new__(server_module._Handler)
+    for now in (0.0, 0.999, 951782400.5, 951782400.9, 4102444799.0, 1e9):
+        monkeypatch.setattr(server_module._time, "time", lambda now=now: now)
+        assert handler.date_time_string() == formatdate(int(now), usegmt=True)
+    assert calls == [0, 951782400, 4102444799, 1000000000]
+
+
+def test_records_by_kind_match_a_filter_over_all_records():
+    rng = random.Random(8)
+    store = seeded_store(40)
+    for i in range(300):
+        op = rng.random()
+        if op < 0.7:
+            store.handle_telemetry(telemetry_body(t=float(i)))
+        elif op < 0.85:
+            try:
+                store.handle_lock_report(lock_body(f"T{rng.randint(1, 45)}"))
+            except ApiError:
+                pass
+        else:
+            store.handle_crash_report(crash_body())
+    everything = store.query_records().body["records"]
+    for kind in ("Telemetry", "Lock", "Crash"):
+        by_kind = store.query_records(kind).body["records"]
+        assert by_kind == [r for r in everything if r["kind"] == kind] != []
+        assert store.record_count(kind) == len(by_kind)
+    assert store.record_count() == len(everything)
+    assert store.record_count("Bogus") == 0
+
+
+# Pieces of drawn header lines: the bytes that end, split or fold a line in
+# one reader or another, and a few of the field lines that frame a body.
+LINE_BYTES = [b":", b" ", b"\t", b"\r", b"\x00", b"\xc3\xa9", b"\xff", b"a", b"X", b"-", b"0", b"5"]
+FRAMING_LINES = [
+    b"Content-Length: %d", b"content-length:%d", b"Content-Length: %d ", b"CONTENT-LENGTH:\t%d",
+    b"Content-Length : %d", b"Content-Length %d", b"Content-Length: 7", b"Transfer-Encoding: chunked",
+    b"Connection: close", b"Connection: keep-alive", b"Expect: 100-continue", b"Host: x", b" folded",
+    b"X-\xc3\xa9: \xc3\xa9\x00",
+]
+CRASH_TARGETS = [b"/api/crash", b"//api/crash", b"/api/crash?x=1"]
+
+
+def sometimes(draw, strategy, otherwise):
+    """``strategy``'s value in about one draw in four, else ``otherwise``."""
+    return draw(strategy) if draw(st.integers(0, 3)) == 3 else otherwise
+
+
+@st.composite
+def request_heads(draw):
+    """A request line from valid and invalid tokens, and up to 107 header lines (100 get 431).
+
+    Each part is valid more often than not, so that some heads frame a POST.
+    """
+    method = sometimes(draw, st.sampled_from([b"GET", b"PUT", b"post", b"P\x00ST", b""]), b"POST")
+    target = draw(st.sampled_from(CRASH_TARGETS)) + sometimes(draw, st.sampled_from([b"?kind=", b"x"]), b"")
+    version = sometimes(
+        draw, st.sampled_from([b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1", b"http/1.1", b"HTTP/1.1 x", b""]), b"HTTP/1.1"
+    )
+    lines = draw(st.lists(st.sampled_from(FRAMING_LINES), max_size=3))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FRAMING_LINES[:4])))
+    random_line = st.lists(st.sampled_from(LINE_BYTES), min_size=1, max_size=12).map(b"".join)
+    if line := sometimes(draw, random_line, None):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    filler = sometimes(draw, st.sampled_from([90, 97, 98, 99, 100, 102]), 0)
+    lines[draw(st.integers(0, len(lines))):0] = [b"X-Filler: y"] * filler
+    return b" ".join(t for t in (method, target, version) if t), lines
+
+
+def is_field_line(line):
+    name, colon, value = line.partition(b":")
+    return colon == b":" and name != b"" and all(0x21 <= c <= 0x7E for c in name) and b"\r" not in value
+
+
+def frames_a_crash(request_line, lines, body):
+    """Whether a well-framed POST to /api/crash carries ``body``."""
+    method, _, rest = request_line.partition(b" ")
+    target, _, version = rest.partition(b" ")
+    path = target.partition(b"?")[0]
+    if method != b"POST" or path.lstrip(b"/") != b"api/crash" or version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        return False
+    if len(lines) > 99 or not all(is_field_line(line) for line in lines):
+        return False
+    fields = [line.partition(b":") for line in lines]
+    lengths = [value.lstrip(b" \t") for name, _, value in fields if name.lower() == b"content-length"]
+    chunked = any(name.lower() == b"transfer-encoding" for name, _, _ in fields)
+    return lengths == [b"%d" % len(body)] and not chunked
+
+
+def test_arbitrary_request_heads_get_json_replies_or_a_clean_close():
+    store = MissionStore([])
+    body = crash_body()
+    with ServerThread(store) as server:
+
+        @settings(max_examples=300, deadline=None)
+        @given(request_heads())
+        def check(head):
+            request_line, lines = head
+            lines = [line.replace(b"%d", b"%d" % len(body)) for line in lines]
+            before = store.record_count()
+            request = b"\r\n".join([request_line, *lines, b"", b""]) + body
+            replies = exchange(server.port, request)
+            for status, headers, data in replies:
+                if status != 100:
+                    assert headers["content-type"] == "application/json"
+                    assert isinstance(json.loads(data, parse_constant=pytest.fail), dict)
+            stored = frames_a_crash(request_line, lines, body)
+            assert store.record_count() - before == stored
+            assert (201 in [status for status, _, _ in replies]) == stored
+            [(status, _, data)] = exchange(server.port, b"GET /api/records?kind=Lock HTTP/1.1\r\n\r\n")
+            assert (status, data) == (200, b'{"records": []}')
+
+        check()
+
+
+@st.composite
+def well_formed_header_blocks(draw):
+    """Field lines with token names, values without CR or LF, and one framing field of each kind at most."""
+    names = st.sampled_from([
+        b"Content-Length", b"content-length", b"CONTENT-LENGTH", b"Transfer-Encoding",
+        b"transfer-encoding", b"Connection", b"connection", b"Expect", b"EXPECT", b"Host",
+    ]) | st.from_regex(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]{1,12}", fullmatch=True)
+    values = st.lists(st.integers(0, 255).filter(lambda c: c not in b"\r\n"), max_size=16).map(bytes)
+    values |= st.sampled_from([b"5", b" 5", b"5\t ", b"chunked", b"close", b"Keep-Alive", b"100-Continue"])
+    block, framing = b"", set()
+    for name, value in draw(st.lists(st.tuples(names, values), max_size=99)):
+        if name.lower() in (b"content-length", b"transfer-encoding"):
+            if name.lower() in framing:
+                continue
+            framing.add(name.lower())
+        block += name + b":" + draw(st.sampled_from([b"", b" ", b"\t "])) + value
+        block += draw(st.sampled_from([b"\r\n", b"\n"]))
+    return block + draw(st.sampled_from([b"\r\n", b"\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_header_blocks())
+def test_read_headers_agrees_with_the_stdlib_on_well_formed_blocks(block):
+    ours, theirs = io.BytesIO(block + b"body"), io.BytesIO(block + b"body")
+    headers = read_headers(ours)
+    stdlib = http.client.parse_headers(theirs)
+    for name in ("Content-Length", "Transfer-Encoding", "Connection", "Expect"):
+        assert headers.get(name.lower()) == stdlib.get(name)
+    assert headers == {name.lower(): stdlib.get(name) for name in stdlib.keys()}
+    assert ours.read() == theirs.read() == b"body"
