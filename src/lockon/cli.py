@@ -93,6 +93,17 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
+def _port(text: str) -> int:
+    """A --port value: an integer in 0-65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a port number in 0-65535")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lockon", description="Deterministic interceptor-UAV mission simulator"
@@ -114,12 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_serve = sub.add_parser("serve", help="run the mission server on loopback HTTP")
-    p_serve.add_argument("--port", type=int, default=8080)
+    p_serve.add_argument("--port", type=_port, default=8080)
     p_serve.add_argument("--targets", default=None, help="JSON file seeding the target queue")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_latency = sub.add_parser("latency", help="measure telemetry round-trip latency")
-    p_latency.add_argument("--port", type=int, required=True)
+    p_latency.add_argument("--port", type=_port, required=True)
     p_latency.add_argument("--bytes", type=int, default=500)
     p_latency.add_argument("--count", type=int, default=1000)
     p_latency.add_argument("--out", default=None)

@@ -3,7 +3,9 @@
 ``confusion_metrics`` turns TP/FP/FN counts into precision, recall and F1.
 ``summarize_run`` classifies each engaged target from a completed event log
 (Locked with its time-to-lock, or Failed with a reason) and measures the
-longest continuous containment streak per target.
+longest continuous containment streak per target, in one pass over the log:
+each /signal/process_image and /image/message counts toward the target
+assigned most recently before it.
 """
 
 from __future__ import annotations
@@ -99,21 +101,6 @@ class RunReport:
         }
 
 
-def _streak_spans(offset_ticks: list[int], frame_ticks: int, dt: float) -> list[float]:
-    """Durations of maximal runs of camera messages with no skipped frame."""
-    if not offset_ticks:
-        return []
-    spans = []
-    start = prev = offset_ticks[0]
-    for tick in offset_ticks[1:]:
-        if tick - prev > frame_ticks:
-            spans.append((prev - start) * dt)
-            start = tick
-        prev = tick
-    spans.append((prev - start) * dt)
-    return spans
-
-
 # Ticks up to 2**53 convert to floats exactly; with dt * 2**53 finite, no
 # tick span times dt overflows either.
 _MAX_TICK = 2**53
@@ -144,7 +131,7 @@ def _positive(meta: dict, key: str) -> float:
 
 
 def summarize_run(entries: list[dict]) -> RunReport:
-    """Build a RunReport from parsed event-log entries.
+    """Build a RunReport from parsed event-log entries in one pass.
 
     The log must open with the meta line written by the scheduler and close
     with a terminal entry (land, timeout, or crash); anything else is
@@ -155,10 +142,17 @@ def summarize_run(entries: list[dict]) -> RunReport:
     tick spans overflow, a message without a topic or an integer tick, a
     payload that is not an object, an assignment or lock without a target
     id.
+
+    Targets are reported in order of first assignment. A signal or an
+    offset counts toward the target assigned most recently before it in
+    the log; one before any assignment is ignored.
     """
     meta = end = None
-    messages = []
     topic_counts: dict[str, int] = {}
+    # target id -> [first signal tick, offset ticks], in order of first assignment
+    engaged: dict[str, list] = {}
+    current: list | None = None
+    locks: dict[str, int] = {}
     for entry in entries:
         if type(entry) is not dict:
             raise MetricsError("every event-log entry must be an object")
@@ -171,8 +165,20 @@ def summarize_run(entries: list[dict]) -> RunReport:
                 raise MetricsError("every message needs a topic string and a tick in [0, 2**53]")
             if payload is not None and type(payload) is not dict:
                 raise MetricsError(f"a {topic} payload must be an object or null")
-            messages.append(entry)
             topic_counts[topic] = topic_counts.get(topic, 0) + 1
+            payload = payload or {}
+            if topic == topics.IMAGE_MESSAGE:
+                offset_tick = _tick(payload.get("tick", tick))
+                if current is not None:
+                    current[1].append(offset_tick)
+            elif topic == topics.TELEMETRY_RESPONSE and payload.get("has_target"):
+                target_id = _target_id(payload, topic)
+                if target_id not in engaged:
+                    current = engaged[target_id] = [None, []]
+            elif topic == topics.LOCK:
+                locks[_target_id(payload, topic)] = tick
+            elif topic == topics.SIGNAL_PROCESS_IMAGE and current is not None and current[0] is None:
+                current[0] = tick
         elif kind == "meta" and meta is None:
             meta = entry
         elif kind == "end" and end is None:
@@ -192,60 +198,34 @@ def summarize_run(entries: list[dict]) -> RunReport:
         raise MetricsError("meta frame_period / dt overflows the float range")
     frame_ticks = max(1, round(frame_ratio))
 
-    # Engagements in order of first assignment.
-    engaged: list[tuple[str, int]] = []  # (target_id, tick of first assignment)
-    seen: set[str] = set()
-    locks: dict[str, int] = {}
-    signal_ticks: list[int] = []
-    offset_ticks_all: list[int] = []
-    for message in messages:
-        topic, payload = message["topic"], message.get("payload") or {}
-        if topic == topics.IMAGE_MESSAGE:
-            offset_ticks_all.append(_tick(payload.get("tick", message["tick"])))
-        elif topic == topics.TELEMETRY_RESPONSE and payload.get("has_target"):
-            target_id = _target_id(payload, topic)
-            if target_id not in seen:
-                seen.add(target_id)
-                engaged.append((target_id, message["tick"]))
-        elif topic == topics.LOCK:
-            locks[_target_id(payload, topic)] = message["tick"]
-        elif topic == topics.SIGNAL_PROCESS_IMAGE:
-            signal_ticks.append(message["tick"])
-
     outcomes = []
-    for index, (target_id, start_tick) in enumerate(engaged):
-        window_end = engaged[index + 1][1] if index + 1 < len(engaged) else float("inf")
-        signal = next((t for t in signal_ticks if start_tick <= t < window_end), None)
-        offsets = [t for t in offset_ticks_all if start_tick <= t < window_end]
-        streaks = _streak_spans(offsets, frame_ticks, dt)
-        max_containment = max(streaks, default=0.0)
+    for target_id, (signal, offsets) in engaged.items():
+        # The longest run of camera messages with no skipped frame, in ticks.
+        longest = streak = 0
+        for prev, tick in zip(offsets, offsets[1:]):
+            streak = streak + tick - prev if tick - prev <= frame_ticks else 0
+            longest = max(longest, streak)
         lock_tick = locks.get(target_id)
+        time_to_lock = reason = None
         if lock_tick is not None:
             if signal is None:
                 raise MetricsError(f"lock on {target_id!r} without a preceding signal")
-            outcomes.append(
-                TargetOutcome(
-                    target_id=target_id,
-                    locked=True,
-                    time_to_lock=(lock_tick - signal) * dt,
-                    max_containment_s=max_containment,
-                )
-            )
+            time_to_lock = (lock_tick - signal) * dt
+        elif signal is None:
+            reason = REASON_TIMEOUT
+        elif not offsets:
+            reason = REASON_NEVER_DETECTED
         else:
-            if signal is None:
-                reason = REASON_TIMEOUT
-            elif not offsets:
-                reason = REASON_NEVER_DETECTED
-            else:
-                reason = REASON_CONTAINMENT
-            outcomes.append(
-                TargetOutcome(
-                    target_id=target_id,
-                    locked=False,
-                    reason=reason,
-                    max_containment_s=max_containment,
-                )
+            reason = REASON_CONTAINMENT
+        outcomes.append(
+            TargetOutcome(
+                target_id=target_id,
+                locked=lock_tick is not None,
+                time_to_lock=time_to_lock,
+                reason=reason,
+                max_containment_s=longest * dt,
             )
+        )
 
     return RunReport(
         per_target=tuple(outcomes),

@@ -49,8 +49,11 @@ class RunResult:
     scenario: Scenario
     report: RunReport
     event_log: list[dict]
-    terminated_by: str
     trace: list[TraceSample]
+
+    @property
+    def terminated_by(self) -> str:
+        return self.report.terminated_by
 
     def as_dict(self) -> dict:
         return {
@@ -224,12 +227,5 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             transport.close()
 
     events.append({"kind": "end", "terminated_by": terminated_by, "tick": tick})
-    report = summarize_run(events)
-    return RunResult(
-        scenario=scenario,
-        report=report,
-        event_log=events,
-        terminated_by=terminated_by,
-        trace=trace,
-    )
+    return RunResult(scenario=scenario, report=summarize_run(events), event_log=events, trace=trace)
 

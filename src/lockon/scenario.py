@@ -77,8 +77,12 @@ class Scenario:
             raise ScenarioError("max_time must be > 0")
         if self.telemetry_period <= 0:
             raise ScenarioError("telemetry_period must be > 0")
-        for name in ("frame_period", "max_time"):
-            if not math.isfinite(getattr(self, name) / self.dt):
+        for name, value in (
+            ("frame_period", self.frame_period),
+            ("max_time", self.max_time),
+            ("gains.camera_grace", self.gains.camera_grace),
+        ):
+            if not math.isfinite(value / self.dt):
                 raise ScenarioError(f"{name} / dt overflows the float range")
         ratio = self.frame_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:

@@ -489,9 +489,10 @@ class _HttpServer(ThreadingHTTPServer):
     """
 
     def __init__(self, address, handler) -> None:
-        super().__init__(address, handler)
+        # Set first: a failed bind calls server_close() inside super().__init__.
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address) -> None:
         with self._open_lock:

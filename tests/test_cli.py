@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import subprocess
 import sys
 import time
@@ -138,6 +139,34 @@ class TestServeCommand:
         assert [(t.target_id, t.position) for t in _load_targets_file(str(path))] == [
             ("T1", Vec3(50, 0, 10))
         ]
+
+
+@pytest.mark.parametrize("command", ["serve", "latency"])
+@pytest.mark.parametrize(
+    "port", ["70000", "65536", "-1", "http", "9" * 5000],
+    ids=["70000", "65536", "-1", "http", "5000-digits"],
+)
+def test_port_outside_0_to_65535_is_a_usage_error(capsys, monkeypatch, command, port):
+    # latency once timed port 4464 for 70000, as getaddrinfo wraps the number.
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self: pytest.fail("served"))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--port", port])
+    assert exit_info.value.code == 2
+    assert "not a port number in 0-65535" in capsys.readouterr().err
+
+
+def test_serve_on_a_busy_port_is_an_error_not_a_traceback():
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        busy = str(holder.getsockname()[1])
+        # A wrongly started server would serve forever: the timeout fails the test instead.
+        done = subprocess.run(
+            [sys.executable, "-m", "lockon.cli", "serve", "--port", busy],
+            capture_output=True, text=True, timeout=20,
+        )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 class TestLatencyCommand:

@@ -184,6 +184,22 @@ class TestSummarizeRun:
         assert not report.per_target[1].locked
         assert report.per_target[1].reason == REASON_NEVER_DETECTED
 
+    def test_messages_count_toward_the_target_assigned_last_before_them_in_the_log(self):
+        offset = msg(45, "/image/message", {"x": 0, "y": 0, "tick": 45})
+        entries = [
+            meta(),
+            msg(1, "/signal/process_image"),  # before any assignment: ignored
+            assignment(2, "T1", remaining=2),
+            assignment(50, "T2", remaining=1),
+            msg(40, "/signal/process_image"),  # an earlier tick, but logged after T2's assignment
+            offset,
+            assignment(60, "T1"),  # a repeated assignment does not switch back to T1
+            end("timeout", 1200),
+        ]
+        first, second = summarize_run(entries).per_target
+        assert (first.target_id, first.reason) == ("T1", REASON_TIMEOUT)
+        assert (second.target_id, second.reason) == ("T2", REASON_CONTAINMENT)
+
 
 # --- Mutated real logs --------------------------------------------------------
 

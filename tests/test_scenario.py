@@ -71,6 +71,7 @@ class TestValidation:
         [
             ({"dt": 1e-320, "frame_period": 1e300}, "frame_period / dt"),
             ({"dt": 1e-300, "max_time": 1e300}, "max_time / dt"),
+            ({"gains": {"camera_grace": 1e308}}, "gains.camera_grace / dt"),
         ],
     )
     def test_tick_count_overflow_names_both_fields(self, overrides, field):

@@ -296,6 +296,12 @@ class TestDispatch:
 
 
 class TestHttpLayer:
+    def test_busy_port_raises_the_bind_error(self):
+        # server_close() on the failed bind once raised AttributeError instead.
+        with ServerThread(MissionStore([])) as server:
+            with pytest.raises(OSError):
+                ServerThread(MissionStore([]), port=server.port)
+
     def test_endpoints_over_loopback(self):
         store = seeded_store(1)
         with ServerThread(store) as server:
