@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -104,6 +105,9 @@ def _port(text: str) -> int:
     return port
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lockon", description="Deterministic interceptor-UAV mission simulator"
@@ -135,12 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_latency.add_argument("--count", type=int, default=1000)
     p_latency.add_argument("--out", default=None)
     p_latency.set_defaults(func=_cmd_latency)
+
+    for sub_parser in (p_run, p_serve, p_latency):
+        sub_parser.add_argument(
+            "--log-level",
+            choices=LOG_LEVELS,
+            default="warning",
+            help="least severe log messages shown on stderr (debug shows each server request)",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "log_level"):
+        logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
     except (ScenarioError, MetricsError, LatencyHarnessError, ValueError, OSError) as exc:

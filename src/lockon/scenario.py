@@ -84,6 +84,17 @@ class Scenario:
         ):
             if not math.isfinite(value / self.dt):
                 raise ScenarioError(f"{name} / dt overflows the float range")
+        for name in ("k_yaw", "k_pitch"):
+            # A heading error is at most pi, so one tick turns by at most gain * pi * dt.
+            if not math.isfinite(getattr(self.gains, name) * math.pi * self.dt):
+                raise ScenarioError(f"gains.{name} * pi * dt overflows the float range")
+        # The pursuer flies for at most max_ticks + 1 steps at v_cruise or v_lock.
+        start = self.pursuer_init.position
+        reach = max(abs(start.x), abs(start.y), abs(start.z))
+        flight = (self.max_ticks + 1) * self.dt
+        for name in ("v_cruise", "v_lock"):
+            if not math.isfinite(reach + getattr(self.gains, name) * flight):
+                raise ScenarioError(f"gains.{name} * max_time overflows the position range")
         ratio = self.frame_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("frame_period must be a positive integer multiple of dt")

@@ -37,11 +37,22 @@ Assignment policy is a FIFO queue whose head stays assigned until a lock
 report consumes it. Records are append-only with gap-free ids. A single
 coarse lock makes the store safe under the threading HTTP server.
 
+The telemetry reply depends only on the queue, so the store keeps one reply
+per queue state, with its JSON bytes encoded once, on first use. Every
+telemetry POST is still decoded, checked and recorded, and gets the kept
+reply until a lock report or a seed changes the queue and drops it, under
+the store lock. Replies are shared by the requests they answer and
+read-only. The HTTP layer likewise keeps the status line and ``Server``
+header per status code, and the ``Date`` text per second. Each request is
+logged (``log_request``) only when ``lockon.server`` is enabled for DEBUG,
+as with ``--log-level debug``.
+
 The module also hosts the loopback-HTTP latency harness.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import logging
@@ -107,13 +118,26 @@ class TargetAssignment:
 _REPLY_JSON = json.JSONEncoder(sort_keys=True)
 
 
-@dataclass
 class _Reply:
-    status: int
-    body: dict
+    """A status and a JSON body, whose bytes are encoded once, on first use, and kept.
+
+    A reply may be shared by many requests (the store keeps its telemetry
+    reply), so neither its body nor its bytes are changed after. Threads
+    that race to the first use each encode the same bytes.
+    """
+
+    __slots__ = ("status", "body", "_data")
+
+    def __init__(self, status: int, body: dict) -> None:
+        self.status = status
+        self.body = body
+        self._data: bytes | None = None
 
     def encode(self) -> bytes:
-        return _REPLY_JSON.encode(self.body).encode()
+        data = self._data
+        if data is None:
+            data = self._data = _REPLY_JSON.encode(self.body).encode()
+        return data
 
 
 class ApiError(Exception):
@@ -168,6 +192,8 @@ class MissionStore:
         # The same records, one list per kind, so a filtered query reads only its kind.
         self._by_kind: dict[str, list[MissionRecord]] = {kind: [] for kind in RECORD_KINDS}
         self._clock = clock
+        # The telemetry reply for the current queue; None once the queue changes.
+        self._telemetry_reply: _Reply | None = None
         _check_unique(self._queue)
 
     # The one (method, path) -> handler table, for every transport. GET
@@ -208,6 +234,7 @@ class MissionStore:
         _check_unique(targets)
         with self._lock:
             self._queue = list(targets)
+            self._telemetry_reply = None
 
     def handle_telemetry(self, body: bytes | str) -> _Reply:
         try:
@@ -216,22 +243,25 @@ class MissionStore:
             raise ApiError(400, f"invalid telemetry request: {exc}") from exc
         with self._lock:
             self._append("Telemetry", request.to_obj())
-            if self._queue:
-                head = self._queue[0]
-                response = TelemetryResponse(
-                    has_target=True,
-                    target_id=head.target_id,
-                    target_position=head.position,
-                    remaining_targets=len(self._queue),
-                )
-            else:
-                response = TelemetryResponse(
-                    has_target=False,
-                    target_id=None,
-                    target_position=None,
-                    remaining_targets=0,
-                )
-        return _Reply(200, response.to_obj())
+            reply = self._telemetry_reply
+            if reply is None:  # the queue changed since the last telemetry reply
+                if self._queue:
+                    head = self._queue[0]
+                    response = TelemetryResponse(
+                        has_target=True,
+                        target_id=head.target_id,
+                        target_position=head.position,
+                        remaining_targets=len(self._queue),
+                    )
+                else:
+                    response = TelemetryResponse(
+                        has_target=False,
+                        target_id=None,
+                        target_position=None,
+                        remaining_targets=0,
+                    )
+                reply = self._telemetry_reply = _Reply(200, response.to_obj())
+        return reply
 
     def handle_lock_report(self, body: bytes | str) -> _Reply:
         try:
@@ -246,6 +276,7 @@ class MissionStore:
             if index is None:
                 raise ApiError(404, f"unknown or already locked target {report.target_id!r}")
             del self._queue[index]
+            self._telemetry_reply = None
             record = self._append("Lock", report.to_obj())
         return _Reply(201, {"record_id": record.record_id, "recorded": True})
 
@@ -317,6 +348,25 @@ def read_headers(rfile) -> dict[str, str]:
     raise ApiError(431, "Too many headers")
 
 
+@functools.lru_cache(maxsize=8)
+def protocol_version(word: str) -> tuple[int, int] | None:
+    """``(major, minor)`` of a request line's version word, or None if the stdlib rejects it.
+
+    The word is ``HTTP/`` and two dot-separated runs of at most 10 digits, as
+    in the stdlib's ``parse_request``. The answers for the last few words are
+    kept, since nearly every request names the same version.
+    """
+    if not word.startswith("HTTP/"):
+        return None
+    number = word[5:].split(".")
+    if len(number) != 2 or not all(n.isdigit() and len(n) <= 10 for n in number):
+        return None
+    try:
+        return int(number[0]), int(number[1])
+    except ValueError:  # a digit int() does not read, like "²"
+        return None
+
+
 # The last Date header as (second, text), shared by every connection and
 # replaced in one assignment, so that no thread reads one second's text with
 # another's number.
@@ -336,6 +386,9 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     timeout = 30.0  # idle seconds before the server closes a connection
     store: MissionStore  # set by make_http_server
+    # Status line plus Server header by status code, filled as statuses are
+    # first sent; set by make_http_server, one dict per server.
+    status_heads: dict[int, str]
 
     def handle(self) -> None:
         try:
@@ -358,14 +411,8 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         if len(words) >= 3:  # enough to determine the protocol version
             version = words[-1]
-            try:
-                if not version.startswith("HTTP/"):
-                    raise ValueError
-                number = version[5:].split(".")
-                if len(number) != 2 or not all(n.isdigit() and len(n) <= 10 for n in number):
-                    raise ValueError
-                major_minor = int(number[0]), int(number[1])  # ValueError on a digit like "²"
-            except ValueError:
+            major_minor = protocol_version(version)
+            if major_minor is None:
                 self.send_error(400, f"Bad request version ({version!r})")
                 return False
             self.close_connection = major_minor < (1, 1)
@@ -412,10 +459,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _reply(self, reply: _Reply) -> None:
         """Send the status line, headers and body in one write."""
         data = reply.encode()
-        self.log_request(reply.status, len(data))
+        status = reply.status
+        if log.isEnabledFor(logging.DEBUG):  # skip formatting a line no handler shows
+            self.log_request(status, len(data))
+        status_head = self.status_heads.get(status)
+        if status_head is None:
+            status_head = self.status_heads[status] = (
+                f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+            )
         head = (
-            f"{self.protocol_version} {reply.status} {self.responses[reply.status][0]}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
+            f"{status_head}Date: {self.date_time_string()}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
             + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
         ).encode("latin-1")
@@ -516,7 +570,7 @@ class _HttpServer(ThreadingHTTPServer):
 
 def make_http_server(store: MissionStore, port: int = 0, host: str = "127.0.0.1") -> ThreadingHTTPServer:
     """Bind a threading HTTP server over the store; port 0 picks a free one."""
-    handler = type("BoundHandler", (_Handler,), {"store": store})
+    handler = type("BoundHandler", (_Handler,), {"store": store, "status_heads": {}})
     return _HttpServer((host, port), handler)
 
 

@@ -10,7 +10,7 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
-from lockon.cli import _load_targets_file, main
+from lockon.cli import _load_targets_file, build_parser, main
 from lockon.proxy import HttpTransport
 from lockon.runner import parse_jsonl
 from lockon.scenario import ScenarioError
@@ -198,6 +198,50 @@ def test_serve_stops_on_sigterm_with_an_idle_connection_open():
             process.kill()
             process.wait(timeout=5)
         process.stdout.close()
+
+
+@pytest.mark.parametrize("level_args, request_lines", [([], 0), (["--log-level", "debug"], 3)])
+def test_serve_logs_one_line_per_request_at_debug(level_args, request_lines):
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "lockon.cli", "serve", "--port", "0", *level_args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(process.stdout.readline().strip().rsplit(":", 1)[-1])
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5.0)
+        for method, path, body in [
+            ("POST", "/api/crash", b'{"uav_id": "u", "time": 1.0, "position": [0, 0, 0]}'),
+            ("GET", "/api/records", None),
+            ("GET", "/nowhere", None),
+        ]:
+            conn.request(method, path, body=body)
+            conn.getresponse().read()
+        conn.close()
+        process.terminate()
+        _, stderr = process.communicate(timeout=5)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=5)
+        process.stdout.close()
+        process.stderr.close()
+    lines = [line for line in stderr.splitlines() if "HTTP/1.1" in line]
+    assert len(lines) == request_lines
+    if request_lines:
+        assert lines[0].endswith('http "POST /api/crash HTTP/1.1" 201 34')
+        assert lines[2].endswith('http "GET /nowhere HTTP/1.1" 404 42')
+
+
+@pytest.mark.parametrize("command", [["run", "--scenario", "x"], ["serve"], ["latency", "--port", "1"]])
+def test_log_level_defaults_to_warning_and_takes_level_names(command, capsys):
+    parser = build_parser()
+    assert parser.parse_args(command).log_level == "warning"
+    assert parser.parse_args([*command, "--log-level", "debug"]).log_level == "debug"
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([*command, "--log-level", "verbose"])
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("port_arg", ["0"])

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from lockon import cli
 from lockon.autonomy import ControlGains
 from lockon.scenario import ScenarioError, TransportConfig, load_scenario, scenario_from_dict
 from lockon.vision import VisionParams
@@ -77,6 +78,43 @@ class TestValidation:
     def test_tick_count_overflow_names_both_fields(self, overrides, field):
         with pytest.raises(ScenarioError, match=re.escape(field)):
             make_scenario(overrides)
+
+    # Each scenario loaded before these checks and then stopped mid-run: the
+    # yaw rate times dt overflowed before wrap_angle (math domain error), and
+    # the pursuer position overflowed into a NaN guidance command.
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (
+                {"dt": 1e10, "frame_period": 1e10, "telemetry_period": 1e10, "max_time": 1e12,
+                 "gains": {"k_yaw": 1e300}},
+                "gains.k_yaw * pi * dt",
+            ),
+            (
+                {"dt": 1e10, "frame_period": 1e10, "telemetry_period": 1e10, "max_time": 1e12,
+                 "gains": {"k_pitch": 1e300}},
+                "gains.k_pitch * pi * dt",
+            ),
+            ({"dt": 10, "frame_period": 10, "max_time": 400, "gains": {"v_cruise": 1e308}},
+             "gains.v_cruise * max_time"),
+            ({"dt": 10, "frame_period": 10, "max_time": 400, "gains": {"v_lock": 1e308}},
+             "gains.v_lock * max_time"),
+            ({"pursuer": {"position": [0, -1.7e308, 10]}, "gains": {"v_cruise": 1e306}},
+             "gains.v_cruise * max_time"),
+        ],
+        ids=["k_yaw", "k_pitch", "v_cruise", "v_lock", "v_cruise-from-far-start"],
+    )
+    def test_gains_that_overflow_the_flight_name_the_field(self, overrides, field):
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            make_scenario(overrides)
+
+    def test_large_gains_within_the_float_range_still_run(self, tmp_path):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({
+            "dt": 10, "frame_period": 10, "max_time": 400, "gains": {"v_cruise": 1e305, "k_yaw": 1e300},
+            "targets": [{"id": "T1", "kind": "stationary", "p0": [50, 0, 10]}],
+        }))
+        assert cli.main(["run", "--scenario", str(path)]) == 0
 
     def test_duplicate_target_ids_rejected(self):
         with pytest.raises(ScenarioError, match="unique"):
