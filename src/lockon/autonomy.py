@@ -386,7 +386,7 @@ class AutonomousNode:
         for envelope in self._bus.drain(self.CLIENT_ID):
             try:
                 if envelope.topic == topics.TELEMETRY_RESPONSE:
-                    response = TelemetryResponse.decode(envelope.payload)
+                    response = TelemetryResponse.from_envelope(envelope)
                     if response.has_target:
                         assert response.target_id is not None
                         assert response.target_position is not None
@@ -400,7 +400,7 @@ class AutonomousNode:
                     elif self.state is MissionState.SEARCH:
                         self._dispatch(NoMoreTargets())
                 elif envelope.topic == topics.IMAGE_MESSAGE:
-                    offset = OffsetMessage.decode(envelope.payload)
+                    offset = OffsetMessage.from_envelope(envelope)
                     # A frame stamped after this tick cannot have been taken
                     # yet; acting on it would start a lock after it ends.
                     if offset.tick <= self.ctx.tick:

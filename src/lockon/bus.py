@@ -4,7 +4,13 @@ Semantics are QoS-0-like: at-most-once delivery, no retained messages, no
 wildcards. Publishes made during a simulation tick are buffered and handed to
 subscriber inboxes when the scheduler calls ``deliver()``, sorted by
 (publisher_id, seq) so runs replay identically. The recipient set of a publish
-is frozen at publish time.
+is frozen at publish time; the broker keeps each topic's sorted recipients
+until a subscribe or unsubscribe to that topic.
+
+An envelope's payload is parsed at most once: the first reader to call
+``Envelope.parsed`` (in a run, the scheduler's event-log observer) runs
+``payloads.parse_json`` on it, and every later reader, such as a node's
+``Schema.from_envelope``, shares that parsed object read-only.
 
 The broker is a plain in-memory object: it may be handed between threads as a
 whole but does not accept concurrent calls.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .payloads import parse_json
 from .world import value
 
 # The fixed topic vocabulary used by the mission protocol.
@@ -40,8 +47,41 @@ def validate_topic(name: str) -> str:
     return name
 
 
+_UNPARSED = object()  # Publisher.send's mark: the payload has not been parsed yet
+_NOT_JSON = object()  # the payload is not strict JSON
+
+
+class _ParsedOnce:
+    """Keeps the payload's parse in a slot that equality, hash and repr never see.
+
+    The frozen ``__setattr__`` refuses the slot, so it is written through its
+    member descriptor, as ``world.value`` writes the fields.
+    """
+
+    __slots__ = ("_parsed",)
+
+    def parsed(self):
+        """The payload's ``parse_json`` result, shared read-only; ValueError if not strict JSON."""
+        try:
+            obj = self._parsed
+        except AttributeError:  # built directly rather than by Publisher.send
+            obj = _UNPARSED
+        if obj is _UNPARSED:
+            try:
+                obj = parse_json(self.payload)
+            except (ValueError, RecursionError):
+                obj = _NOT_JSON
+            _set_parsed(self, obj)
+        if obj is _NOT_JSON:
+            raise ValueError("payload is not strict JSON")
+        return obj
+
+
+_set_parsed = _ParsedOnce.__dict__["_parsed"].__set__
+
+
 @value
-class Envelope:
+class Envelope(_ParsedOnce):
     """A published message as seen by subscribers."""
 
     topic: str
@@ -62,6 +102,7 @@ class MessageBus:
 
     def __init__(self, observer: Callable[[Envelope], None] | None = None) -> None:
         self._subs: dict[str, set[str]] = {}  # topic -> client ids
+        self._recipients: dict[str, tuple[str, ...]] = {}  # topic -> sorted client ids
         self._inboxes: dict[str, list[Envelope]] = {}
         self._pending: list[tuple[Envelope, tuple[str, ...]]] = []
         self._last_seq: dict[str, int] = {}
@@ -76,6 +117,7 @@ class MessageBus:
         if not client_id:
             raise ProtocolError("client_id must be nonempty")
         self._subs.setdefault(topic, set()).add(client_id)
+        self._recipients.pop(topic, None)
         self._inboxes.setdefault(client_id, [])
 
     def unsubscribe(self, client_id: str, topic: str) -> bool:
@@ -83,6 +125,7 @@ class MessageBus:
         if clients is None or client_id not in clients:
             return False
         clients.discard(client_id)
+        self._recipients.pop(topic, None)
         return True
 
     def publish(self, envelope: Envelope) -> int:
@@ -98,7 +141,9 @@ class MessageBus:
                 f"greater than previous seq {last}"
             )
         self._last_seq[envelope.publisher_id] = envelope.seq
-        recipients = tuple(sorted(self._subs.get(topic, ())))
+        recipients = self._recipients.get(topic)
+        if recipients is None:
+            recipients = self._recipients[topic] = tuple(sorted(self._subs.get(topic, ())))
         self._pending.append((envelope, recipients))
         return len(recipients)
 
@@ -148,6 +193,7 @@ class Publisher:
             seq=self._next_seq,
             tick=tick,
         )
+        _set_parsed(envelope, _UNPARSED)
         count = self.bus.publish(envelope)
         self._next_seq += 1
         return count

@@ -3,13 +3,16 @@
 Five payload types travel as UTF-8 JSON: telemetry requests and responses,
 lock reports, camera offset messages, and crash reports. Each is a frozen,
 slotted ``world.value`` dataclass whose codec the ``wire`` decorator
-compiles once from its field types.
+compiles once from its field types, to straight-line code per schema.
 
 Parse contract: every payload, on the bus, at the mission server and in the
 run log, goes through one strict parser (``parse_json``). The bytes must be
 UTF-8 (no byte-order mark, no UTF-16/32) and hold JSON with no ``NaN`` or
 ``Infinity`` token and no number literal beyond the float range, anywhere in
-the document.
+the document. A bus envelope is parsed once, by its first reader (in a run,
+the scheduler's event log), and later readers share that parse read-only:
+``Schema.from_envelope(envelope)`` builds from it, and returns the value or
+raises the DecodeError that ``Schema.decode(envelope.payload)`` would.
 
 Decode contract: the payload must be a JSON object. A ``str`` or ``bool``
 field takes a JSON value of that type, an ``int`` field a JSON integer (not
@@ -144,69 +147,84 @@ _TO_JSON = {Vec3: (Vec3.as_dict, _vec3_text)}
 
 
 def wire(cls):
-    """Give a frozen dataclass ``to_obj``, ``encode`` and a ``decode`` classmethod.
+    """Give a frozen dataclass ``to_obj``, ``encode``, ``decode`` and ``from_envelope``.
 
-    The codec is compiled once here: the decoder's per-field converters in
-    field order, and the encoder's ``"key":`` prefixes in sorted-key order,
-    so encoding and decoding do no introspection and no json set-up per call.
+    ``to_obj``, ``encode`` and the decoders' ``build`` are compiled here to
+    straight-line code, a few statements per field, with ``exec`` as
+    ``world.value`` compiles ``__init__``: the encoder joins its ``"key":``
+    prefixes in sorted-key order, and ``build`` converts each field in field
+    order. So a codec call runs no loop over the fields, no ``getattr`` and
+    no json set-up.
     """
     hints = typing.get_type_hints(cls)
-    specs = []
-    for field in fields(cls):
-        args = typing.get_args(hints[field.name])
-        optional = type(None) in args
-        kind = next(a for a in args if a is not type(None)) if optional else hints[field.name]
+    namespace = {"__name__": cls.__module__, "DecodeError": DecodeError, "_cls": cls}
+    items, texts = [], {}
+    build = [
+        "def build(obj):",
+        "    if type(obj) is not dict:",
+        "        raise DecodeError('payload must be a JSON object')",
+        "    get = obj.get",
+    ]
+    for i, field in enumerate(fields(cls)):
+        name, kind = field.name, hints[field.name]
+        optional = type(None) in typing.get_args(kind)
+        if optional:
+            kind = next(a for a in typing.get_args(kind) if a is not type(None))
         to_json, to_text = _TO_JSON.get(kind, (None, _value_text))
-        specs.append((field.name, FROM_JSON[kind], to_json, to_text, optional))
-    parts = []  # (text before the value, field name, value -> text), by sorted key
-    for name, _, _, to_text, _ in sorted(specs, key=lambda spec: spec[0]):
-        prefix = ("," if parts else "{") + encode_basestring_ascii(name) + ":"
-        parts.append((prefix, name, to_text))
-
-    def to_obj(self) -> dict:
-        obj = {}
-        for name, _, to_json, _, _ in specs:
-            value = getattr(self, name)
-            obj[name] = value if to_json is None or value is None else to_json(value)
-        return obj
-
-    def encode(self) -> bytes:
-        text = ""
-        for prefix, name, to_text in parts:
-            text += prefix + to_text(getattr(self, name))
-        return (text + "}").encode()
-
-    def build(cls, obj: dict):
-        values = []
-        for name, from_json, _, _, optional in specs:
-            raw = obj.get(name)
-            if raw is None:
-                if not optional:
-                    raise DecodeError(f"missing required field {name!r}")
-                values.append(None)
-                continue
-            try:
-                values.append(from_json(raw))
-            except ValueError as exc:
-                raise DecodeError(f"field {name!r}: {exc}") from None
-        try:
-            return cls(*values)
-        except ValueError as exc:  # the schema's own __post_init__ checks
-            raise DecodeError(str(exc)) from None
+        namespace.update({f"_from{i}": FROM_JSON[kind], f"_text{i}": to_text})
+        namespace[f"_json{i}"] = to_json
+        attr = f"self.{name}"
+        items.append(f"{name!r}: {attr}" if to_json is None
+                     else f"{name!r}: None if {attr} is None else _json{i}({attr})")
+        texts[name] = f"_text{i}({attr})"
+        build += [
+            f"    raw = get({name!r})",
+            "    if raw is None:",
+            f"        v{i} = None" if optional
+            else f"        raise DecodeError({f'missing required field {name!r}'!r})",
+            "    else:",
+            "        try:",
+            f"            v{i} = _from{i}(raw)",
+            "        except ValueError as exc:",
+            f"            raise DecodeError({f'field {name!r}: '!r} + str(exc)) from None",
+        ]
+    encoded = " + ".join(
+        repr(("," if n else "{") + encode_basestring_ascii(name) + ":") + " + " + texts[name]
+        for n, name in enumerate(sorted(texts))
+    )
+    source = "\n".join([
+        f"def to_obj(self):\n    return {{{', '.join(items)}}}",
+        f"def encode(self):\n    return ({encoded} + '}}').encode()",
+        *build,
+        "    try:",
+        f"        return _cls({', '.join(f'v{i}' for i in range(len(texts)))})",
+        "    except ValueError as exc:  # the schema's own __post_init__ checks",
+        "        raise DecodeError(str(exc)) from None",
+    ])
+    exec(source, namespace)
+    build = namespace["build"]
 
     def decode(cls, data: bytes | str):
         try:
             obj = parse_json(data)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
-            blame_non_finite(data, exc, lambda obj: type(obj) is dict and build(cls, obj))
+            blame_non_finite(data, exc, lambda obj: type(obj) is dict and build(obj))
             raise DecodeError(f"not valid JSON: {exc}") from None
-        if type(obj) is not dict:
-            raise DecodeError("payload must be a JSON object")
-        return build(cls, obj)
+        return build(obj)
 
-    cls.to_obj = to_obj
-    cls.encode = encode
+    def from_envelope(cls, envelope):
+        """``decode(envelope.payload)``, built from the envelope's one shared parse."""
+        try:
+            obj = envelope.parsed()
+        except ValueError:  # decode raises the error, naming a non-finite field
+            return cls.decode(envelope.payload)
+        return build(obj)
+
+    for method in ("to_obj", "encode"):
+        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, namespace[method])
     cls.decode = classmethod(decode)
+    cls.from_envelope = classmethod(from_envelope)
     return cls
 
 

@@ -6,7 +6,8 @@ disarms the proxy so no request leaves the UAV after landing. Transport
 failures degrade gracefully: telemetry is tried three times and then a
 has_target=false response is published, lock reports retry once. Retries
 follow at once, within the same tick: a wall-clock wait would stall the
-lockstep scheduler.
+lockstep scheduler. A 200 telemetry reply with the same bytes as the last
+one that decoded is not decoded again: its response and encoding are reused.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ class ProxyNode:
         self.uav_id = uav_id
         self.active = True
         self.degraded_events = 0
+        # The last 200 telemetry reply that decoded: (its bytes, the decoded
+        # response, the response's encoding). The server answers with the
+        # same bytes until its queue changes, so most replies are a hit.
+        self._last_reply: tuple[bytes, TelemetryResponse, bytes] | None = None
         self._publisher = Publisher(bus, self.CLIENT_ID)
         self._bus = bus
         bus.subscribe(self.CLIENT_ID, topics.TELEMETRY)
@@ -116,20 +121,24 @@ class ProxyNode:
     def forward_telemetry(self, request: TelemetryRequest, tick: int = 0) -> TelemetryResponse:
         """POST a telemetry request and publish the (possibly degraded) reply."""
         result = self._post_with_retries("/api/telemetry", request.encode(), TELEMETRY_RETRIES)
-        response: TelemetryResponse | None = None
-        if result is not None:
-            status, data = result
-            if status == 200:
+        if result is not None and result[0] == 200:
+            data, last = result[1], self._last_reply
+            if last is None or data != last[0]:
                 try:
                     response = TelemetryResponse.decode(data)
                 except DecodeError as exc:
                     log.warning("undecodable telemetry response: %s", exc)
-        if response is None:
-            self.degraded_events += 1
-            log.warning("degraded link: publishing empty telemetry response")
-            response = TelemetryResponse(
-                has_target=False, target_id=None, target_position=None, remaining_targets=0
-            )
+                    last = None
+                else:
+                    last = self._last_reply = (data, response, response.encode())
+            if last is not None:
+                self._publisher.send(topics.TELEMETRY_RESPONSE, last[2], tick)
+                return last[1]
+        self.degraded_events += 1
+        log.warning("degraded link: publishing empty telemetry response")
+        response = TelemetryResponse(
+            has_target=False, target_id=None, target_position=None, remaining_targets=0
+        )
         self._publisher.send(topics.TELEMETRY_RESPONSE, response.encode(), tick)
         return response
 
@@ -154,14 +163,14 @@ class ProxyNode:
             return
         if envelope.topic == topics.TELEMETRY:
             try:
-                request = TelemetryRequest.decode(envelope.payload)
+                request = TelemetryRequest.from_envelope(envelope)
             except DecodeError as exc:
                 log.warning("dropping malformed telemetry envelope: %s", exc)
                 return
             self.forward_telemetry(request, tick)
         elif envelope.topic == topics.LOCK:
             try:
-                report = LockReport.decode(envelope.payload)
+                report = LockReport.from_envelope(envelope)
             except DecodeError as exc:
                 log.warning("dropping malformed lock envelope: %s", exc)
                 return

@@ -133,9 +133,9 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         }
         events.append(entry)
         if envelope.payload:
-            try:
-                entry["payload"] = parse_json(envelope.payload)
-            except (ValueError, RecursionError):  # not strict JSON: log no payload
+            try:  # the first read: the subscribers build from this parse
+                entry["payload"] = envelope.parsed()
+            except ValueError:  # not strict JSON: log no payload
                 entry["malformed"] = True
         payload = entry["payload"]
         if envelope.topic == topics.LOCK and isinstance(payload, dict) and "target_id" in payload:

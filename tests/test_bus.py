@@ -1,9 +1,11 @@
 """Broker behaviour: routing, ordering, idempotence, and delivery properties."""
 
+import dataclasses
 import random
 
 import pytest
 
+from lockon import bus as bus_module
 from lockon.bus import Envelope, MessageBus, ProtocolError, Publisher, validate_topic
 
 
@@ -140,6 +142,61 @@ class TestUnsubscribe:
         bus.deliver()
         assert (first, second) == (1, 0)
         assert len(bus.drain("sub")) == 1
+
+
+class TestRecipientCache:
+    """The broker keeps each topic's sorted recipients between subscription changes."""
+
+    def test_a_subscription_change_moves_only_the_later_publishes(self):
+        bus = MessageBus()
+        bus.subscribe("b", "/lock")
+        counts = [bus.publish(env("/lock", seq=0))]
+        bus.subscribe("a", "/lock")
+        counts.append(bus.publish(env("/lock", seq=1)))
+        counts.append(bus.publish(env("/lock", seq=2)))
+        bus.unsubscribe("b", "/lock")
+        counts.append(bus.publish(env("/lock", seq=3)))
+        bus.subscribe("c", "/other")  # another topic's change leaves /lock alone
+        counts.append(bus.publish(env("/lock", seq=4)))
+        bus.deliver()
+        assert counts == [1, 2, 2, 1, 1]
+        assert [e.seq for e in bus.drain("a")] == [1, 2, 3, 4]
+        assert [e.seq for e in bus.drain("b")] == [0, 1, 2]
+        assert bus.drain("c") == []
+
+
+class TestParsedOnce:
+    """An envelope's payload is parsed by its first reader and shared after that."""
+
+    def sent(self, payload):
+        bus = MessageBus()
+        bus.subscribe("sub", "/t")
+        Publisher(bus, "node").send("/t", payload, 0)
+        bus.deliver()
+        (envelope,) = bus.drain("sub")
+        return envelope
+
+    def test_later_readers_share_the_first_parse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bus_module, "parse_json", lambda data: calls.append(data) or {"a": 1})
+        for envelope in (self.sent(b'{"a":1}'), env("/t", payload=b'{"a":1}')):
+            first = envelope.parsed()
+            assert first == {"a": 1} and envelope.parsed() is first
+        assert len(calls) == 2  # once per envelope, sent or built directly
+
+    def test_a_payload_that_is_not_strict_json_raises_every_time(self):
+        for payload in (b"NaN", b"not json", b"", b"\xff"):
+            envelope = self.sent(payload)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    envelope.parsed()
+
+    def test_the_parse_is_not_part_of_the_value(self):
+        parsed, fresh = env("/t", payload=b"[1]"), env("/t", payload=b"[1]")
+        assert parsed.parsed() == [1]
+        assert parsed == fresh and hash(parsed) == hash(fresh) and repr(parsed) == repr(fresh)
+        assert dataclasses.replace(parsed) == parsed
+        assert dataclasses.astuple(parsed) == ("/t", b"[1]", "node", 0, 0)
 
 
 class TestPublisherHandle:

@@ -1,6 +1,7 @@
 """Wire codec round-trips and validation diagnostics."""
 
 import codecs
+import collections
 import dataclasses
 import json
 import math
@@ -8,8 +9,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockon import bus, payloads, runner
 from lockon import bus as topics
-from lockon import runner
+from lockon.bus import Envelope, MessageBus, Publisher
 from lockon.payloads import (
     CrashReport,
     DecodeError,
@@ -439,3 +441,79 @@ def test_nodes_drop_what_the_log_calls_malformed(monkeypatch, note):
     for line in runner.event_log_to_jsonl(result.event_log).splitlines():
         json.loads(line, parse_constant=reject_constant)
         assert "Infinity" not in line
+
+
+# --- One parse per bus envelope -----------------------------------------------
+
+def published(data: bytes) -> Envelope:
+    """``data`` as a subscriber receives it from the bus."""
+    bus = MessageBus()
+    bus.subscribe("sub", "/t")
+    Publisher(bus, "node").send("/t", data, 0)
+    bus.deliver()
+    (envelope,) = bus.drain("sub")
+    return envelope
+
+
+def outcome(read):
+    """What a decoder gives: the value, or the DecodeError's text."""
+    try:
+        return read()
+    except DecodeError as exc:
+        return ("DecodeError", str(exc))
+
+
+def envelope_payloads(message):
+    """``documents(message)``, plus non-objects and a non-finite token in one field."""
+    names = [f.name for f in dataclasses.fields(message)]
+    tokens = st.sampled_from([b"NaN", b"-Infinity", b"1e400", b"-9" + b"9" * 400])
+    non_finite_field = st.tuples(st.sampled_from(names), tokens).map(
+        lambda change: json.dumps({**message.to_obj(), change[0]: "@"}).encode().replace(
+            b'"@"', change[1]
+        )
+    )
+    non_objects = json_values.map(lambda v: json.dumps(v).encode())
+    return st.one_of(documents(message), non_finite_field, non_objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SCHEMAS),
+    MESSAGES.flatmap(envelope_payloads),
+    st.sampled_from(["published", "built", "read by another schema first"]),
+)
+def test_from_envelope_agrees_with_decode(schema, data, how):
+    expected = outcome(lambda: schema.decode(data))
+    envelope = Envelope("/t", data, "node", 0, 0) if how == "built" else published(data)
+    if how == "read by another schema first":
+        outcome(lambda: OffsetMessage.from_envelope(envelope))
+    for _ in range(2):  # the first read parses, the second shares the parse
+        got = outcome(lambda: schema.from_envelope(envelope))
+        assert type(got) is type(expected) and got == expected
+
+
+def test_each_bus_payload_is_parsed_once_in_a_run(monkeypatch):
+    parsed = []
+
+    def counting_parse(data):
+        parsed.append(data)
+        return parse_json(data)
+
+    monkeypatch.setattr(payloads, "parse_json", counting_parse)
+    monkeypatch.setattr(bus, "parse_json", counting_parse)
+    sent = []
+    publish = MessageBus.publish
+    monkeypatch.setattr(
+        MessageBus, "publish", lambda broker, env: sent.append(env) or publish(broker, env)
+    )
+    result = runner.run(load_scenario("moving_target"))
+    assert result.terminated_by == "land" and result.report.per_target[0].locked
+    assert {e.topic for e in sent if e.payload} == {
+        topics.TELEMETRY, topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LOCK
+    }
+    carried = collections.Counter(id(e.payload) for e in sent if e.payload)
+    # A payload object that several envelopes carry (the proxy republishes an
+    # unchanged reply's bytes) is parsed once per envelope; the other parses
+    # are of the mission server's request bodies and its replies.
+    parses = collections.Counter(id(data) for data in parsed)
+    assert {key: parses[key] for key in carried} == carried

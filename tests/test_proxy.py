@@ -104,6 +104,79 @@ class TestForwardTelemetry:
         assert not [r for r in caplog.records if "transport failure" in r.getMessage()]
 
 
+class ScriptedTransport:
+    """Answers each post with the next (status, body) of a script, or raises it."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+
+    def post(self, path, body):
+        reply = self.replies.pop(0)
+        if isinstance(reply, TransportError):
+            raise reply
+        return reply
+
+
+REPLY = TelemetryResponse(True, "T1", Vec3(60.0, 0.0, 10.0), 1).encode()
+OTHER = TelemetryResponse(True, "T2", Vec3(0.0, 60.0, 10.0), 0).encode()
+DEGRADED = TelemetryResponse(False, None, None, 0).encode()
+
+
+class TestReplyCache:
+    """An unchanged 200 reply is not decoded again; nothing else is kept."""
+
+    def forward(self, monkeypatch, replies, forwards=None):
+        """Forward ``forwards`` requests (one per reply by default).
+
+        Returns the proxy, the bodies decoded and the payloads published.
+        """
+        decoded = []
+        decode = TelemetryResponse.decode.__func__
+        monkeypatch.setattr(
+            TelemetryResponse, "decode",
+            classmethod(lambda cls, data: decoded.append(data) or decode(cls, data)),
+        )
+        bus, _, proxy = make_proxy(transport=ScriptedTransport(replies))
+        ticks = range(forwards or len(replies))
+        responses = [proxy.forward_telemetry(request(), tick) for tick in ticks]
+        bus.deliver()
+        published = [e.payload for e in bus.drain("autonomous")]
+        assert [decode(TelemetryResponse, payload) for payload in published] == responses
+        return proxy, decoded, published
+
+    def test_the_same_reply_bytes_are_decoded_once(self, monkeypatch):
+        proxy, decoded, published = self.forward(monkeypatch, [(200, REPLY), (200, bytes(REPLY))])
+        assert decoded == [REPLY]
+        assert published == [REPLY, REPLY] and published[0] is published[1]
+        assert proxy.degraded_events == 0
+
+    def test_changed_bytes_are_decoded_again(self, monkeypatch):
+        _, decoded, published = self.forward(
+            monkeypatch, [(200, REPLY), (200, OTHER), (200, OTHER), (200, REPLY)]
+        )
+        assert decoded == [REPLY, OTHER, REPLY]
+        assert published == [REPLY, OTHER, OTHER, REPLY]
+
+    @pytest.mark.parametrize("bad", [(500, REPLY), (404, REPLY), (200, b"not json"),
+                                     (200, b'{"has_target":true,"remaining_targets":1}')])
+    def test_a_failed_reply_degrades_every_time_and_is_never_kept(self, monkeypatch, bad):
+        replies = [bad, bad, (200, REPLY), bad, (200, REPLY)]
+        proxy, decoded, published = self.forward(monkeypatch, replies)
+        assert published == [DEGRADED, DEGRADED, REPLY, DEGRADED, REPLY]
+        assert proxy.degraded_events == 3
+        undecodable = [bad[1]] * 2 if bad[0] == 200 else []
+        # A bad body is decoded each time it comes; the good one only once.
+        assert decoded == undecodable + [REPLY] + undecodable[:1]
+
+    def test_a_transport_outage_degrades_even_with_a_kept_reply(self, monkeypatch):
+        outage = [TransportError("synthetic outage")] * 3  # every attempt of one request
+        proxy, decoded, published = self.forward(
+            monkeypatch, [(200, REPLY), *outage, (200, REPLY)], forwards=3
+        )
+        assert published == [REPLY, DEGRADED, REPLY]
+        assert decoded == [REPLY] and proxy.degraded_events == 1
+
+
 class TestForwardLock:
     def test_valid_report_acknowledged_and_recorded(self):
         _, store, proxy = make_proxy()
