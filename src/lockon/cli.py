@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 from .metrics import ConfusionCounts, MetricsError, confusion_metrics, summarize_run
-from .payloads import blame_non_finite, parse_json
 from .runner import event_log_to_jsonl, parse_jsonl, run
 from .scenario import ScenarioError, load_scenario
 from .server import (
@@ -19,7 +18,7 @@ from .server import (
     TargetAssignment,
     latency_harness,
     make_http_server,
-    parse_targets,
+    read_targets,
 )
 
 
@@ -59,14 +58,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_targets_file(path: str) -> list[TargetAssignment]:
-    data = Path(path).read_bytes()
     try:
-        try:
-            doc = parse_json(data)
-        except (ValueError, RecursionError) as exc:
-            blame_non_finite(data, exc, parse_targets)
-            raise ValueError(f"invalid JSON: {exc}") from None
-        return parse_targets(doc)
+        return read_targets(Path(path).read_bytes())
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

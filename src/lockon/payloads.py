@@ -77,17 +77,6 @@ def parse_json(data: bytes | str):
     return _STRICT_JSON.decode(data)
 
 
-def load_object(data: bytes | str) -> dict:
-    """Parse a strict JSON object; anything else raises DecodeError."""
-    try:
-        obj = parse_json(data)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
-        raise DecodeError(f"not valid JSON: {exc}") from None
-    if type(obj) is not dict:
-        raise DecodeError("payload must be a JSON object")
-    return obj
-
-
 # Anything but a plain scalar (a container, a subclass) is left to the json
 # encoder, which raises TypeError for what json.dumps cannot write either.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

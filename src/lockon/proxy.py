@@ -1,13 +1,14 @@
 """Proxy node: bridges bus topics to the mission server's HTTP API.
 
-Telemetry envelopes are forwarded as POSTs and the reply comes back on
-/telemetry/response; lock reports are forwarded and acknowledged; /land
-disarms the proxy so no request leaves the UAV after landing. Transport
-failures degrade gracefully: telemetry is tried three times and then a
-has_target=false response is published, lock reports retry once. Retries
-follow at once, within the same tick: a wall-clock wait would stall the
-lockstep scheduler. A 200 telemetry reply with the same bytes as the last
-one that decoded is not decoded again: its response and encoding are reused.
+A telemetry envelope that decodes is forwarded as a POST of its own payload
+bytes, and the reply comes back on /telemetry/response; lock reports are
+forwarded and acknowledged; /land disarms the proxy so no request leaves
+the UAV after landing. Transport failures degrade gracefully: telemetry is
+tried three times and then a has_target=false response is published, lock
+reports retry once. Retries follow at once, within the same tick: a
+wall-clock wait would stall the lockstep scheduler. A 200 telemetry reply
+with the same bytes as the last one that decoded is not decoded again: its
+response and encoding are reused.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ class ProxyNode:
                 log.warning("transport failure on %s (attempt %d): %s", path, attempt + 1, exc)
         return None
 
-    def forward_telemetry(self, request: TelemetryRequest, tick: int = 0) -> TelemetryResponse:
-        """POST a telemetry request and publish the (possibly degraded) reply."""
-        result = self._post_with_retries("/api/telemetry", request.encode(), TELEMETRY_RETRIES)
+    def forward_telemetry(self, body: bytes, tick: int = 0) -> TelemetryResponse:
+        """POST an encoded telemetry request and publish the (possibly degraded) reply."""
+        result = self._post_with_retries("/api/telemetry", body, TELEMETRY_RETRIES)
         if result is not None and result[0] == 200:
             data, last = result[1], self._last_reply
             if last is None or data != last[0]:
@@ -163,11 +164,12 @@ class ProxyNode:
             return
         if envelope.topic == topics.TELEMETRY:
             try:
-                request = TelemetryRequest.from_envelope(envelope)
+                TelemetryRequest.from_envelope(envelope)
             except DecodeError as exc:
                 log.warning("dropping malformed telemetry envelope: %s", exc)
                 return
-            self.forward_telemetry(request, tick)
+            # The payload decoded, so its own bytes are a valid request body.
+            self.forward_telemetry(envelope.payload, tick)
         elif envelope.topic == topics.LOCK:
             try:
                 report = LockReport.from_envelope(envelope)

@@ -6,6 +6,9 @@ published during a tick are therefore seen by other nodes on the next tick,
 giving the protocol a reproducible one-tick transport delay. Runs terminate
 on /land (after a short grace window so every node can shut down), at
 max_time, or on a crash (altitude below ground).
+
+A run's outputs are its event log and the report built from that log;
+nothing else is recorded per tick.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .server import MissionStore, TargetAssignment
 from .vision import VisionNode
 from .world import (
     TargetTrack,
-    Vec3,
     WorldState,
     eval_trajectory,
     project_to_camera,
@@ -35,21 +37,11 @@ from .world import (
 SHUTDOWN_GRACE_TICKS = 2
 
 
-@dataclass(slots=True)
-class TraceSample:
-    """Per-tick ground truth for replay checks; the rest of a tick is in the event log."""
-
-    tick: int
-    pursuer_position: Vec3
-    reported_target_position: Vec3 | None
-
-
 @dataclass(frozen=True)
 class RunResult:
     scenario: Scenario
     report: RunReport
     event_log: list[dict]
-    trace: list[TraceSample]
 
     @property
     def terminated_by(self) -> str:
@@ -104,7 +96,7 @@ def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float,
 
 
 def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
-    """Execute a scenario to completion and return its report, log and trace."""
+    """Execute a scenario to completion and return its event log and report."""
     dt = scenario.dt
     events: list[dict] = [
         {
@@ -178,7 +170,6 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         pursuer=scenario.pursuer_init,
         targets=tuple(TargetTrack(tid, spec) for tid, spec in scenario.targets),
     )
-    trace: list[TraceSample] = []
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 
@@ -205,14 +196,6 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             proxy.step(tick)
             bus.deliver()
 
-            trace.append(
-                TraceSample(
-                    tick=tick,
-                    pursuer_position=world.pursuer.position,
-                    reported_target_position=autonomous.ctx.target_position,
-                )
-            )
-
             if land_seen_tick is not None and (
                 tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= max_ticks + 1
             ):
@@ -227,5 +210,5 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             transport.close()
 
     events.append({"kind": "end", "terminated_by": terminated_by, "tick": tick})
-    return RunResult(scenario=scenario, report=summarize_run(events), event_log=events, trace=trace)
+    return RunResult(scenario=scenario, report=summarize_run(events), event_log=events)
 

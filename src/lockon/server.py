@@ -73,7 +73,8 @@ from .payloads import (
     LockReport,
     TelemetryRequest,
     TelemetryResponse,
-    load_object,
+    blame_non_finite,
+    parse_json,
 )
 from .world import Vec3
 
@@ -155,9 +156,10 @@ def _check_unique(targets: list[TargetAssignment]) -> None:
 def parse_targets(doc) -> list[TargetAssignment]:
     """The target queue of a ``{"targets": [{"id", "position" | "p0"}, ...]}`` document.
 
-    Shared by ``/api/seed`` and ``lockon serve --targets`` (which takes a
-    scenario file). A malformed entry, an ``id`` that is not a string or a
-    non-finite position raises ValueError naming the entry.
+    ``read_targets`` reads it for ``/api/seed`` and ``lockon serve
+    --targets`` (which takes a scenario file). A malformed entry, an ``id``
+    that is not a string or a non-finite position raises ValueError naming
+    the entry.
     """
     entries = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -176,6 +178,20 @@ def parse_targets(doc) -> list[TargetAssignment]:
             raise ValueError(f"targets[{index}] position: {exc}") from None
         targets.append(TargetAssignment(target_id, position))
     return targets
+
+
+def read_targets(data: bytes | str) -> list[TargetAssignment]:
+    """``parse_targets`` of a document's bytes; ValueError naming what is wrong.
+
+    A NaN or Infinity is blamed on the entry that holds it, as
+    ``parse_targets`` names a non-finite position.
+    """
+    try:
+        doc = parse_json(data)
+    except (ValueError, RecursionError) as exc:
+        blame_non_finite(data, exc, parse_targets)
+        raise ValueError(f"invalid JSON: {exc}") from None
+    return parse_targets(doc)
 
 
 class MissionStore:
@@ -291,9 +307,9 @@ class MissionStore:
 
     def handle_seed(self, body: bytes | str) -> _Reply:
         try:
-            targets = parse_targets(load_object(body))
+            targets = read_targets(body)
             self.seed(targets)
-        except (DecodeError, ValueError) as exc:
+        except ValueError as exc:
             raise ApiError(400, f"invalid seed body: {exc}") from exc
         return _Reply(200, {"seeded": len(targets)})
 

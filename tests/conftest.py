@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+from lockon.autonomy import AutonomousNode
+from lockon.runner import RunResult, run
 from lockon.scenario import Scenario, scenario_from_dict
+from lockon.world import Vec3
 
 
 # Any JSON value, floats including NaN and infinities (json.dumps writes them
 # as the NaN/Infinity tokens that json.loads accepts).
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    json_scalars,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
@@ -77,13 +82,39 @@ def random_scenario(seed: int) -> Scenario:
     )
 
 
+# One autonomy step seen from outside: (tick, pursuer position, reported target position).
+StepSample = tuple[int, Vec3, "Vec3 | None"]
+
+
+@contextlib.contextmanager
+def recorded_steps():
+    """Record a sample after every ``AutonomousNode.step`` call inside the block.
+
+    The event log holds what the nodes said, not where the pursuer was; the
+    activation-rule tests read that per-tick truth from this recorder, which
+    wraps the step from outside and puts the original back on exit.
+    """
+    samples: list[StepSample] = []
+    original = AutonomousNode.step
+
+    def step(node, tick, time, pursuer):
+        original(node, tick, time, pursuer)
+        samples.append((tick, pursuer.position, node.ctx.target_position))
+
+    AutonomousNode.step = step
+    try:
+        yield samples
+    finally:
+        AutonomousNode.step = original
+
+
+def run_recorded(scenario: Scenario) -> tuple[RunResult, list[StepSample]]:
+    with recorded_steps() as samples:
+        result = run(scenario)
+    return result, samples
+
+
 @pytest.fixture(scope="session")
 def property_batch():
-    """200 randomized runs shared by the lock/activation/shutdown batteries."""
-    from lockon.runner import run
-
-    results = []
-    for seed in range(200):
-        scenario = random_scenario(seed)
-        results.append(run(scenario))
-    return results
+    """200 randomized runs, each with its step samples, shared by the acceptance batteries."""
+    return [run_recorded(random_scenario(seed)) for seed in range(200)]

@@ -52,7 +52,7 @@ def test_criterion_1_table1_reproduction(capsys):
 def test_criterion_2_lock_timing(property_batch, capsys):
     """No /lock before 10.0 s of continuous containment; tight when unbroken."""
     locks = continuous = 0
-    for result in property_batch:
+    for result, _ in property_batch:
         scenario = result.scenario
         dt, frame_ticks = scenario.dt, scenario.frame_ticks
         offset_ticks = [m["payload"]["tick"] for m in msgs(result, "/image/message")]
@@ -90,7 +90,7 @@ def test_criterion_2_lock_timing(property_batch, capsys):
 def test_criterion_3_activation_threshold(property_batch, capsys):
     """/signal/process_image fires once, at the first sub-10 m crossing."""
     signals_seen = 0
-    for result in property_batch:
+    for result, samples in property_batch:
         radius = result.scenario.gains.activation_radius
         signals = msgs(result, "/signal/process_image")
         assert len(signals) <= 1, f"{result.scenario.name}: duplicate signal"
@@ -98,20 +98,19 @@ def test_criterion_3_activation_threshold(property_batch, capsys):
             continue
         signals_seen += 1
         signal_tick = signals[0]["tick"]
-        samples = {s.tick: s for s in result.trace}
-        at_signal = samples[signal_tick]
-        assert at_signal.reported_target_position is not None
+        by_tick = {tick: (pursuer, target) for tick, pursuer, target in samples}
+        pursuer, target = by_tick[signal_tick]
+        assert target is not None
         assert (
-            distance(at_signal.pursuer_position, at_signal.reported_target_position) < radius
+            distance(pursuer, target) < radius
         ), f"{result.scenario.name}: signal outside activation radius"
-        for sample in result.trace:
-            if sample.tick >= signal_tick:
+        for tick, pursuer, target in samples:
+            if tick >= signal_tick:
                 break
-            if sample.reported_target_position is not None:
+            if target is not None:
                 assert (
-                    distance(sample.pursuer_position, sample.reported_target_position)
-                    >= radius
-                ), f"{result.scenario.name}: crossing before signal at tick {sample.tick}"
+                    distance(pursuer, target) >= radius
+                ), f"{result.scenario.name}: crossing before signal at tick {tick}"
     assert signals_seen >= 150
     with capsys.disabled():
         print(
@@ -144,7 +143,7 @@ def test_criterion_4_paper_finding_scenario_pair(shipped_runs, capsys):
 def test_criterion_5_shutdown(property_batch, shipped_runs, capsys):
     """After /land: no envelope from any node, no request at the server."""
     landed_runs = 0
-    for result in list(property_batch) + list(shipped_runs.values()):
+    for result in [result for result, _ in property_batch] + list(shipped_runs.values()):
         lands = msgs(result, "/land")
         if not lands:
             continue

@@ -493,14 +493,13 @@ def test_from_envelope_agrees_with_decode(schema, data, how):
 
 
 def test_each_bus_payload_is_parsed_once_in_a_run(monkeypatch):
-    parsed = []
+    envelope_parses, other_parses = [], []  # by Envelope.parsed, and by any other reader
 
-    def counting_parse(data):
-        parsed.append(data)
-        return parse_json(data)
+    def counting(parsed):
+        return lambda data: parsed.append(data) or parse_json(data)
 
-    monkeypatch.setattr(payloads, "parse_json", counting_parse)
-    monkeypatch.setattr(bus, "parse_json", counting_parse)
+    monkeypatch.setattr(bus, "parse_json", counting(envelope_parses))
+    monkeypatch.setattr(payloads, "parse_json", counting(other_parses))
     sent = []
     publish = MessageBus.publish
     monkeypatch.setattr(
@@ -513,7 +512,11 @@ def test_each_bus_payload_is_parsed_once_in_a_run(monkeypatch):
     }
     carried = collections.Counter(id(e.payload) for e in sent if e.payload)
     # A payload object that several envelopes carry (the proxy republishes an
-    # unchanged reply's bytes) is parsed once per envelope; the other parses
-    # are of the mission server's request bodies and its replies.
-    parses = collections.Counter(id(data) for data in parsed)
-    assert {key: parses[key] for key in carried} == carried
+    # unchanged reply's bytes) is parsed once per envelope.
+    assert collections.Counter(map(id, envelope_parses)) == carried
+    # No node parses a payload again. The one other reader of bus payload
+    # bytes is the mission server, which decodes each telemetry request the
+    # proxy forwards as it came; its other parses are of bytes no envelope carries.
+    telemetry = collections.Counter(id(e.payload) for e in sent if e.topic == topics.TELEMETRY)
+    others = collections.Counter(map(id, other_parses))
+    assert {key: others[key] for key in carried if others[key]} == telemetry

@@ -50,7 +50,7 @@ def make_proxy(store=None, transport=None):
 class TestForwardTelemetry:
     def test_queued_target_round_trip(self):
         bus, _, proxy = make_proxy()
-        response = proxy.forward_telemetry(request())
+        response = proxy.forward_telemetry(request().encode())
         assert response.has_target and response.target_id == "T1"
         bus.deliver()
         delivered = bus.drain("autonomous")
@@ -59,14 +59,14 @@ class TestForwardTelemetry:
 
     def test_empty_queue_round_trip(self):
         bus, _, proxy = make_proxy(store=MissionStore([]))
-        response = proxy.forward_telemetry(request())
+        response = proxy.forward_telemetry(request().encode())
         assert not response.has_target and response.remaining_targets == 0
 
     def test_three_failures_publish_degraded_response(self):
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
         transport = FlakyTransport(InProcessTransport(store), failures=10)
         bus, _, proxy = make_proxy(store=store, transport=transport)
-        response = proxy.forward_telemetry(request())
+        response = proxy.forward_telemetry(request().encode())
         assert not response.has_target
         assert proxy.degraded_events == 1
         assert transport.calls == 3  # retried exactly three times
@@ -77,7 +77,7 @@ class TestForwardTelemetry:
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
         transport = FlakyTransport(InProcessTransport(store), failures=2)
         bus, _, proxy = make_proxy(store=store, transport=transport)
-        response = proxy.forward_telemetry(request())
+        response = proxy.forward_telemetry(request().encode())
         assert response.has_target and proxy.degraded_events == 0
 
 
@@ -89,9 +89,9 @@ class TestForwardTelemetry:
             transport = HttpTransport(port=server.port)
             _, _, proxy = make_proxy(store=store, transport=transport)
             try:
-                assert proxy.forward_telemetry(request()).has_target
+                assert proxy.forward_telemetry(request().encode()).has_target
                 time.sleep(0.6)  # the server closes the connection after 0.2 s idle
-                response = proxy.forward_telemetry(request(1.0))
+                response = proxy.forward_telemetry(request(1.0).encode())
                 time.sleep(0.6)
                 crashed = proxy.report_crash(crash)  # a single attempt
             finally:
@@ -138,7 +138,7 @@ class TestReplyCache:
         )
         bus, _, proxy = make_proxy(transport=ScriptedTransport(replies))
         ticks = range(forwards or len(replies))
-        responses = [proxy.forward_telemetry(request(), tick) for tick in ticks]
+        responses = [proxy.forward_telemetry(request().encode(), tick) for tick in ticks]
         bus.deliver()
         published = [e.payload for e in bus.drain("autonomous")]
         assert [decode(TelemetryResponse, payload) for payload in published] == responses
@@ -231,6 +231,30 @@ class TestEnvelopePipeline:
         assert transport.calls == 0
         bus.deliver()
         assert bus.drain("autonomous") == []
+
+    def test_a_telemetry_envelope_is_posted_as_its_own_bytes(self):
+        # An extra field and an array position decode, so the proxy posts the
+        # payload as it came; the server records the decoded request.
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        sent = []
+        inner = InProcessTransport(store)
+
+        class RecordingTransport:
+            def post(self, path, body):
+                sent.append(body)
+                return inner.post(path, body)
+
+        bus, _, proxy = make_proxy(store=store, transport=RecordingTransport())
+        loose = b'{"uav_id":"uav-1","time":0.0,"position":[0,0,10],"state":"SEARCH","extra":1}'
+        canonical = request().encode()
+        uav = Publisher(bus, "autonomous")
+        uav.send("/telemetry", loose, 0)
+        uav.send("/telemetry", canonical, 0)
+        bus.deliver()
+        proxy.step(1)
+        assert sent == [loose, canonical]
+        first, second = store.query_records("Telemetry").body["records"]
+        assert first["body"] == second["body"] == request().to_obj()
 
     def test_malformed_envelope_does_not_crash(self):
         bus, _, proxy = make_proxy()

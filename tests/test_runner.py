@@ -11,7 +11,7 @@ from lockon.scenario import load_scenario
 from lockon.server import MissionStore, TargetAssignment
 from lockon.world import Vec3, distance
 
-from conftest import make_scenario
+from conftest import make_scenario, run_recorded
 
 
 def topic_msgs(result, topic):
@@ -119,7 +119,9 @@ class TestTermination:
         )
         result = run(scenario)
         assert result.terminated_by == "timeout"
-        assert result.trace[-1].tick <= scenario.max_ticks + 1
+        end = result.event_log[-1]
+        assert end["kind"] == "end"
+        assert end["tick"] <= scenario.max_ticks + 1
 
     def test_crash_on_negative_altitude(self):
         # Start diving at ground level: the pursuer goes below z=0 quickly.
@@ -145,23 +147,18 @@ class TestTermination:
 class TestActivationRule:
     def test_signal_fires_at_first_crossing(self):
         scenario = load_scenario("moving_target")
-        result = run(scenario)
+        result, samples = run_recorded(scenario)
         signal_tick = topic_msgs(result, "/signal/process_image")[0]["tick"]
         radius = scenario.gains.activation_radius
-        by_tick = {s.tick: s for s in result.trace}
-        at_signal = by_tick[signal_tick]
-        assert at_signal.reported_target_position is not None
-        assert (
-            distance(at_signal.pursuer_position, at_signal.reported_target_position) < radius
-        )
-        for sample in result.trace:
-            if sample.tick >= signal_tick:
+        by_tick = {tick: (pursuer, target) for tick, pursuer, target in samples}
+        pursuer, target = by_tick[signal_tick]
+        assert target is not None
+        assert distance(pursuer, target) < radius
+        for tick, pursuer, target in samples:
+            if tick >= signal_tick:
                 break
-            if sample.reported_target_position is not None:
-                assert (
-                    distance(sample.pursuer_position, sample.reported_target_position)
-                    >= radius
-                )
+            if target is not None:
+                assert distance(pursuer, target) >= radius
 
 
 class TestTelemetryPairing:

@@ -4,14 +4,23 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockon import cli
 from lockon.autonomy import ControlGains
-from lockon.scenario import ScenarioError, TransportConfig, load_scenario, scenario_from_dict
+from lockon.runner import parse_jsonl
+from lockon.scenario import (
+    BUNDLED_SCENARIOS,
+    ScenarioError,
+    TransportConfig,
+    bundled_scenario_bytes,
+    load_scenario,
+    scenario_from_dict,
+)
 from lockon.vision import VisionParams
 from lockon.world import TrajectoryKind
 
-from conftest import make_scenario
+from conftest import json_scalars, json_values, make_scenario
 
 
 class TestLoadScenario:
@@ -243,3 +252,73 @@ class TestIntegerFieldsAndSections:
     def test_integer_fields_load(self):
         scenario = make_scenario(seed=2**70, vision={"detector_latency_frames": 3})
         assert scenario.seed == 2**70 and scenario.vision.detector_latency_frames == 3
+
+
+BUNDLED_DOCS = [json.loads(bundled_scenario_bytes(name)) for name in BUNDLED_SCENARIOS]
+RUN_BUDGET_TICKS = 3000  # a run of the property below takes at most about 0.1 s
+
+
+def member_paths(doc, prefix=()):
+    """The path of every object member and array item in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from member_paths(child, prefix + (key,))
+
+
+def replaced(doc, path, new):
+    """A copy of ``doc`` with the member at ``path`` set to ``new``."""
+    if not path:
+        return new
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def bundled_with_one_field_replaced(draw):
+    doc = draw(st.sampled_from(BUNDLED_DOCS))
+    path = draw(st.sampled_from(list(member_paths(doc))))
+    # Scalars get their own share: most fields take one, and few containers load.
+    return replaced(doc, path, draw(json_scalars | json_values))
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenarios")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, bundled_with_one_field_replaced()))
+def test_any_document_gives_a_scenario_or_a_scenario_error(doc):
+    try:
+        scenario_from_dict(doc)
+    except ScenarioError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundled_with_one_field_replaced())
+def test_a_scenario_file_runs_to_a_strict_log_or_is_refused(scenario_dir, doc):
+    """``lockon run`` exits 0 or 1, and a run it makes ends with a log of strict JSON."""
+    try:
+        scenario = scenario_from_dict(doc, name="scenario")
+    except ScenarioError:
+        scenario = None
+    if scenario is not None and (
+        scenario.max_ticks > RUN_BUDGET_TICKS or scenario.transport.mode != "in_process"
+    ):
+        return  # too long a run, or one that needs a mission server listening
+    path, log = scenario_dir / "scenario.json", scenario_dir / "events.jsonl"
+    path.write_text(json.dumps(doc))
+    log.unlink(missing_ok=True)
+    code = cli.main(["run", "--scenario", str(path), "--log", str(log)])
+    assert code in (0, 1)
+    if code == 0:  # the file loaded: the run reached its end entry
+        entries = parse_jsonl(log.read_text(encoding="utf-8"))
+        assert entries[-1]["kind"] == "end"

@@ -227,6 +227,8 @@ class TestSeeding:
             store.handle_seed(body)
         assert err.value.status == 400
         assert store.queue_length() == 2
+        if b"NaN" in body or b"Infinity" in body:  # named as `serve --targets` names it
+            assert "targets[0] position" in str(err.value)
 
 
 class TestDispatch:
