@@ -7,6 +7,9 @@ giving the protocol a reproducible one-tick transport delay. Runs terminate
 on /land (after a short grace window so every node can shut down), at
 max_time, or on a crash (altitude below ground).
 
+A camera frame projects every unconsumed target from one camera pose, with
+the targets' trajectory terms read into flat rows once per run.
+
 A run's outputs are its event log and the report built from that log;
 nothing else is recorded per tick.
 """
@@ -29,7 +32,7 @@ from .vision import VisionNode
 from .world import (
     TargetTrack,
     WorldState,
-    eval_trajectory,
+    camera_pose,
     project_to_camera,
     step as world_step,
 )
@@ -78,15 +81,36 @@ def parse_jsonl(text: str) -> list[dict]:
     return entries
 
 
-def _camera_truth(world: WorldState, consumed: set[str], camera) -> tuple[float, float] | None:
-    """Projection of the in-frame target nearest the camera center."""
+def _track_rows(tracks) -> tuple[tuple, ...]:
+    """One flat row per target track: (id, p0.x, p0.y, p0.z, v0.x, ..., a.z)."""
+    rows = []
+    for track in tracks:
+        p0, v0, a = track.spec.p0, track.spec.v0, track.spec.a
+        rows.append((track.target_id, p0.x, p0.y, p0.z, v0.x, v0.y, v0.z, a.x, a.y, a.z))
+    return tuple(rows)
+
+
+def _camera_truth(
+    world: WorldState, rows: tuple[tuple, ...], consumed: set[str], camera
+) -> tuple[float, float] | None:
+    """Projection of the in-frame target nearest the camera center.
+
+    Positions are ``eval_trajectory``'s expression in its operation order.
+    ``project_to_camera`` is called per target through this module's global,
+    so a wrapper set on that attribute (the benchmark's tracer) sees each one.
+    """
+    pose = camera_pose(world.pursuer, camera)
+    t = world.time
+    half_t2 = 0.5 * t * t
     best: tuple[float, float] | None = None
     best_norm = 0.0
-    for track in world.targets:
-        if track.target_id in consumed:
+    for target_id, px, py, pz, vx, vy, vz, ax, ay, az in rows:
+        if target_id in consumed:
             continue
-        position = eval_trajectory(track.spec, world.time)
-        uv = project_to_camera(world.pursuer, position, camera)
+        uv = project_to_camera(
+            pose, (px + vx * t) + ax * half_t2, (py + vy * t) + ay * half_t2,
+            (pz + vz * t) + az * half_t2,
+        )
         if uv is None:
             continue
         norm = uv[0] ** 2 + uv[1] ** 2
@@ -170,6 +194,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         pursuer=scenario.pursuer_init,
         targets=tuple(TargetTrack(tid, spec) for tid, spec in scenario.targets),
     )
+    rows = _track_rows(world.targets)
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 
@@ -190,7 +215,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                     break
 
             frame_due = tick % frame_ticks == 0
-            truth = _camera_truth(world, consumed, scenario.camera) if frame_due else None
+            truth = _camera_truth(world, rows, consumed, scenario.camera) if frame_due else None
             vision.step(tick, truth, frame_due)
             autonomous.step(tick, world.time, world.pursuer)
             proxy.step(tick)

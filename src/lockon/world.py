@@ -7,6 +7,9 @@ constant velocity, constant acceleration) evaluated at absolute time, so the
 world state is a pure function of the tick count. Integration is forward
 Euler at a fixed dt.
 
+A camera frame is projected from one ``camera_pose``, built once per frame,
+and ``project_to_camera`` projects each point, as raw coordinates, with it.
+
 Yaw is measured from +x, counterclockwise positive, normalized to (-pi, pi];
 pitch is positive nose-up, clamped to [-pi/2, pi/2].
 """
@@ -128,8 +131,6 @@ class PursuerState:
     yaw: float
     pitch: float
     speed: float
-    # camera_triad()'s result, computed on first use.
-    _triad: tuple[float, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, position: Vec3, yaw: float, pitch: float, speed: float) -> None:
         """Check the speed, wrap the yaw and clamp the pitch; each slot is written once."""
@@ -139,25 +140,19 @@ class PursuerState:
         _set_yaw(self, wrap_angle(yaw))
         _set_pitch(self, max(-math.pi / 2.0, min(math.pi / 2.0, pitch)))
         _set_speed(self, speed)
-        _set_triad(self, None)
 
     def camera_triad(self) -> tuple[float, ...]:
         """The camera's forward, right and down unit vectors, as 9 components.
 
         Forward is along the (yaw, pitch) attitude, right is level, and down
-        = forward x right completes the orthonormal triad. Computed at most
-        once per state.
+        = forward x right completes the orthonormal triad.
         """
-        triad = self._triad
-        if triad is None:
-            yaw, pitch = self.yaw, self.pitch
-            cp = math.cos(pitch)
-            fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
-            rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
-            dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
-            triad = (fx, fy, fz, rx, ry, rz, dx, dy, dz)
-            _set_triad(self, triad)
-        return triad
+        yaw, pitch = self.yaw, self.pitch
+        cp = math.cos(pitch)
+        fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
+        rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
+        dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
+        return (fx, fy, fz, rx, ry, rz, dx, dy, dz)
 
     def forward(self) -> Vec3:
         """Unit vector along the (yaw, pitch) attitude."""
@@ -165,7 +160,7 @@ class PursuerState:
         return Vec3(fx, fy, fz)
 
 
-_set_position, _set_yaw, _set_pitch, _set_speed, _set_triad = (
+_set_position, _set_yaw, _set_pitch, _set_speed = (
     PursuerState.__dict__[f.name].__set__ for f in fields(PursuerState)
 )
 
@@ -264,15 +259,25 @@ def distance(a: Vec3, b: Vec3) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def project_to_camera(
-    pursuer: PursuerState, target: Vec3, cam: CameraParams
-) -> tuple[float, float] | None:
-    """Project a world point into normalized image coordinates.
+def camera_pose(pursuer: PursuerState, cam: CameraParams) -> tuple[float, ...]:
+    """What a frame's projections share, as 14 floats: the camera origin, the
+    forward, right and down vectors of ``camera_triad``, tan(hfov / 2) and
+    tan(vfov / 2)."""
+    origin = pursuer.position
+    return (
+        origin.x, origin.y, origin.z, *pursuer.camera_triad(), cam.tan_half_hfov, cam.tan_half_vfov
+    )
 
-    The camera boresight is aligned with the pursuer's (yaw, pitch). The
-    point is expressed in the camera triad (forward f, right r, down d);
-    with a forward component f <= 0 the target is behind the camera. The
-    normalized offsets are
+
+def project_to_camera(
+    pose: tuple[float, ...], x: float, y: float, z: float
+) -> tuple[float, float] | None:
+    """Project the world point (x, y, z) into normalized image coordinates.
+
+    ``pose`` is ``camera_pose(pursuer, cam)``: the camera boresight is aligned
+    with the pursuer's (yaw, pitch). The point is expressed in the camera
+    triad (forward f, right r, down d); with a forward component f <= 0 the
+    target is behind the camera. The normalized offsets are
 
         u = (r / f) / tan(hfov / 2)      right of center positive
         v = (d / f) / tan(vfov / 2)      below center positive
@@ -280,19 +285,14 @@ def project_to_camera(
     Returns (u, v) when the target is inside the frustum (|u| <= 1 and
     |v| <= 1), None when it is behind the camera or out of frame.
     """
-    # The triad and the tangents are computed once per pursuer state and per
-    # camera. Component arithmetic; the zero terms stay, so signed zeros are kept.
-    triad = pursuer._triad
-    if triad is None:
-        triad = pursuer.camera_triad()
-    fx, fy, fz, rx, ry, rz, dx, dy, dz = triad
-    origin = pursuer.position
-    px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    # Component arithmetic; the zero terms stay, so signed zeros are kept.
+    ox, oy, oz, fx, fy, fz, rx, ry, rz, dx, dy, dz, tan_half_hfov, tan_half_vfov = pose
+    px, py, pz = x - ox, y - oy, z - oz
     f = px * fx + py * fy + pz * fz
     if f <= 0.0:
         return None
-    u = ((px * rx + py * ry + pz * rz) / f) / cam.tan_half_hfov
-    v = ((px * dx + py * dy + pz * dz) / f) / cam.tan_half_vfov
+    u = ((px * rx + py * ry + pz * rz) / f) / tan_half_hfov
+    v = ((px * dx + py * dy + pz * dz) / f) / tan_half_vfov
     if abs(u) > 1.0 or abs(v) > 1.0:
         return None
     return (u, v)

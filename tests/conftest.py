@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 
 import pytest
@@ -80,6 +81,26 @@ def random_scenario(seed: int) -> Scenario:
             },
         }
     )
+
+
+def reference_project(pursuer, target, cam):
+    """The earlier project_to_camera body, kept as the oracle: it recomputes
+    the camera triad and both tangents on every call."""
+    yaw, pitch = pursuer.yaw, pursuer.pitch
+    cp = math.cos(pitch)
+    fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
+    rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
+    dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
+    origin = pursuer.position
+    px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    f = px * fx + py * fy + pz * fz
+    if f <= 0.0:
+        return None
+    u = ((px * rx + py * ry + pz * rz) / f) / math.tan(cam.hfov / 2.0)
+    v = ((px * dx + py * dy + pz * dz) / f) / math.tan(cam.vfov / 2.0)
+    if abs(u) > 1.0 or abs(v) > 1.0:
+        return None
+    return (u, v)
 
 
 # One autonomy step seen from outside: (tick, pursuer position, reported target position).

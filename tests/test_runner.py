@@ -2,16 +2,30 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from lockon import runner
 from lockon.metrics import MetricsError
 from lockon.runner import event_log_to_jsonl, parse_jsonl, run
 from lockon.scenario import load_scenario
 from lockon.server import MissionStore, TargetAssignment
-from lockon.world import Vec3, distance
+from lockon.world import (
+    ZERO3,
+    CameraParams,
+    PursuerState,
+    TargetTrack,
+    TrajectoryKind,
+    TrajectorySpec,
+    Vec3,
+    WorldState,
+    distance,
+    eval_trajectory,
+)
 
-from conftest import make_scenario, run_recorded
+from conftest import make_scenario, reference_project, run_recorded
 
 
 def topic_msgs(result, topic):
@@ -109,6 +123,109 @@ class TestMultiTarget:
         assert result.terminated_by == "land"
         assert result.report.per_target == ()
         assert result.report.topic_counts["/land"] == 1
+
+
+def reference_camera_truth(world, consumed, camera):
+    """The earlier _camera_truth body, kept as the oracle: a Vec3 from
+    eval_trajectory and a per-call projection for every unconsumed track."""
+    best, best_norm = None, 0.0
+    for track in world.targets:
+        if track.target_id in consumed:
+            continue
+        uv = reference_project(world.pursuer, eval_trajectory(track.spec, world.time), camera)
+        if uv is None:
+            continue
+        norm = uv[0] ** 2 + uv[1] ** 2
+        if best is None or norm < best_norm:
+            best, best_norm = uv, norm
+    return best
+
+
+def camera_truth(world, consumed, camera):
+    return runner._camera_truth(world, runner._track_rows(world.targets), consumed, camera)
+
+
+def mirrored(spec):
+    """The spec reflected across the plane y = 0."""
+    p0, v0, a = (Vec3(v.x, -v.y, v.z) for v in (spec.p0, spec.v0, spec.a))
+    return TrajectorySpec(spec.kind, p0, v0, a)
+
+
+@st.composite
+def selection_frames(draw):
+    """A camera frame over 1-16 tracks, with the consumed ids drawn as a subset.
+
+    Each track's position at the frame time is drawn in camera coordinates
+    (forward, right, down), up to 1.5 times the frame's half-width off the
+    boresight and partly behind the camera, then carried back to p0 along
+    its trajectory. Exact copies of tracks, and mirror images when the
+    camera looks along +x from y = 0, tie in norm with the original.
+    """
+    level = draw(st.booleans())
+    pitch = draw(st.floats(min_value=-1.2, max_value=1.2))
+    if level:
+        x, z = draw(st.floats(-100, 100)), draw(st.floats(-100, 100))
+        pursuer = PursuerState(Vec3(x, 0.0, z), 0.0, pitch, 0.0)
+    else:
+        origin = Vec3(*(draw(st.floats(-100, 100)) for _ in range(3)))
+        pursuer = PursuerState(origin, draw(st.floats(-4.0, 4.0)), pitch, 0.0)
+    camera = CameraParams(
+        hfov=draw(st.floats(0.2, 3.0)), vfov=draw(st.floats(0.2, 3.0)), frame_period=0.1
+    )
+    time = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=30.0))
+    fx, fy, fz, rx, ry, rz, dx, dy, dz = pursuer.camera_triad()
+    specs = []
+    for _ in range(draw(st.integers(1, 16))):
+        ahead = draw(st.floats(-50.0, 300.0))
+        right = draw(st.floats(-1.5, 1.5)) * abs(ahead) * camera.tan_half_hfov
+        down = draw(st.floats(-1.5, 1.5)) * abs(ahead) * camera.tan_half_vfov
+        at_time = pursuer.position + Vec3(
+            ahead * fx + right * rx + down * dx,
+            ahead * fy + right * ry + down * dy,
+            ahead * fz + right * rz + down * dz,
+        )
+        kind = draw(st.sampled_from(TrajectoryKind))
+        v0 = a = ZERO3
+        if kind is not TrajectoryKind.STATIONARY:
+            v0 = Vec3(*(draw(st.floats(-8.0, 8.0)) for _ in range(3)))
+        if kind is TrajectoryKind.CONSTANT_ACCELERATION:
+            a = Vec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+        p0 = at_time - v0.scale(time) - a.scale(0.5 * time * time)
+        specs.append(TrajectorySpec(kind, p0, v0, a))
+    for _ in range(draw(st.integers(0, 16 - len(specs)))):
+        spec = draw(st.sampled_from(specs))
+        twin = mirrored(spec) if level and draw(st.booleans()) else spec
+        specs.insert(draw(st.integers(0, len(specs))), twin)
+    tracks = tuple(TargetTrack(f"T{index:02d}", spec) for index, spec in enumerate(specs))
+    consumed = draw(st.sets(st.sampled_from([track.target_id for track in tracks])))
+    world = WorldState(time=time, tick=round(time / 0.05), pursuer=pursuer, targets=tracks)
+    return world, consumed, camera
+
+
+class TestCameraTruth:
+    @given(selection_frames())
+    def test_bit_identical_to_per_target_body(self, frame):
+        world, consumed, camera = frame
+        new, old = camera_truth(world, consumed, camera), reference_camera_truth(world, consumed, camera)
+        if old is None:
+            assert new is None
+        else:
+            assert new is not None
+            assert [c.hex() for c in new] == [c.hex() for c in old]
+
+    def test_first_of_equal_norms_wins(self):
+        # Mirror images across the boresight plane: equal norms, opposite u.
+        spec = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, Vec3(40, 6, 8), Vec3(1, 0.5, 0))
+        pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
+        camera = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3, frame_period=0.1)
+        for first, second in ((spec, mirrored(spec)), (mirrored(spec), spec)):
+            tracks = (TargetTrack("A", first), TargetTrack("B", second))
+            world = WorldState(time=2.0, tick=40, pursuer=pursuer, targets=tracks)
+            uv = camera_truth(world, set(), camera)
+            expected = reference_project(pursuer, eval_trajectory(first, 2.0), camera)
+            assert uv == expected and uv[0] != 0.0
+            assert camera_truth(world, {"A"}, camera) == (-uv[0], uv[1])
+            assert camera_truth(world, {"A", "B"}, camera) is None
 
 
 class TestTermination:

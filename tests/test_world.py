@@ -17,6 +17,7 @@ from lockon.world import (
     TrajectorySpec,
     Vec3,
     WorldState,
+    camera_pose,
     distance,
     eval_trajectory,
     project_to_camera,
@@ -24,10 +25,17 @@ from lockon.world import (
     wrap_angle,
 )
 
+from conftest import reference_project
+
 CAM = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3, frame_period=0.1)
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3, finite, finite, finite)
+
+
+def project(pursuer, target, cam=CAM):
+    """Project one point through the frame's pose, as the scheduler does."""
+    return project_to_camera(camera_pose(pursuer, cam), target.x, target.y, target.z)
 
 
 class TestEvalTrajectory:
@@ -125,31 +133,36 @@ class TestDistance:
 
 
 class TestProjection:
+    def test_pose_holds_origin_triad_and_tangents(self):
+        pursuer = PursuerState(position=Vec3(1, 2, 3), yaw=0.4, pitch=-0.2, speed=0.0)
+        pose = camera_pose(pursuer, CAM)
+        assert pose == (1.0, 2.0, 3.0, *pursuer.camera_triad(), CAM.tan_half_hfov, CAM.tan_half_vfov)
+
     def test_boresight_target_is_centered(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
-        uv = project_to_camera(pursuer, Vec3(10, 0, 10), CAM)
+        uv = project(pursuer, Vec3(10, 0, 10))
         assert uv == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_right_offset_hand_trig(self):
         # 5 m right at 10 m forward with a 90 degree hfov: (5/10)/tan(45) = 0.5.
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
-        uv = project_to_camera(pursuer, Vec3(10, -5, 10), CAM)
+        uv = project(pursuer, Vec3(10, -5, 10))
         assert uv is not None
         assert uv[0] == pytest.approx(0.5, abs=1e-12)
         assert uv[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_behind_camera_absent(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
-        assert project_to_camera(pursuer, Vec3(-5, 0, 10), CAM) is None
+        assert project(pursuer, Vec3(-5, 0, 10)) is None
 
     def test_out_of_frame_absent(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
         # 60 degrees off boresight exceeds the 45 degree half fov.
-        assert project_to_camera(pursuer, Vec3(10, -17.4, 10), CAM) is None
+        assert project(pursuer, Vec3(10, -17.4, 10)) is None
 
     def test_target_below_maps_to_positive_v(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
-        uv = project_to_camera(pursuer, Vec3(10, 0, 7), CAM)
+        uv = project(pursuer, Vec3(10, 0, 7))
         assert uv is not None and uv[1] > 0.0
 
     def test_centered_iff_on_boresight(self):
@@ -159,7 +172,7 @@ class TestProjection:
             pitch = rng.uniform(-1.0, 1.0)
             pursuer = PursuerState(position=Vec3(0, 0, 0), yaw=yaw, pitch=pitch, speed=0.0)
             ahead = pursuer.position + pursuer.forward().scale(rng.uniform(1.0, 50.0))
-            uv = project_to_camera(pursuer, ahead, CAM)
+            uv = project(pursuer, ahead)
             assert uv is not None
             assert abs(uv[0]) < 1e-9 and abs(uv[1]) < 1e-9
 
@@ -168,7 +181,7 @@ class TestProjection:
         for _ in range(100):
             pursuer = PursuerState(position=Vec3(3, -2, 5), yaw=0.3, pitch=0.1, speed=0.0)
             target = Vec3(rng.uniform(2, 30), rng.uniform(-10, 10), rng.uniform(-5, 15))
-            base = project_to_camera(pursuer, target, CAM)
+            base = project(pursuer, target)
             rotation = rng.uniform(-math.pi, math.pi)
             cos_r, sin_r = math.cos(rotation), math.sin(rotation)
             rel = target - pursuer.position
@@ -181,9 +194,7 @@ class TestProjection:
                 pitch=pursuer.pitch,
                 speed=0.0,
             )
-            rotated = project_to_camera(
-                rotated_pursuer, pursuer.position + rotated_rel, CAM
-            )
+            rotated = project(rotated_pursuer, pursuer.position + rotated_rel)
             if base is None:
                 assert rotated is None
             else:
@@ -308,26 +319,6 @@ class TestStepMatchesReference:
                 advance(make_world(), command, 0.05)
 
 
-def reference_project(pursuer, target, cam):
-    """The earlier project_to_camera body, kept as the oracle: it recomputes
-    the camera triad and both tangents on every call."""
-    yaw, pitch = pursuer.yaw, pursuer.pitch
-    cp = math.cos(pitch)
-    fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
-    rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
-    dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
-    origin = pursuer.position
-    px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
-    f = px * fx + py * fy + pz * fz
-    if f <= 0.0:
-        return None
-    u = ((px * rx + py * ry + pz * rz) / f) / math.tan(cam.hfov / 2.0)
-    v = ((px * dx + py * dy + pz * dz) / f) / math.tan(cam.vfov / 2.0)
-    if abs(u) > 1.0 or abs(v) > 1.0:
-        return None
-    return (u, v)
-
-
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
 
 
@@ -336,16 +327,18 @@ class TestProjectionMatchesReference:
         position=vectors,
         yaw=angles,
         pitch=angles,
-        targets=st.lists(vectors, min_size=1, max_size=4),
+        targets=st.lists(vectors, min_size=2, max_size=6),
         hfov=fovs,
         vfov=fovs,
     )
     def test_bit_identical_to_per_call_body(self, position, yaw, pitch, targets, hfov, vfov):
-        # Several targets per pursuer: the first call fills the triad cache.
+        # Several targets per pose, as in a frame of a multi-target mission.
         pursuer = PursuerState(position, yaw, pitch, 0.0)
         cam = CameraParams(hfov=hfov, vfov=vfov, frame_period=0.1)
+        pose = camera_pose(pursuer, cam)
         for target in targets:
-            new, old = project_to_camera(pursuer, target, cam), reference_project(pursuer, target, cam)
+            new = project_to_camera(pose, target.x, target.y, target.z)
+            old = reference_project(pursuer, target, cam)
             if old is None:
                 assert new is None
             else:
@@ -353,14 +346,6 @@ class TestProjectionMatchesReference:
                 assert [c.hex() for c in new] == [c.hex() for c in old]
 
     def test_caches_do_not_enter_equality_or_repr(self):
-        used = PursuerState(Vec3(1, 2, 3), 0.4, -0.2, 5.0)
-        fresh = PursuerState(Vec3(1, 2, 3), 0.4, -0.2, 5.0)
-        project_to_camera(used, Vec3(20, 2, 3), CAM)
-        assert used._triad is not None and fresh._triad is None
-        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-        assert "triad" not in repr(used)
-        assert dataclasses.replace(used)._triad is None
-
         other = CameraParams(hfov=CAM.hfov, vfov=CAM.vfov, frame_period=CAM.frame_period)
         object.__setattr__(other, "tan_half_hfov", 0.0)
         assert other == CAM and hash(other) == hash(CAM) and repr(other) == repr(CAM)
