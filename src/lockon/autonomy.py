@@ -12,10 +12,12 @@ LOCK deliberately flies at a constant forward speed: the camera supplies no
 range or closure information, which is exactly why a hovering target gets
 overflown and lost while a receding one stays in frame.
 
-``handle_event`` is a pure transition function over (state, context, event)
-that never changes the context it is given. ``AutonomousNode`` owns its
-context and updates it in place each tick (tick, time, pose, containment
-timer), generates the internally sensed events, and talks to the bus.
+``handle_event`` is the transition function over (state, context, event).
+Its events are the decoded wire messages (``TelemetryResponse``,
+``OffsetMessage``) and the conditions the node senses each tick; it updates
+the context in place and returns the new state with the actions to run.
+``AutonomousNode`` owns that context, sets its tick, time and pose each tick,
+advances the containment timer, and talks to the bus.
 """
 
 from __future__ import annotations
@@ -79,43 +81,12 @@ class MissionContext:
     last_camera_tick: int | None = None
     signal_sent_for_current: bool = False
 
-    def copy(self, **changes) -> "MissionContext":
-        """``dataclasses.replace(self, **changes)`` without its per-call field scan."""
-        new = MissionContext(
-            self.uav_id,
-            self.tick,
-            self.time,
-            self.pursuer,
-            self.current_target,
-            self.target_position,
-            self.remaining_targets,
-            self.lock_timer,
-            self.lock_start_tick,
-            self.last_camera_tick,
-            self.signal_sent_for_current,
-        )
-        for name, value in changes.items():
-            setattr(new, name, value)
-        return new
 
-
-# Events. External ones are decoded from bus envelopes; the rest are sensed
-# internally by the node each tick.
-@value
-class TelemetryResponseEvent:
-    target_id: str
-    position: Vec3
-    remaining: int
-
-
+# Events. Besides the decoded TelemetryResponse and OffsetMessage, these are
+# sensed internally by the node each tick.
 @value
 class DistanceBelowThreshold:
     pass
-
-
-@value
-class CameraOffsetEvent:
-    offset: OffsetMessage
 
 
 @value
@@ -134,9 +105,9 @@ class NoMoreTargets:
 
 
 Event = Union[
-    TelemetryResponseEvent,
+    TelemetryResponse,
     DistanceBelowThreshold,
-    CameraOffsetEvent,
+    OffsetMessage,
     CameraStale,
     LockTimerElapsed,
     NoMoreTargets,
@@ -200,15 +171,7 @@ def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand
     )
 
 
-def lock_timer_update(
-    ctx: MissionContext, contained: bool, dt: float, gains: ControlGains
-) -> tuple[MissionContext, bool]:
-    """``_advance_lock_timer`` on a copy of ctx: (updated copy, lock achieved)."""
-    ctx = ctx.copy()
-    return ctx, _advance_lock_timer(ctx, contained, dt, gains)
-
-
-def _advance_lock_timer(
+def advance_lock_timer(
     ctx: MissionContext, contained: bool, dt: float, gains: ControlGains
 ) -> bool:
     """Advance ctx's containment timer one tick in place; True on lock.
@@ -236,63 +199,53 @@ def _telemetry_request(ctx: MissionContext, state: MissionState) -> bytes:
 
 def handle_event(
     state: MissionState, ctx: MissionContext, event: Event, gains: ControlGains
-) -> tuple[MissionState, MissionContext, list[Action]]:
-    """Pure mission transition: no hidden state, deterministic action order."""
+) -> tuple[MissionState, list[Action]]:
+    """Mission transition: updates ctx in place, deterministic action order."""
     if state is MissionState.LANDED:
         raise StateMachineError("no events are accepted after landing")
     if state is MissionState.LANDING:
         # Mission is over; late envelopes are dropped.
-        return state, ctx, []
+        return state, []
 
     if state is MissionState.SEARCH:
-        if isinstance(event, TelemetryResponseEvent):
-            new_engagement = event.target_id != ctx.current_target
-            ctx = ctx.copy(
-                current_target=event.target_id,
-                target_position=event.position,
-                remaining_targets=event.remaining,
-                signal_sent_for_current=ctx.signal_sent_for_current and not new_engagement,
-                last_camera_tick=None if new_engagement else ctx.last_camera_tick,
-            )
+        if isinstance(event, TelemetryResponse) and event.has_target:
             assert ctx.pursuer is not None
-            return state, ctx, [SetGuidance(search_guidance(ctx.pursuer, event.position, gains))]
+            command = search_guidance(ctx.pursuer, event.target_position, gains)
+            if event.target_id != ctx.current_target:
+                ctx.current_target = event.target_id
+                ctx.signal_sent_for_current = False
+                ctx.last_camera_tick = None
+            ctx.target_position = event.target_position
+            ctx.remaining_targets = event.remaining_targets
+            return state, [SetGuidance(command)]
         if isinstance(event, DistanceBelowThreshold):
             if ctx.signal_sent_for_current or ctx.current_target is None:
-                return state, ctx, []
-            ctx = ctx.copy(signal_sent_for_current=True)
-            return state, ctx, [PublishAction(topics.SIGNAL_PROCESS_IMAGE, b"")]
-        if isinstance(event, CameraOffsetEvent):
+                return state, []
+            ctx.signal_sent_for_current = True
+            return state, [PublishAction(topics.SIGNAL_PROCESS_IMAGE, b"")]
+        if isinstance(event, OffsetMessage):
             if not ctx.signal_sent_for_current:
                 # Stale offset from a previous engagement; vision has not
                 # been re-armed for this target yet.
-                return state, ctx, []
-            ctx = ctx.copy(
-                lock_timer=0.0,
-                lock_start_tick=event.offset.tick,
-                last_camera_tick=event.offset.tick,
-            )
-            return (
-                MissionState.LOCK,
-                ctx,
-                [SetGuidance(lock_guidance(event.offset, gains))],
-            )
-        if isinstance(event, NoMoreTargets):
-            ctx = ctx.copy(
-                current_target=None,
-                target_position=None,
-                lock_timer=0.0,
-                lock_start_tick=None,
-            )
-            return MissionState.LANDING, ctx, [PublishAction(topics.LAND, b"")]
+                return state, []
+            ctx.lock_timer = 0.0
+            ctx.lock_start_tick = ctx.last_camera_tick = event.tick
+            return MissionState.LOCK, [SetGuidance(lock_guidance(event, gains))]
+        if isinstance(event, (TelemetryResponse, NoMoreTargets)):
+            # No target is left: the server sent none, or the last was locked.
+            ctx.current_target = ctx.target_position = ctx.lock_start_tick = None
+            ctx.lock_timer = 0.0
+            return MissionState.LANDING, [PublishAction(topics.LAND, b"")]
         raise StateMachineError(f"{type(event).__name__} is illegal in SEARCH")
 
     if state is MissionState.LOCK:
-        if isinstance(event, CameraOffsetEvent):
-            ctx = ctx.copy(last_camera_tick=event.offset.tick)
-            return state, ctx, [SetGuidance(lock_guidance(event.offset, gains))]
+        if isinstance(event, OffsetMessage):
+            ctx.last_camera_tick = event.tick
+            return state, [SetGuidance(lock_guidance(event, gains))]
         if isinstance(event, CameraStale):
-            ctx = ctx.copy(lock_timer=0.0, lock_start_tick=None)
-            return MissionState.SEARCH, ctx, []
+            ctx.lock_timer = 0.0
+            ctx.lock_start_tick = None
+            return MissionState.SEARCH, []
         if isinstance(event, LockTimerElapsed):
             assert ctx.current_target is not None and ctx.pursuer is not None
             assert ctx.lock_start_tick is not None
@@ -303,27 +256,24 @@ def handle_event(
                 lock_end_tick=ctx.tick,
                 position=ctx.pursuer.position,
             )
-            remaining = max(0, ctx.remaining_targets - 1)
-            ctx = ctx.copy(
-                current_target=None,
-                target_position=None,
-                remaining_targets=remaining,
-                lock_timer=0.0,
-                lock_start_tick=None,
-                last_camera_tick=None,
-                signal_sent_for_current=False,
-            )
+            ctx.current_target = ctx.target_position = None
+            ctx.lock_start_tick = ctx.last_camera_tick = None
+            ctx.remaining_targets = max(0, ctx.remaining_targets - 1)
+            ctx.lock_timer = 0.0
+            ctx.signal_sent_for_current = False
             actions: list[Action] = [PublishAction(topics.LOCK, report.encode())]
-            if remaining > 0:
+            if ctx.remaining_targets > 0:
                 actions.append(
                     PublishAction(topics.TELEMETRY, _telemetry_request(ctx, MissionState.SEARCH))
                 )
-            return MissionState.SEARCH, ctx, actions
-        if isinstance(event, TelemetryResponseEvent):
+            return MissionState.SEARCH, actions
+        if isinstance(event, TelemetryResponse):
             # In-flight periodic response; refresh bookkeeping, no transition.
+            # One without a target never matches: a lock always has one.
             if event.target_id == ctx.current_target:
-                ctx = ctx.copy(target_position=event.position, remaining_targets=event.remaining)
-            return state, ctx, []
+                ctx.target_position = event.target_position
+                ctx.remaining_targets = event.remaining_targets
+            return state, []
         raise StateMachineError(f"{type(event).__name__} is illegal in LOCK")
 
     raise StateMachineError(f"no events are accepted in {state.value}")
@@ -374,37 +324,25 @@ class AutonomousNode:
             self._transition_hook(self.ctx.tick, old, new_state)
 
     def _dispatch(self, event: Event) -> None:
-        new_state, self.ctx, actions = handle_event(self.state, self.ctx, event, self.gains)
+        new_state, actions = handle_event(self.state, self.ctx, event, self.gains)
         if new_state is not self.state:
             self._enter(new_state)
         for action in actions:
             self._execute(action)
 
     def _process_inbox(self) -> None:
-        # Translate one envelope at a time so each is interpreted against the
+        # Dispatch one envelope at a time so each is interpreted against the
         # state left behind by the previous one.
         for envelope in self._bus.drain(self.CLIENT_ID):
             try:
                 if envelope.topic == topics.TELEMETRY_RESPONSE:
-                    response = TelemetryResponse.from_envelope(envelope)
-                    if response.has_target:
-                        assert response.target_id is not None
-                        assert response.target_position is not None
-                        self._dispatch(
-                            TelemetryResponseEvent(
-                                target_id=response.target_id,
-                                position=response.target_position,
-                                remaining=response.remaining_targets,
-                            )
-                        )
-                    elif self.state is MissionState.SEARCH:
-                        self._dispatch(NoMoreTargets())
+                    self._dispatch(TelemetryResponse.from_envelope(envelope))
                 elif envelope.topic == topics.IMAGE_MESSAGE:
                     offset = OffsetMessage.from_envelope(envelope)
                     # A frame stamped after this tick cannot have been taken
                     # yet; acting on it would start a lock after it ends.
                     if offset.tick <= self.ctx.tick:
-                        self._dispatch(CameraOffsetEvent(offset))
+                        self._dispatch(offset)
             except DecodeError:
                 continue  # a malformed envelope must not take the node down
 
@@ -444,7 +382,7 @@ class AutonomousNode:
                 self._dispatch(CameraStale())
             else:
                 contained = gap <= self._frame_gap_ticks
-                if _advance_lock_timer(self.ctx, contained, self.dt, self.gains):
+                if advance_lock_timer(self.ctx, contained, self.dt, self.gains):
                     self._dispatch(LockTimerElapsed())
                     if self.ctx.remaining_targets == 0:
                         self._dispatch(NoMoreTargets())

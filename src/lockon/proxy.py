@@ -96,9 +96,8 @@ class ProxyNode:
 
     CLIENT_ID = "proxy"
 
-    def __init__(self, bus: MessageBus, transport, uav_id: str = "uav-1") -> None:
+    def __init__(self, bus: MessageBus, transport) -> None:
         self.transport = transport
-        self.uav_id = uav_id
         self.active = True
         self.degraded_events = 0
         # The last 200 telemetry reply that decoded: (its bytes, the decoded

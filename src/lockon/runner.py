@@ -30,7 +30,6 @@ from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
 from .vision import VisionNode
 from .world import (
-    TargetTrack,
     WorldState,
     camera_pose,
     project_to_camera,
@@ -81,12 +80,12 @@ def parse_jsonl(text: str) -> list[dict]:
     return entries
 
 
-def _track_rows(tracks) -> tuple[tuple, ...]:
-    """One flat row per target track: (id, p0.x, p0.y, p0.z, v0.x, ..., a.z)."""
+def _track_rows(targets) -> tuple[tuple, ...]:
+    """One flat row per (target id, trajectory) pair: (id, p0.x, p0.y, p0.z, v0.x, ..., a.z)."""
     rows = []
-    for track in tracks:
-        p0, v0, a = track.spec.p0, track.spec.v0, track.spec.a
-        rows.append((track.target_id, p0.x, p0.y, p0.z, v0.x, v0.y, v0.z, a.x, a.y, a.z))
+    for target_id, spec in targets:
+        p0, v0, a = spec.p0, spec.v0, spec.a
+        rows.append((target_id, p0.x, p0.y, p0.z, v0.x, v0.y, v0.z, a.x, a.y, a.z))
     return tuple(rows)
 
 
@@ -186,15 +185,10 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             {"kind": "fsm", "tick": tick, "from": old.value, "to": new.value}
         ),
     )
-    proxy = ProxyNode(bus, transport, uav_id=scenario.uav_id)
+    proxy = ProxyNode(bus, transport)
 
-    world = WorldState(
-        time=0.0,
-        tick=0,
-        pursuer=scenario.pursuer_init,
-        targets=tuple(TargetTrack(tid, spec) for tid, spec in scenario.targets),
-    )
-    rows = _track_rows(world.targets)
+    world = WorldState(time=0.0, tick=0, pursuer=scenario.pursuer_init)
+    rows = _track_rows(scenario.targets)
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 

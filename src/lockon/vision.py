@@ -16,7 +16,7 @@ comes from the caller-supplied seeded stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import bus as topics
@@ -64,10 +64,6 @@ def arm(state: PipelineState) -> PipelineState:
     return PipelineState(
         mode=PipelineMode.DETECTING, last_known=None, frames_in_view=0, active=True
     )
-
-
-def disarm(state: PipelineState) -> PipelineState:
-    return replace(state, active=False)
 
 
 def detector_attempt(
@@ -158,7 +154,6 @@ class VisionNode:
         if envelope.topic == topics.SIGNAL_PROCESS_IMAGE and not self._terminated:
             self.state = arm(self.state)
         elif envelope.topic == topics.LAND:
-            self.state = disarm(self.state)
             self._terminated = True
 
     def step(self, tick: int, truth: tuple[float, float] | None, frame_due: bool) -> None:

@@ -209,12 +209,6 @@ class CameraParams:
             object.__setattr__(self, f"tan_half_{name}", tan_half)
 
 
-@dataclass(frozen=True)
-class TargetTrack:
-    target_id: str
-    spec: TrajectorySpec
-
-
 @value
 class GuidanceCommand:
     """Kinematic command: body rates plus commanded speed."""
@@ -235,7 +229,6 @@ class WorldState:
     time: float
     tick: int
     pursuer: PursuerState
-    targets: tuple[TargetTrack, ...]
 
 
 def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
@@ -321,4 +314,4 @@ def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
     )
     new_tick = world.tick + 1
     new_pursuer = PursuerState(position, yaw, pitch, guidance.speed)
-    return WorldState(new_tick * dt, new_tick, new_pursuer, world.targets)
+    return WorldState(new_tick * dt, new_tick, new_pursuer)

@@ -4,10 +4,8 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lockon.autonomy import (
-    CameraOffsetEvent,
     CameraStale,
     ControlGains,
     DistanceBelowThreshold,
@@ -18,10 +16,9 @@ from lockon.autonomy import (
     PublishAction,
     SetGuidance,
     StateMachineError,
-    TelemetryResponseEvent,
+    advance_lock_timer,
     handle_event,
     lock_guidance,
-    lock_timer_update,
     search_guidance,
 )
 from lockon.autonomy import AutonomousNode
@@ -30,6 +27,7 @@ from lockon.payloads import LockReport, OffsetMessage, TelemetryResponse
 from lockon.world import PursuerState, Vec3
 
 GAINS = ControlGains()
+NO_TARGET = TelemetryResponse(False, None, None, 0)
 
 
 def ctx(**kw) -> MissionContext:
@@ -45,53 +43,61 @@ def ctx(**kw) -> MissionContext:
 
 class TestSearchTransitions:
     def test_telemetry_response_stores_target_and_steers(self):
-        state, after, actions = handle_event(
+        current = ctx()
+        state, actions = handle_event(
             MissionState.SEARCH,
-            ctx(),
-            TelemetryResponseEvent("T1", Vec3(100, 0, 10), remaining=2),
+            current,
+            TelemetryResponse(True, "T1", Vec3(100, 0, 10), 2),
             GAINS,
         )
         assert state is MissionState.SEARCH
-        assert after.current_target == "T1"
-        assert after.remaining_targets == 2
+        assert current.current_target == "T1"
+        assert current.remaining_targets == 2
         assert len(actions) == 1 and isinstance(actions[0], SetGuidance)
         assert actions[0].command.speed == GAINS.v_cruise
 
     def test_distance_threshold_publishes_signal_once(self):
-        start = ctx(current_target="T1", target_position=Vec3(5, 0, 10))
-        state, after, actions = handle_event(
-            MissionState.SEARCH, start, DistanceBelowThreshold(), GAINS
+        current = ctx(current_target="T1", target_position=Vec3(5, 0, 10))
+        state, actions = handle_event(
+            MissionState.SEARCH, current, DistanceBelowThreshold(), GAINS
         )
         assert state is MissionState.SEARCH
-        assert after.signal_sent_for_current
+        assert current.signal_sent_for_current
         assert actions == [PublishAction("/signal/process_image", b"")]
         # Second crossing is a no-op.
-        _, _, again = handle_event(MissionState.SEARCH, after, DistanceBelowThreshold(), GAINS)
+        _, again = handle_event(MissionState.SEARCH, current, DistanceBelowThreshold(), GAINS)
         assert again == []
 
     def test_camera_offset_enters_lock_with_zero_timer(self):
-        start = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
-                    signal_sent_for_current=True)
-        event = CameraOffsetEvent(OffsetMessage(0.2, -0.1, tick=99))
-        state, after, actions = handle_event(MissionState.SEARCH, start, event, GAINS)
+        current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+                      signal_sent_for_current=True)
+        event = OffsetMessage(0.2, -0.1, tick=99)
+        state, actions = handle_event(MissionState.SEARCH, current, event, GAINS)
         assert state is MissionState.LOCK
-        assert after.lock_timer == 0.0
-        assert after.lock_start_tick == 99
-        assert after.last_camera_tick == 99
+        assert current.lock_timer == 0.0
+        assert current.lock_start_tick == 99
+        assert current.last_camera_tick == 99
         assert isinstance(actions[0], SetGuidance)
 
     def test_stale_offset_before_signal_is_ignored(self):
-        start = ctx(current_target="T2", target_position=Vec3(50, 0, 10))
-        event = CameraOffsetEvent(OffsetMessage(0.0, 0.0, tick=99))
-        state, after, actions = handle_event(MissionState.SEARCH, start, event, GAINS)
+        current = ctx(current_target="T2", target_position=Vec3(50, 0, 10))
+        event = OffsetMessage(0.0, 0.0, tick=99)
+        state, actions = handle_event(MissionState.SEARCH, current, event, GAINS)
         assert state is MissionState.SEARCH and actions == []
 
     def test_no_more_targets_lands(self):
-        state, after, actions = handle_event(
-            MissionState.SEARCH, ctx(), NoMoreTargets(), GAINS
-        )
+        state, actions = handle_event(MissionState.SEARCH, ctx(), NoMoreTargets(), GAINS)
         assert state is MissionState.LANDING
         assert actions == [PublishAction("/land", b"")]
+
+    def test_response_without_target_lands(self):
+        current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+                      lock_timer=1.0, lock_start_tick=90)
+        state, actions = handle_event(MissionState.SEARCH, current, NO_TARGET, GAINS)
+        assert state is MissionState.LANDING
+        assert actions == [PublishAction("/land", b"")]
+        assert current.current_target is None and current.target_position is None
+        assert current.lock_timer == 0.0 and current.lock_start_tick is None
 
     def test_lock_timer_elapsed_is_illegal_in_search(self):
         with pytest.raises(StateMachineError):
@@ -104,14 +110,14 @@ class TestSearchTransitions:
     def test_new_assignment_resets_signal_flag(self):
         engaged = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                       signal_sent_for_current=True)
-        _, after, _ = handle_event(
+        handle_event(
             MissionState.SEARCH,
             engaged,
-            TelemetryResponseEvent("T2", Vec3(80, 0, 10), remaining=1),
+            TelemetryResponse(True, "T2", Vec3(80, 0, 10), 1),
             GAINS,
         )
-        assert after.current_target == "T2"
-        assert not after.signal_sent_for_current
+        assert engaged.current_target == "T2"
+        assert not engaged.signal_sent_for_current
 
 
 class TestLockTransitions:
@@ -129,53 +135,59 @@ class TestLockTransitions:
         return ctx(**base)
 
     def test_camera_offset_updates_guidance_and_staleness(self):
-        event = CameraOffsetEvent(OffsetMessage(0.5, 0.0, tick=100))
-        state, after, actions = handle_event(MissionState.LOCK, self.lock_ctx(), event, GAINS)
+        current = self.lock_ctx()
+        event = OffsetMessage(0.5, 0.0, tick=100)
+        state, actions = handle_event(MissionState.LOCK, current, event, GAINS)
         assert state is MissionState.LOCK
-        assert after.last_camera_tick == 100
+        assert current.last_camera_tick == 100
         command = actions[0].command
         assert abs(command.yaw_rate) == pytest.approx(0.4)
         assert command.speed == GAINS.v_lock
 
     def test_camera_stale_returns_to_search(self):
-        state, after, actions = handle_event(
-            MissionState.LOCK, self.lock_ctx(), CameraStale(), GAINS
-        )
+        current = self.lock_ctx()
+        state, actions = handle_event(MissionState.LOCK, current, CameraStale(), GAINS)
         assert state is MissionState.SEARCH
-        assert after.lock_timer == 0.0
-        assert after.current_target == "T1"  # engagement continues
-        assert after.signal_sent_for_current  # no duplicate signal later
+        assert current.lock_timer == 0.0
+        assert current.current_target == "T1"  # engagement continues
+        assert current.signal_sent_for_current  # no duplicate signal later
 
     def test_lock_timer_elapsed_reports_and_requests_next(self):
-        state, after, actions = handle_event(
-            MissionState.LOCK, self.lock_ctx(tick=300), LockTimerElapsed(), GAINS
-        )
+        current = self.lock_ctx(tick=300)
+        state, actions = handle_event(MissionState.LOCK, current, LockTimerElapsed(), GAINS)
         assert state is MissionState.SEARCH
-        assert after.current_target is None
-        assert after.remaining_targets == 1
+        assert current.current_target is None
+        assert current.remaining_targets == 1
         assert [a.topic for a in actions] == ["/lock", "/telemetry"]
         report = LockReport.decode(actions[0].payload)
         assert report.target_id == "T1"
         assert report.lock_start_tick == 90 and report.lock_end_tick == 300
 
     def test_lock_timer_elapsed_on_last_target_requests_nothing(self):
-        state, after, actions = handle_event(
-            MissionState.LOCK, self.lock_ctx(remaining_targets=1), LockTimerElapsed(), GAINS
-        )
+        current = self.lock_ctx(remaining_targets=1)
+        state, actions = handle_event(MissionState.LOCK, current, LockTimerElapsed(), GAINS)
         assert state is MissionState.SEARCH
-        assert after.remaining_targets == 0
+        assert current.remaining_targets == 0
         assert [a.topic for a in actions] == ["/lock"]
 
     def test_telemetry_response_in_lock_is_benign(self):
-        state, after, actions = handle_event(
+        current = self.lock_ctx()
+        state, actions = handle_event(
             MissionState.LOCK,
-            self.lock_ctx(),
-            TelemetryResponseEvent("T1", Vec3(11, 0, 10), remaining=2),
+            current,
+            TelemetryResponse(True, "T1", Vec3(11, 0, 10), 2),
             GAINS,
         )
         assert state is MissionState.LOCK
-        assert after.target_position == Vec3(11, 0, 10)
+        assert current.target_position == Vec3(11, 0, 10)
         assert actions == []
+
+    def test_response_without_target_is_ignored_in_lock(self):
+        current = self.lock_ctx()
+        before = dataclasses.replace(current)
+        state, actions = handle_event(MissionState.LOCK, current, NO_TARGET, GAINS)
+        assert state is MissionState.LOCK and actions == []
+        assert current == before
 
     def test_no_more_targets_is_illegal_in_lock(self):
         with pytest.raises(StateMachineError):
@@ -184,8 +196,8 @@ class TestLockTransitions:
 
 class TestTerminalStates:
     def test_landing_ignores_events(self):
-        state, _, actions = handle_event(
-            MissionState.LANDING, ctx(), CameraOffsetEvent(OffsetMessage(0, 0, 1)), GAINS
+        state, actions = handle_event(
+            MissionState.LANDING, ctx(), OffsetMessage(0, 0, 1), GAINS
         )
         assert state is MissionState.LANDING and actions == []
 
@@ -193,15 +205,32 @@ class TestTerminalStates:
         with pytest.raises(StateMachineError):
             handle_event(MissionState.LANDED, ctx(), NoMoreTargets(), GAINS)
 
-    def test_handle_event_is_pure(self):
-        start = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+    def test_equal_contexts_stay_equal(self):
+        first = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                     signal_sent_for_current=True)
-        before = dataclasses.replace(start)
-        event = CameraOffsetEvent(OffsetMessage(0.2, -0.1, tick=99))
-        first = handle_event(MissionState.SEARCH, start, event, GAINS)
-        second = handle_event(MissionState.SEARCH, start, event, GAINS)
-        assert first == second
-        assert start == before  # the context is mutable; handle_event must not touch it
+        second = dataclasses.replace(first)
+        event = OffsetMessage(0.2, -0.1, tick=99)
+        assert handle_event(MissionState.SEARCH, first, event, GAINS) == handle_event(
+            MissionState.SEARCH, second, event, GAINS
+        )
+        assert first == second and first is not second
+
+    @pytest.mark.parametrize(
+        "state, event",
+        [
+            (MissionState.SEARCH, LockTimerElapsed()),
+            (MissionState.SEARCH, CameraStale()),
+            (MissionState.LOCK, NoMoreTargets()),
+            (MissionState.LANDED, NoMoreTargets()),
+        ],
+    )
+    def test_illegal_event_leaves_context_unchanged(self, state, event):
+        current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+                      remaining_targets=2, lock_timer=1.0, lock_start_tick=90)
+        before = dataclasses.replace(current)
+        with pytest.raises(StateMachineError):
+            handle_event(state, current, event, GAINS)
+        assert current == before
 
 
 class TestInboxRaces:
@@ -293,58 +322,43 @@ class TestLockGuidance:
 
 class TestLockTimer:
     def test_boundary_reaches_lock(self):
-        start = ctx(lock_timer=9.95)
-        after, achieved = lock_timer_update(start, contained=True, dt=0.05, gains=GAINS)
-        assert achieved
-        assert after.lock_timer == pytest.approx(10.0)
+        current = ctx(lock_timer=9.95)
+        assert advance_lock_timer(current, contained=True, dt=0.05, gains=GAINS)
+        assert current.lock_timer == pytest.approx(10.0)
 
     def test_containment_break_resets(self):
-        start = ctx(lock_timer=4.0, lock_start_tick=20)
-        after, achieved = lock_timer_update(start, contained=False, dt=0.05, gains=GAINS)
-        assert not achieved
-        assert after.lock_timer == 0.0
-        assert after.lock_start_tick == start.tick
+        current = ctx(lock_timer=4.0, lock_start_tick=20)
+        assert not advance_lock_timer(current, contained=False, dt=0.05, gains=GAINS)
+        assert current.lock_timer == 0.0
+        assert current.lock_start_tick == current.tick
 
     def test_accumulation_starts_from_zero(self):
-        after, achieved = lock_timer_update(ctx(), contained=True, dt=0.05, gains=GAINS)
-        assert not achieved
-        assert after.lock_timer == pytest.approx(0.05)
+        current = ctx()
+        assert not advance_lock_timer(current, contained=True, dt=0.05, gains=GAINS)
+        assert current.lock_timer == pytest.approx(0.05)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            lock_timer_update(ctx(), contained=True, dt=0.0, gains=GAINS)
+            advance_lock_timer(ctx(), contained=True, dt=0.0, gains=GAINS)
 
     @pytest.mark.parametrize("contained", [True, False])
-    def test_leaves_its_input_unchanged(self, contained):
-        start = ctx(lock_timer=4.0, lock_start_tick=20)
-        before = dataclasses.replace(start)
-        after, _ = lock_timer_update(start, contained, 0.05, GAINS)
-        assert start == before and after is not start
+    def test_changes_only_the_timer_fields(self, contained):
+        current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+                      lock_timer=4.0, lock_start_tick=20, last_camera_tick=98,
+                      signal_sent_for_current=True)
+        before = dataclasses.replace(current)
+        advance_lock_timer(current, contained, 0.05, GAINS)
+        timer_fields = {"lock_timer", "lock_start_tick"}
+        for field in dataclasses.fields(MissionContext):
+            if field.name not in timer_fields:
+                assert getattr(current, field.name) == getattr(before, field.name)
+        assert current.lock_timer != before.lock_timer
 
     def test_two_hundred_increments_reach_lock(self):
         current = ctx(lock_timer=0.0)
         achieved = False
         steps = 0
         while not achieved:
-            current, achieved = lock_timer_update(current, True, 0.05, GAINS)
+            achieved = advance_lock_timer(current, True, 0.05, GAINS)
             steps += 1
         assert steps == 200
-
-
-_ANY_VALUE = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-_CONTEXTS = st.builds(MissionContext, st.text(max_size=4), **{
-    f.name: _ANY_VALUE for f in dataclasses.fields(MissionContext) if f.name != "uav_id"
-})
-
-
-@settings(max_examples=100, deadline=None)
-@given(_CONTEXTS, st.data())
-def test_context_copy_equals_dataclasses_replace(start, data):
-    names = data.draw(st.sets(st.sampled_from([f.name for f in dataclasses.fields(MissionContext)])))
-    changes = {name: data.draw(_ANY_VALUE) for name in sorted(names)}
-    before = dataclasses.replace(start)
-    copied = start.copy(**changes)
-    expected = dataclasses.replace(start, **changes)
-    assert copied is not start and start == before
-    for field in dataclasses.fields(MissionContext):
-        assert repr(getattr(copied, field.name)) == repr(getattr(expected, field.name))

@@ -42,7 +42,7 @@ def make_proxy(store=None, transport=None):
     bus = MessageBus()
     store = store or MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
     transport = transport or InProcessTransport(store)
-    proxy = ProxyNode(bus, transport, uav_id="uav-1")
+    proxy = ProxyNode(bus, transport)
     bus.subscribe("autonomous", "/telemetry/response")
     return bus, store, proxy
 

@@ -16,7 +16,6 @@ from lockon.world import (
     ZERO3,
     CameraParams,
     PursuerState,
-    TargetTrack,
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
@@ -125,14 +124,15 @@ class TestMultiTarget:
         assert result.report.topic_counts["/land"] == 1
 
 
-def reference_camera_truth(world, consumed, camera):
+def reference_camera_truth(world, tracks, consumed, camera):
     """The earlier _camera_truth body, kept as the oracle: a Vec3 from
-    eval_trajectory and a per-call projection for every unconsumed track."""
+    eval_trajectory and a per-call projection for every unconsumed
+    (target id, trajectory) pair."""
     best, best_norm = None, 0.0
-    for track in world.targets:
-        if track.target_id in consumed:
+    for target_id, spec in tracks:
+        if target_id in consumed:
             continue
-        uv = reference_project(world.pursuer, eval_trajectory(track.spec, world.time), camera)
+        uv = reference_project(world.pursuer, eval_trajectory(spec, world.time), camera)
         if uv is None:
             continue
         norm = uv[0] ** 2 + uv[1] ** 2
@@ -141,8 +141,8 @@ def reference_camera_truth(world, consumed, camera):
     return best
 
 
-def camera_truth(world, consumed, camera):
-    return runner._camera_truth(world, runner._track_rows(world.targets), consumed, camera)
+def camera_truth(world, tracks, consumed, camera):
+    return runner._camera_truth(world, runner._track_rows(tracks), consumed, camera)
 
 
 def mirrored(spec):
@@ -153,7 +153,8 @@ def mirrored(spec):
 
 @st.composite
 def selection_frames(draw):
-    """A camera frame over 1-16 tracks, with the consumed ids drawn as a subset.
+    """A camera frame over 1-16 (target id, trajectory) pairs, with the
+    consumed ids drawn as a subset.
 
     Each track's position at the frame time is drawn in camera coordinates
     (forward, right, down), up to 1.5 times the frame's half-width off the
@@ -196,17 +197,18 @@ def selection_frames(draw):
         spec = draw(st.sampled_from(specs))
         twin = mirrored(spec) if level and draw(st.booleans()) else spec
         specs.insert(draw(st.integers(0, len(specs))), twin)
-    tracks = tuple(TargetTrack(f"T{index:02d}", spec) for index, spec in enumerate(specs))
-    consumed = draw(st.sets(st.sampled_from([track.target_id for track in tracks])))
-    world = WorldState(time=time, tick=round(time / 0.05), pursuer=pursuer, targets=tracks)
-    return world, consumed, camera
+    tracks = tuple((f"T{index:02d}", spec) for index, spec in enumerate(specs))
+    consumed = draw(st.sets(st.sampled_from([target_id for target_id, _ in tracks])))
+    world = WorldState(time=time, tick=round(time / 0.05), pursuer=pursuer)
+    return world, tracks, consumed, camera
 
 
 class TestCameraTruth:
     @given(selection_frames())
     def test_bit_identical_to_per_target_body(self, frame):
-        world, consumed, camera = frame
-        new, old = camera_truth(world, consumed, camera), reference_camera_truth(world, consumed, camera)
+        world, tracks, consumed, camera = frame
+        new = camera_truth(world, tracks, consumed, camera)
+        old = reference_camera_truth(world, tracks, consumed, camera)
         if old is None:
             assert new is None
         else:
@@ -219,13 +221,13 @@ class TestCameraTruth:
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
         camera = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3, frame_period=0.1)
         for first, second in ((spec, mirrored(spec)), (mirrored(spec), spec)):
-            tracks = (TargetTrack("A", first), TargetTrack("B", second))
-            world = WorldState(time=2.0, tick=40, pursuer=pursuer, targets=tracks)
-            uv = camera_truth(world, set(), camera)
+            tracks = (("A", first), ("B", second))
+            world = WorldState(time=2.0, tick=40, pursuer=pursuer)
+            uv = camera_truth(world, tracks, set(), camera)
             expected = reference_project(pursuer, eval_trajectory(first, 2.0), camera)
             assert uv == expected and uv[0] != 0.0
-            assert camera_truth(world, {"A"}, camera) == (-uv[0], uv[1])
-            assert camera_truth(world, {"A", "B"}, camera) is None
+            assert camera_truth(world, tracks, {"A"}, camera) == (-uv[0], uv[1])
+            assert camera_truth(world, tracks, {"A", "B"}, camera) is None
 
 
 class TestTermination:

@@ -16,14 +16,12 @@ import pytest
 
 from lockon import autonomy, bus, metrics, payloads, proxy, runner, scenario, server, vision, world
 from lockon.autonomy import (
-    CameraOffsetEvent,
     CameraStale,
     DistanceBelowThreshold,
     LockTimerElapsed,
     NoMoreTargets,
     PublishAction,
     SetGuidance,
-    TelemetryResponseEvent,
 )
 from lockon.bus import Envelope
 from lockon.payloads import (
@@ -43,7 +41,7 @@ PURSUER = PursuerState(POSITION, 0.25, -0.1, 6.0)
 SAMPLES = {
     Vec3: [(1.0, -2.0, 3.5), (1.0, -2.0, -0.0)],
     GuidanceCommand: [(0.1, -0.2, 3.0), (0.1, -0.2, 0.0)],
-    WorldState: [(0.5, 10, PURSUER, ()), (0.55, 11, PURSUER, ())],
+    WorldState: [(0.5, 10, PURSUER), (0.55, 11, PURSUER)],
     Envelope: [("/lock", b"{}", "autonomous", 3, 7), ("/lock", b"{}", "autonomous", 4, 7)],
     TelemetryRequest: [("uav-1", 1.5, POSITION, "SEARCH"), ("uav-1", 1.5, POSITION, "LOCK")],
     TelemetryResponse: [(True, "T1", POSITION, 2), (False, None, None, 0)],
@@ -54,9 +52,7 @@ SAMPLES = {
         (PipelineMode.TRACKING, (0.1, 0.2), 3, True),
         (PipelineMode.DETECTING, None, 0, False),
     ],
-    TelemetryResponseEvent: [("T1", POSITION, 2), ("T1", POSITION, 1)],
     DistanceBelowThreshold: [(), ()],
-    CameraOffsetEvent: [(OffsetMessage(0.1, 0.2, 3),), (OffsetMessage(0.1, 0.2, 4),)],
     CameraStale: [(), ()],
     LockTimerElapsed: [(), ()],
     NoMoreTargets: [(), ()],

@@ -12,7 +12,6 @@ from lockon.world import (
     CameraParams,
     GuidanceCommand,
     PursuerState,
-    TargetTrack,
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
@@ -204,12 +203,8 @@ class TestProjection:
 
 
 def make_world(pursuer=None):
-    track = TargetTrack("T1", TrajectorySpec(TrajectoryKind.STATIONARY, p0=Vec3(50, 0, 10)))
     return WorldState(
-        time=0.0,
-        tick=0,
-        pursuer=pursuer or PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0),
-        targets=(track,),
+        time=0.0, tick=0, pursuer=pursuer or PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
     )
 
 
@@ -275,9 +270,7 @@ def reference_step(world, guidance, dt):
         position=pursuer.position + new_pursuer.forward().scale(guidance.speed * dt),
     )
     new_tick = world.tick + 1
-    return WorldState(
-        time=new_tick * dt, tick=new_tick, pursuer=new_pursuer, targets=world.targets
-    )
+    return WorldState(time=new_tick * dt, tick=new_tick, pursuer=new_pursuer)
 
 
 def float_bits(world):
@@ -304,7 +297,7 @@ class TestStepMatchesReference:
         self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt, tick
     ):
         world = WorldState(
-            time=tick * dt, tick=tick, pursuer=PursuerState(position, yaw, pitch, 1.0), targets=()
+            time=tick * dt, tick=tick, pursuer=PursuerState(position, yaw, pitch, 1.0)
         )
         command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
         new, old = step(world, command, dt), reference_step(world, command, dt)
