@@ -29,7 +29,14 @@ from typing import Callable, Union
 
 from . import bus as topics
 from .bus import MessageBus, Publisher
-from .payloads import DecodeError, LockReport, OffsetMessage, TelemetryRequest, TelemetryResponse
+from .payloads import (
+    DecodeError,
+    LockReport,
+    Message,
+    OffsetMessage,
+    TelemetryRequest,
+    TelemetryResponse,
+)
 from .world import GuidanceCommand, PursuerState, Vec3, distance, value, wrap_angle
 
 
@@ -117,7 +124,7 @@ Event = Union[
 @value
 class PublishAction:
     topic: str
-    payload: bytes
+    payload: bytes | Message
 
 
 @value
@@ -190,11 +197,11 @@ def advance_lock_timer(
     return False
 
 
-def _telemetry_request(ctx: MissionContext, state: MissionState) -> bytes:
+def _telemetry_request(ctx: MissionContext, state: MissionState) -> TelemetryRequest:
     assert ctx.pursuer is not None
     return TelemetryRequest(
         uav_id=ctx.uav_id, time=ctx.time, position=ctx.pursuer.position, state=state.value
-    ).encode()
+    )
 
 
 def handle_event(
@@ -261,7 +268,7 @@ def handle_event(
             ctx.remaining_targets = max(0, ctx.remaining_targets - 1)
             ctx.lock_timer = 0.0
             ctx.signal_sent_for_current = False
-            actions: list[Action] = [PublishAction(topics.LOCK, report.encode())]
+            actions: list[Action] = [PublishAction(topics.LOCK, report)]
             if ctx.remaining_targets > 0:
                 actions.append(
                     PublishAction(topics.TELEMETRY, _telemetry_request(ctx, MissionState.SEARCH))

@@ -7,10 +7,17 @@ subscriber inboxes when the scheduler calls ``deliver()``, sorted by
 is frozen at publish time; the broker keeps each topic's sorted recipients
 until a subscribe or unsubscribe to that topic.
 
-An envelope's payload is parsed at most once: the first reader to call
-``Envelope.parsed`` (in a run, the scheduler's event-log observer) runs
-``payloads.parse_json`` on it, and every later reader, such as a node's
-``Schema.from_envelope``, shares that parsed object read-only.
+A payload is bytes, or a ``payloads`` message value: the nodes publish their
+messages as values, so no bytes are made for them in-process.
+``Publisher.send`` keeps a value that is ``canonical()`` as it is and
+replaces any other by its encoding. ``Envelope.data()`` gives the bytes,
+encoding a value only there, for the proxy's POST bodies.
+
+An envelope's payload is read at most once: the first reader to call
+``Envelope.parsed`` (in a run, the scheduler's event-log observer) gets
+``payloads.parse_json`` of the bytes, or a value's ``to_obj()``, which is the
+same object, and every later reader shares it read-only. A node's
+``Schema.from_envelope`` takes a value of its own schema as it is.
 
 The broker is a plain in-memory object: it may be handed between threads as a
 whole but does not accept concurrent calls.
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .payloads import parse_json
+from .payloads import Message, parse_json
 from .world import value
 
 # The fixed topic vocabulary used by the mission protocol.
@@ -61,16 +68,23 @@ class _ParsedOnce:
     __slots__ = ("_parsed",)
 
     def parsed(self):
-        """The payload's ``parse_json`` result, shared read-only; ValueError if not strict JSON."""
+        """The payload's ``parse_json`` result, shared read-only; ValueError if not strict JSON.
+
+        A message value is canonical, so its ``to_obj()`` is the parse of its encoding.
+        """
         try:
             obj = self._parsed
         except AttributeError:  # built directly rather than by Publisher.send
             obj = _UNPARSED
         if obj is _UNPARSED:
-            try:
-                obj = parse_json(self.payload)
-            except (ValueError, RecursionError):
-                obj = _NOT_JSON
+            payload = self.payload
+            if isinstance(payload, Message):
+                obj = payload.to_obj()
+            else:
+                try:
+                    obj = parse_json(payload)
+                except (ValueError, RecursionError):
+                    obj = _NOT_JSON
             _set_parsed(self, obj)
         if obj is _NOT_JSON:
             raise ValueError("payload is not strict JSON")
@@ -82,13 +96,22 @@ _set_parsed = _ParsedOnce.__dict__["_parsed"].__set__
 
 @value
 class Envelope(_ParsedOnce):
-    """A published message as seen by subscribers."""
+    """A published message as seen by subscribers.
+
+    ``payload`` is bytes or a canonical message value: ``Publisher.send``
+    encodes a value that is not canonical.
+    """
 
     topic: str
-    payload: bytes
+    payload: bytes | Message
     publisher_id: str
     seq: int
     tick: int
+
+    def data(self) -> bytes:
+        """The payload's bytes; a message value is encoded on each call."""
+        payload = self.payload
+        return payload.encode() if isinstance(payload, Message) else payload
 
 
 class MessageBus:
@@ -185,7 +208,9 @@ class Publisher:
         self.client_id = client_id
         self._next_seq = 0
 
-    def send(self, topic: str, payload: bytes, tick: int) -> int:
+    def send(self, topic: str, payload: bytes | Message, tick: int) -> int:
+        if isinstance(payload, Message) and not payload.canonical():
+            payload = payload.encode()
         envelope = Envelope(
             topic=topic,
             payload=payload,

@@ -5,14 +5,22 @@ lock reports, camera offset messages, and crash reports. Each is a frozen,
 slotted ``world.value`` dataclass whose codec the ``wire`` decorator
 compiles once from its field types, to straight-line code per schema.
 
-Parse contract: every payload, on the bus, at the mission server and in the
-run log, goes through one strict parser (``parse_json``). The bytes must be
-UTF-8 (no byte-order mark, no UTF-16/32) and hold JSON with no ``NaN`` or
-``Infinity`` token and no number literal beyond the float range, anywhere in
-the document. A bus envelope is parsed once, by its first reader (in a run,
-the scheduler's event log), and later readers share that parse read-only:
-``Schema.from_envelope(envelope)`` builds from it, and returns the value or
-raises the DecodeError that ``Schema.decode(envelope.payload)`` would.
+Parse contract: every payload that arrives as bytes, on the bus, at the
+mission server and in the run log, goes through one strict parser
+(``parse_json``). The bytes must be UTF-8 (no byte-order mark, no
+UTF-16/32) and hold JSON with no ``NaN`` or ``Infinity`` token and no number
+literal beyond the float range, anywhere in the document. A bus envelope is
+parsed once, by its first reader (in a run, the scheduler's event log), and
+later readers share that parse read-only: ``Schema.from_envelope(envelope)``
+builds from it, and returns the value or raises the DecodeError that
+``Schema.decode(envelope.payload)`` would.
+
+A node may also publish a message value. One that is ``canonical()`` (each
+field exactly its declared type, every float finite) travels on the bus as
+itself, and nothing parses it: its ``to_obj()`` equals
+``parse_json(encode())``, and ``Schema.decode(encode())`` equals the value,
+so the envelope reads as its encoding would. ``from_envelope`` returns such
+a value of its own schema as it is. Any other value is sent as its encoding.
 
 Decode contract: the payload must be a JSON object. A ``str`` or ``bool``
 field takes a JSON value of that type, an ``int`` field a JSON integer (not
@@ -134,20 +142,36 @@ FROM_JSON = {
 # field type -> (field value -> JSON value or None, field value -> canonical JSON text)
 _TO_JSON = {Vec3: (Vec3.as_dict, _vec3_text)}
 
+# field type -> test that the field value ``v`` is exactly that type, every float finite
+_CANONICAL_TEST = {
+    str: "type(v) is str",
+    int: "type(v) is int",
+    bool: "type(v) is bool",
+    float: "type(v) is float and v - v == 0.0",
+    Vec3: "type(v) is _Vec3 and type(v.x) is type(v.y) is type(v.z) is float"
+          " and (v.x - v.x) + (v.y - v.y) + (v.z - v.z) == 0.0",
+}
+
 
 def wire(cls):
-    """Give a frozen dataclass ``to_obj``, ``encode``, ``decode`` and ``from_envelope``.
+    """Give a frozen dataclass its wire codec and its ``canonical`` check.
 
-    ``to_obj``, ``encode`` and the decoders' ``build`` are compiled here to
-    straight-line code, a few statements per field, with ``exec`` as
-    ``world.value`` compiles ``__init__``: the encoder joins its ``"key":``
-    prefixes in sorted-key order, and ``build`` converts each field in field
-    order. So a codec call runs no loop over the fields, no ``getattr`` and
-    no json set-up.
+    The class gets ``to_obj``, ``encode``, ``canonical``, ``decode`` and
+    ``from_envelope``.
+
+    ``to_obj``, ``encode``, ``canonical`` and the decoders' ``build`` are
+    compiled here to straight-line code, a few statements per field, with
+    ``exec`` as ``world.value`` compiles ``__init__``: the encoder joins its
+    ``"key":`` prefixes in sorted-key order, and ``build`` converts each
+    field in field order. So a codec call runs no loop over the fields, no
+    ``getattr`` and no json set-up.
     """
     hints = typing.get_type_hints(cls)
-    namespace = {"__name__": cls.__module__, "DecodeError": DecodeError, "_cls": cls}
+    namespace = {
+        "__name__": cls.__module__, "DecodeError": DecodeError, "_cls": cls, "_Vec3": Vec3,
+    }
     items, texts = [], {}
+    canonical = ["def canonical(self):"]
     build = [
         "def build(obj):",
         "    if type(obj) is not dict:",
@@ -166,6 +190,12 @@ def wire(cls):
         items.append(f"{name!r}: {attr}" if to_json is None
                      else f"{name!r}: None if {attr} is None else _json{i}({attr})")
         texts[name] = f"_text{i}({attr})"
+        check = _CANONICAL_TEST[kind]
+        canonical += [
+            f"    v = {attr}",
+            f"    if not ({'v is None or ' if optional else ''}{check}):",
+            "        return False",
+        ]
         build += [
             f"    raw = get({name!r})",
             "    if raw is None:",
@@ -184,6 +214,8 @@ def wire(cls):
     source = "\n".join([
         f"def to_obj(self):\n    return {{{', '.join(items)}}}",
         f"def encode(self):\n    return ({encoded} + '}}').encode()",
+        *canonical,
+        "    return True",
         *build,
         "    try:",
         f"        return _cls({', '.join(f'v{i}' for i in range(len(texts)))})",
@@ -202,14 +234,17 @@ def wire(cls):
         return build(obj)
 
     def from_envelope(cls, envelope):
-        """``decode(envelope.payload)``, built from the envelope's one shared parse."""
+        """``decode(envelope.payload)``; a value payload of this schema is returned as it is."""
+        payload = envelope.payload
+        if type(payload) is cls:  # canonical, so it is what its encoding decodes to
+            return payload
         try:
             obj = envelope.parsed()
         except ValueError:  # decode raises the error, naming a non-finite field
             return cls.decode(envelope.payload)
         return build(obj)
 
-    for method in ("to_obj", "encode"):
+    for method in ("to_obj", "encode", "canonical"):
         namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, namespace[method])
     cls.decode = classmethod(decode)
@@ -299,3 +334,7 @@ class CrashReport:
     uav_id: str
     time: float
     position: Vec3
+
+
+# A message a node may publish as a value rather than as bytes (see bus.Envelope).
+Message = TelemetryRequest | TelemetryResponse | LockReport | OffsetMessage | CrashReport

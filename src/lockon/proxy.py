@@ -1,14 +1,16 @@
 """Proxy node: bridges bus topics to the mission server's HTTP API.
 
-A telemetry envelope that decodes is forwarded as a POST of its own payload
-bytes, and the reply comes back on /telemetry/response; lock reports are
-forwarded and acknowledged; /land disarms the proxy so no request leaves
-the UAV after landing. Transport failures degrade gracefully: telemetry is
+A telemetry or lock envelope that decodes is forwarded as a POST of its
+payload bytes, ``Envelope.data()``: a message value is encoded there, once,
+where it leaves the run. The telemetry reply comes back on
+/telemetry/response as a ``TelemetryResponse`` value, and lock reports are
+acknowledged; /land disarms the proxy so no request leaves the UAV after
+landing. Transport failures degrade gracefully: telemetry is
 tried three times and then a has_target=false response is published, lock
 reports retry once. Retries follow at once, within the same tick: a
 wall-clock wait would stall the lockstep scheduler. A 200 telemetry reply
 with the same bytes as the last one that decoded is not decoded again: its
-response and encoding are reused.
+response is published again.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ class ProxyNode:
         self.active = True
         self.degraded_events = 0
         # The last 200 telemetry reply that decoded: (its bytes, the decoded
-        # response, the response's encoding). The server answers with the
-        # same bytes until its queue changes, so most replies are a hit.
-        self._last_reply: tuple[bytes, TelemetryResponse, bytes] | None = None
+        # response). The server answers with the same bytes until its queue
+        # changes, so most replies are a hit.
+        self._last_reply: tuple[bytes, TelemetryResponse] | None = None
         self._publisher = Publisher(bus, self.CLIENT_ID)
         self._bus = bus
         bus.subscribe(self.CLIENT_ID, topics.TELEMETRY)
@@ -130,25 +132,24 @@ class ProxyNode:
                     log.warning("undecodable telemetry response: %s", exc)
                     last = None
                 else:
-                    last = self._last_reply = (data, response, response.encode())
+                    last = self._last_reply = (data, response)
             if last is not None:
-                self._publisher.send(topics.TELEMETRY_RESPONSE, last[2], tick)
+                self._publisher.send(topics.TELEMETRY_RESPONSE, last[1], tick)
                 return last[1]
         self.degraded_events += 1
         log.warning("degraded link: publishing empty telemetry response")
         response = TelemetryResponse(
             has_target=False, target_id=None, target_position=None, remaining_targets=0
         )
-        self._publisher.send(topics.TELEMETRY_RESPONSE, response.encode(), tick)
+        self._publisher.send(topics.TELEMETRY_RESPONSE, response, tick)
         return response
 
-    def forward_lock(self, report: LockReport) -> bool:
-        """POST a lock report; true on 2xx, one retry then a logged failure."""
+    def forward_lock(self, body: bytes) -> bool:
+        """POST an encoded lock report; true on 2xx, after at most one retry."""
         for _ in range(LOCK_RETRIES + 1):
-            result = self._post_with_retries("/api/lock", report.encode(), 1)
+            result = self._post_with_retries("/api/lock", body, 1)
             if result is not None and 200 <= result[0] < 300:
                 return True
-        log.error("lock report for %s was not acknowledged", report.target_id)
         return False
 
     def report_crash(self, report: CrashReport) -> bool:
@@ -167,15 +168,16 @@ class ProxyNode:
             except DecodeError as exc:
                 log.warning("dropping malformed telemetry envelope: %s", exc)
                 return
-            # The payload decoded, so its own bytes are a valid request body.
-            self.forward_telemetry(envelope.payload, tick)
+            # The payload decoded, so its bytes are a valid request body.
+            self.forward_telemetry(envelope.data(), tick)
         elif envelope.topic == topics.LOCK:
             try:
                 report = LockReport.from_envelope(envelope)
             except DecodeError as exc:
                 log.warning("dropping malformed lock envelope: %s", exc)
                 return
-            self.forward_lock(report)
+            if not self.forward_lock(envelope.data()):
+                log.error("lock report for %s was not acknowledged", report.target_id)
 
     def step(self, tick: int) -> None:
         for envelope in self._bus.drain(self.CLIENT_ID):

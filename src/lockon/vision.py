@@ -163,4 +163,4 @@ class VisionNode:
             return
         self.state, message = process_frame(self.state, truth, self.params, self.rng, tick)
         if message is not None:
-            self._publisher.send(topics.IMAGE_MESSAGE, message.encode(), tick)
+            self._publisher.send(topics.IMAGE_MESSAGE, message, tick)

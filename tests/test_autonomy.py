@@ -23,7 +23,7 @@ from lockon.autonomy import (
 )
 from lockon.autonomy import AutonomousNode
 from lockon.bus import MessageBus, Publisher
-from lockon.payloads import LockReport, OffsetMessage, TelemetryResponse
+from lockon.payloads import LockReport, OffsetMessage, TelemetryRequest, TelemetryResponse
 from lockon.world import PursuerState, Vec3
 
 GAINS = ControlGains()
@@ -159,7 +159,9 @@ class TestLockTransitions:
         assert current.current_target is None
         assert current.remaining_targets == 1
         assert [a.topic for a in actions] == ["/lock", "/telemetry"]
-        report = LockReport.decode(actions[0].payload)
+        report, request = actions[0].payload, actions[1].payload
+        assert type(report) is LockReport
+        assert type(request) is TelemetryRequest and request.state == "SEARCH"
         assert report.target_id == "T1"
         assert report.lock_start_tick == 90 and report.lock_end_tick == 300
 

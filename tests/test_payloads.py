@@ -5,11 +5,12 @@ import collections
 import dataclasses
 import json
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lockon import bus, payloads, runner
+from lockon import bus, payloads, proxy, runner
 from lockon import bus as topics
 from lockon.bus import Envelope, MessageBus, Publisher
 from lockon.payloads import (
@@ -229,6 +230,45 @@ def reject_constant(token):
     raise ValueError(f"non-finite token {token} in the event log")
 
 
+class NaNValueVision(VisionNode):
+    """Vision that publishes ``OffsetMessage(nan, 0.0, tick)`` in place of each offset.
+
+    It publishes the message as a value, or, with ``as_bytes``, as its encoding.
+    """
+
+    as_bytes = False
+
+    def step(self, tick, truth, frame_due):
+        send = self._publisher.send
+
+        def send_nan(topic, message, tick):
+            nan = OffsetMessage(float("nan"), 0.0, tick)
+            return send(topic, nan.encode() if self.as_bytes else nan, tick)
+
+        self._publisher.send = send_nan
+        try:
+            super().step(tick, truth, frame_due)
+        finally:
+            self._publisher.send = send
+
+
+def test_a_non_finite_offset_value_is_logged_and_dropped_as_its_bytes(monkeypatch):
+    scenario = load_scenario("moving_target")
+    monkeypatch.setattr(runner, "VisionNode", NaNValueVision)
+    by_value = runner.run(scenario)
+    monkeypatch.setattr(NaNValueVision, "as_bytes", True)
+    by_bytes = runner.run(scenario)
+    offsets = [e for e in by_value.event_log if e.get("topic") == topics.IMAGE_MESSAGE]
+    assert offsets and all(e["payload"] is None and e["malformed"] for e in offsets)
+    # The autonomy node drops every offset, so no camera lock is flown.
+    assert all(e["to"] != "LOCK" for e in by_value.event_log if e["kind"] == "fsm")
+    assert not by_value.report.per_target[0].locked
+    text = runner.event_log_to_jsonl(by_value.event_log)
+    assert text == runner.event_log_to_jsonl(by_bytes.event_log)
+    for line in text.splitlines():
+        json.loads(line, parse_constant=reject_constant)
+
+
 # --- The compiled codec against the json module ------------------------------
 
 def canonical_dumps(message) -> bytes:
@@ -416,8 +456,8 @@ class NoteVision(VisionNode):
     def step(self, tick, truth, frame_due):
         send = self._publisher.send
 
-        def send_with_note(topic, payload, tick):
-            return send(topic, payload[:-1] + b',"note":' + self.note + b"}", tick)
+        def send_with_note(topic, message, tick):
+            return send(topic, message.encode()[:-1] + b',"note":' + self.note + b"}", tick)
 
         self._publisher.send = send_with_note
         try:
@@ -445,11 +485,11 @@ def test_nodes_drop_what_the_log_calls_malformed(monkeypatch, note):
 
 # --- One parse per bus envelope -----------------------------------------------
 
-def published(data: bytes) -> Envelope:
-    """``data`` as a subscriber receives it from the bus."""
+def published(payload) -> Envelope:
+    """``payload``, bytes or a message value, as a subscriber receives it from the bus."""
     bus = MessageBus()
     bus.subscribe("sub", "/t")
-    Publisher(bus, "node").send("/t", data, 0)
+    Publisher(bus, "node").send("/t", payload, 0)
     bus.deliver()
     (envelope,) = bus.drain("sub")
     return envelope
@@ -492,14 +532,139 @@ def test_from_envelope_agrees_with_decode(schema, data, how):
         assert type(got) is type(expected) and got == expected
 
 
-def test_each_bus_payload_is_parsed_once_in_a_run(monkeypatch):
-    envelope_parses, other_parses = [], []  # by Envelope.parsed, and by any other reader
+# --- A message value on the bus reads as its encoding -------------------------
 
-    def counting(parsed):
-        return lambda data: parsed.append(data) or parse_json(data)
+# Field values of each declared type: floats finite, negative zero and
+# subnormal; non-ASCII and lone surrogate text. The loose ones add the types
+# next to them: non-finite floats, and ints and bools in float fields; bools
+# in int fields; ints in bool fields; and None, which only an optional field
+# declares.
+finite_floats = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]),
+)
+loose_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.integers(-1, 1),
+    st.integers(),
+    st.booleans(),
+)
+DECLARED = {
+    "float": finite_floats,
+    "int": st.integers(0, 2**53) | st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=6) | any_text,
+    "Vec3": st.builds(Vec3, finite_floats, finite_floats, finite_floats),
+}
+LOOSE = {
+    **DECLARED,
+    "float": loose_floats,
+    "int": DECLARED["int"] | st.booleans(),
+    "bool": st.booleans() | st.integers(0, 1),
+    "Vec3": st.builds(Vec3, loose_floats, loose_floats, loose_floats),
+}
 
-    monkeypatch.setattr(bus, "parse_json", counting(envelope_parses))
-    monkeypatch.setattr(payloads, "parse_json", counting(other_parses))
+
+def wire_messages(schema):
+    """Instances of ``schema``, or None where its own checks refuse the values.
+
+    Half are built from DECLARED values only, half from LOOSE values or None.
+    """
+    def fields_from(table, none_anywhere):
+        def values(f):
+            kind = table[f.type.split(" ")[0]]
+            return kind | st.none() if none_anywhere or f.type.endswith("| None") else kind
+
+        return st.tuples(*map(values, dataclasses.fields(schema)))
+
+    def build(values):
+        try:
+            return schema(*values)
+        except (TypeError, ValueError):
+            return None
+
+    declared = fields_from(DECLARED, none_anywhere=False)
+    return (declared | fields_from(LOOSE, none_anywhere=True)).map(build)
+
+
+def exact(message):
+    """Each field with its type, floats as ``float.hex``, so that -0.0 differs from 0.0."""
+    def one(v):
+        if type(v) is Vec3:
+            return tuple(one(c) for c in (v.x, v.y, v.z))
+        return (type(v).__name__, v.hex() if type(v) is float else v)
+
+    return [one(getattr(message, f.name)) for f in dataclasses.fields(message)]
+
+
+def log_line(envelope) -> str:
+    """The event-log line ``runner.run`` writes for ``envelope``."""
+    entry = {"kind": "msg", "topic": envelope.topic, "payload": None}
+    if envelope.payload:
+        try:
+            entry["payload"] = envelope.parsed()
+        except ValueError:
+            entry["malformed"] = True
+    return runner.event_log_to_jsonl([entry])
+
+
+def exact_outcome(read):
+    got = outcome(read)
+    return got if type(got) is tuple else (type(got), exact(got))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(SCHEMAS).flatmap(wire_messages))
+def test_a_message_sent_as_a_value_reads_as_its_encoding(message):
+    if message is None:
+        return
+    data = message.encode()
+    if message.canonical():
+        obj = parse_json(data)
+        assert obj == message.to_obj()
+        assert canonical_dumps(message) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":")
+        ).encode() == data
+        assert exact(type(message).decode(data)) == exact(message)
+    by_value, by_bytes = published(message), published(data)
+    assert by_value.payload is message if message.canonical() else by_value.payload == data
+    assert log_line(by_value) == log_line(by_bytes)
+    for schema in SCHEMAS:
+        assert exact_outcome(lambda: schema.from_envelope(by_value)) == exact_outcome(
+            lambda: schema.from_envelope(by_bytes)
+        )
+
+
+def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
+    envelope_parses, other_parses, reads, encodes, posts = [], [], [], [], []
+
+    def counting(parse, parses):
+        return lambda data: parses.append(data) or parse(data)
+
+    monkeypatch.setattr(bus, "parse_json", counting(bus.parse_json, envelope_parses))
+    monkeypatch.setattr(payloads, "parse_json", counting(payloads.parse_json, other_parses))
+    for schema in SCHEMAS:
+        from_envelope, encode = schema.from_envelope.__func__, schema.encode
+
+        def reading(cls, envelope, from_envelope=from_envelope):
+            value = from_envelope(cls, envelope)
+            reads.append((envelope.payload, value))
+            return value
+
+        def encoding(message, encode=encode):
+            data = encode(message)
+            encodes.append((message, data))
+            return data
+
+        monkeypatch.setattr(schema, "from_envelope", classmethod(reading))
+        monkeypatch.setattr(schema, "encode", encoding)
+    post = proxy.InProcessTransport.post
+    monkeypatch.setattr(
+        proxy.InProcessTransport, "post",
+        lambda transport, path, body: posts.append(body) or post(transport, path, body),
+    )
     sent = []
     publish = MessageBus.publish
     monkeypatch.setattr(
@@ -510,13 +675,17 @@ def test_each_bus_payload_is_parsed_once_in_a_run(monkeypatch):
     assert {e.topic for e in sent if e.payload} == {
         topics.TELEMETRY, topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LOCK
     }
-    carried = collections.Counter(id(e.payload) for e in sent if e.payload)
-    # A payload object that several envelopes carry (the proxy republishes an
-    # unchanged reply's bytes) is parsed once per envelope.
-    assert collections.Counter(map(id, envelope_parses)) == carried
-    # No node parses a payload again. The one other reader of bus payload
-    # bytes is the mission server, which decodes each telemetry request the
-    # proxy forwards as it came; its other parses are of bytes no envelope carries.
-    telemetry = collections.Counter(id(e.payload) for e in sent if e.topic == topics.TELEMETRY)
-    others = collections.Counter(map(id, other_parses))
-    assert {key: others[key] for key in carried if others[key]} == telemetry
+    # Every payload a node published is a message value or empty, and every
+    # read of one gives the value itself: no parse and no field-by-field build.
+    assert all(type(e.payload) in SCHEMAS or e.payload == b"" for e in sent)
+    assert envelope_parses == []
+    assert reads and all(value is payload for payload, value in reads)
+    # The only encodes are the proxy's POST bodies, one per forwarded message,
+    # and the mission server parses each body once. The other parses are the
+    # proxy's, of reply bytes that it publishes as values.
+    forwarded = [e.payload for e in sent if e.topic in (topics.TELEMETRY, topics.LOCK)]
+    encoded, bodies = [message for message, _ in encodes], [data for _, data in encodes]
+    assert len(encoded) == len(forwarded) and all(map(operator.is_, encoded, forwarded))
+    assert len(posts) == len(bodies) and all(map(operator.is_, posts, bodies))
+    posted = collections.Counter(map(id, posts))
+    assert collections.Counter(id(data) for data in other_parses if id(data) in posted) == posted

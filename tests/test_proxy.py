@@ -55,7 +55,8 @@ class TestForwardTelemetry:
         bus.deliver()
         delivered = bus.drain("autonomous")
         assert len(delivered) == 1
-        assert TelemetryResponse.decode(delivered[0].payload) == response
+        assert delivered[0].payload is response  # published as the value itself
+        assert TelemetryResponse.decode(delivered[0].data()) == response
 
     def test_empty_queue_round_trip(self):
         bus, _, proxy = make_proxy(store=MissionStore([]))
@@ -128,7 +129,8 @@ class TestReplyCache:
     def forward(self, monkeypatch, replies, forwards=None):
         """Forward ``forwards`` requests (one per reply by default).
 
-        Returns the proxy, the bodies decoded and the payloads published.
+        Returns the proxy, the bodies decoded, the payloads published (as
+        bytes) and the responses.
         """
         decoded = []
         decode = TelemetryResponse.decode.__func__
@@ -140,18 +142,24 @@ class TestReplyCache:
         ticks = range(forwards or len(replies))
         responses = [proxy.forward_telemetry(request().encode(), tick) for tick in ticks]
         bus.deliver()
-        published = [e.payload for e in bus.drain("autonomous")]
+        envelopes = bus.drain("autonomous")
+        # Each response is published as the value forward_telemetry returned.
+        assert [e.payload for e in envelopes] == responses
+        assert all(e.payload is response for e, response in zip(envelopes, responses))
+        published = [e.data() for e in envelopes]
         assert [decode(TelemetryResponse, payload) for payload in published] == responses
-        return proxy, decoded, published
+        return proxy, decoded, published, responses
 
     def test_the_same_reply_bytes_are_decoded_once(self, monkeypatch):
-        proxy, decoded, published = self.forward(monkeypatch, [(200, REPLY), (200, bytes(REPLY))])
+        proxy, decoded, published, responses = self.forward(
+            monkeypatch, [(200, REPLY), (200, bytes(REPLY))]
+        )
         assert decoded == [REPLY]
-        assert published == [REPLY, REPLY] and published[0] is published[1]
+        assert published == [REPLY, REPLY] and responses[0] is responses[1]
         assert proxy.degraded_events == 0
 
     def test_changed_bytes_are_decoded_again(self, monkeypatch):
-        _, decoded, published = self.forward(
+        _, decoded, published, _ = self.forward(
             monkeypatch, [(200, REPLY), (200, OTHER), (200, OTHER), (200, REPLY)]
         )
         assert decoded == [REPLY, OTHER, REPLY]
@@ -161,7 +169,7 @@ class TestReplyCache:
                                      (200, b'{"has_target":true,"remaining_targets":1}')])
     def test_a_failed_reply_degrades_every_time_and_is_never_kept(self, monkeypatch, bad):
         replies = [bad, bad, (200, REPLY), bad, (200, REPLY)]
-        proxy, decoded, published = self.forward(monkeypatch, replies)
+        proxy, decoded, published, _ = self.forward(monkeypatch, replies)
         assert published == [DEGRADED, DEGRADED, REPLY, DEGRADED, REPLY]
         assert proxy.degraded_events == 3
         undecodable = [bad[1]] * 2 if bad[0] == 200 else []
@@ -170,7 +178,7 @@ class TestReplyCache:
 
     def test_a_transport_outage_degrades_even_with_a_kept_reply(self, monkeypatch):
         outage = [TransportError("synthetic outage")] * 3  # every attempt of one request
-        proxy, decoded, published = self.forward(
+        proxy, decoded, published, _ = self.forward(
             monkeypatch, [(200, REPLY), *outage, (200, REPLY)], forwards=3
         )
         assert published == [REPLY, DEGRADED, REPLY]
@@ -181,7 +189,7 @@ class TestForwardLock:
     def test_valid_report_acknowledged_and_recorded(self):
         _, store, proxy = make_proxy()
         before = store.record_count("Lock")
-        assert proxy.forward_lock(report()) is True
+        assert proxy.forward_lock(report().encode()) is True
         assert store.record_count("Lock") == before + 1
 
     def test_malformed_report_rejected_before_send(self):
@@ -195,15 +203,38 @@ class TestForwardLock:
 
     def test_unknown_target_not_acknowledged(self):
         _, store, proxy = make_proxy()
-        assert proxy.forward_lock(report("T404")) is False
+        assert proxy.forward_lock(report("T404").encode()) is False
         assert store.record_count("Lock") == 0
 
     def test_transport_outage_returns_false_after_retry(self):
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
         transport = FlakyTransport(InProcessTransport(store), failures=10)
         _, _, proxy = make_proxy(store=store, transport=transport)
-        assert proxy.forward_lock(report()) is False
+        assert proxy.forward_lock(report().encode()) is False
         assert transport.calls == 2  # initial attempt plus one retry
+
+
+    @pytest.mark.parametrize("as_value", [True, False], ids=["value", "bytes"])
+    def test_a_retried_lock_posts_one_encoding(self, monkeypatch, as_value):
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        transport = FlakyTransport(InProcessTransport(store), failures=1)
+        bodies = []
+        post = transport.post
+        transport.post = lambda path, body: bodies.append(body) or post(path, body)
+        bus, _, proxy = make_proxy(store=store, transport=transport)
+        lock = LockReport("uav-1", "T1", 0, 200, Vec3(0.0, 0.0, 10.0))
+        body = lock.encode()
+        Publisher(bus, "autonomous").send("/lock", lock if as_value else body, 0)
+        bus.deliver()
+        encodes = []
+        encode = LockReport.encode
+        monkeypatch.setattr(LockReport, "encode", lambda self: encodes.append(self) or encode(self))
+        proxy.step(1)
+        # The first POST fails and the retry sends the same bytes: a value is
+        # encoded once, and bytes are posted as they came.
+        assert bodies == [body] * 2 and bodies[0] is bodies[1]
+        assert encodes == ([lock] if as_value else [])
+        assert store.record_count("Lock") == 1
 
 
 class TestEnvelopePipeline:
