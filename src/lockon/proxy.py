@@ -7,8 +7,9 @@ where it leaves the run. The telemetry reply comes back on
 acknowledged; /land disarms the proxy so no request leaves the UAV after
 landing. Transport failures degrade gracefully: telemetry is
 tried three times and then a has_target=false response is published, lock
-reports retry once. Retries follow at once, within the same tick: a
-wall-clock wait would stall the lockstep scheduler. A 200 telemetry reply
+reports retry once. Only a transport failure is retried: an HTTP answer,
+even a 4xx or 5xx, is final. Retries follow at once, within the same tick:
+a wall-clock wait would stall the lockstep scheduler. A 200 telemetry reply
 with the same bytes as the last one that decoded is not decoded again: its
 response is published again.
 """
@@ -145,12 +146,9 @@ class ProxyNode:
         return response
 
     def forward_lock(self, body: bytes) -> bool:
-        """POST an encoded lock report; true on 2xx, after at most one retry."""
-        for _ in range(LOCK_RETRIES + 1):
-            result = self._post_with_retries("/api/lock", body, 1)
-            if result is not None and 200 <= result[0] < 300:
-                return True
-        return False
+        """POST an encoded lock report; true on 2xx. Only a transport failure is retried, once."""
+        result = self._post_with_retries("/api/lock", body, LOCK_RETRIES + 1)
+        return result is not None and 200 <= result[0] < 300
 
     def report_crash(self, report: CrashReport) -> bool:
         result = self._post_with_retries("/api/crash", report.encode(), 1)

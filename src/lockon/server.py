@@ -41,8 +41,13 @@ The telemetry reply depends only on the queue, so the store keeps one reply
 per queue state, with its JSON bytes encoded once, on first use. Every
 telemetry POST is still decoded, checked and recorded, and gets the kept
 reply until a lock report or a seed changes the queue and drops it, under
-the store lock. Replies are shared by the requests they answer and
-read-only. The HTTP layer likewise keeps the status line and ``Server``
+the store lock. Records are never changed or removed, so the count of one
+kind's records fixes their contents: the store likewise keeps one records
+reply per kind, and one for all kinds, with the record count it was built
+from. A read under the store lock gets that reply while the count is the
+same, and builds a new one once it differs; its bytes too are encoded on
+first use, outside the lock. Replies are shared by the requests they answer
+and read-only. The HTTP layer likewise keeps the status line and ``Server``
 header per status code, and the ``Date`` text per second. Each request is
 logged (``log_request``) only when ``lockon.server`` is enabled for DEBUG,
 as with ``--log-level debug``.
@@ -210,6 +215,8 @@ class MissionStore:
         self._clock = clock
         # The telemetry reply for the current queue; None once the queue changes.
         self._telemetry_reply: _Reply | None = None
+        # The records reply per kind (None for all kinds), with the record count it holds.
+        self._records_replies: dict[str | None, tuple[int, _Reply]] = {}
         _check_unique(self._queue)
 
     # The one (method, path) -> handler table, for every transport. GET
@@ -317,8 +324,12 @@ class MissionStore:
         if kind is not None and kind not in RECORD_KINDS:
             raise ApiError(400, f"unknown record kind {kind!r}")
         with self._lock:
-            records = [r.as_dict() for r in self._kind(kind)]
-        return _Reply(200, {"records": records})
+            records = self._kind(kind)
+            kept = self._records_replies.get(kind)
+            if kept is None or kept[0] != len(records):  # first read, or a record was added
+                reply = _Reply(200, {"records": [r.as_dict() for r in records]})
+                kept = self._records_replies[kind] = (len(records), reply)
+        return kept[1]
 
     # Introspection used by tests and the scheduler.
     def queue_length(self) -> int:

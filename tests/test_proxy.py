@@ -213,6 +213,32 @@ class TestForwardLock:
         assert proxy.forward_lock(report().encode()) is False
         assert transport.calls == 2  # initial attempt plus one retry
 
+    def test_a_rejected_lock_is_posted_once(self):
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        transport = FlakyTransport(InProcessTransport(store), failures=0)
+        _, _, proxy = make_proxy(store=store, transport=transport)
+        assert proxy.forward_lock(report("T404").encode()) is False
+        assert transport.calls == 1  # the 404 is the server's answer, not a failure to retry
+        assert store.record_count("Lock") == 0
+
+    @pytest.mark.parametrize("status", [500, 503])
+    def test_a_server_error_is_final_too(self, status):
+        transport = ScriptedTransport([(status, b"{}"), (201, b"{}")])
+        _, _, proxy = make_proxy(transport=transport)
+        assert proxy.forward_lock(report().encode()) is False
+        assert len(transport.replies) == 1  # the 201 was never asked for
+
+    def test_lock_attempts_are_numbered_across_the_retry(self, caplog):
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        transport = FlakyTransport(InProcessTransport(store), failures=10)
+        _, _, proxy = make_proxy(store=store, transport=transport)
+        with caplog.at_level("WARNING", logger="lockon.proxy"):
+            assert proxy.forward_lock(report().encode()) is False
+        assert [r.getMessage() for r in caplog.records] == [
+            "transport failure on /api/lock (attempt 1): synthetic outage",
+            "transport failure on /api/lock (attempt 2): synthetic outage",
+        ]
+
 
     @pytest.mark.parametrize("as_value", [True, False], ids=["value", "bytes"])
     def test_a_retried_lock_posts_one_encoding(self, monkeypatch, as_value):

@@ -1,8 +1,10 @@
 """End-to-end scheduler behaviour: protocol flow, determinism, termination."""
 
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,8 @@ from hypothesis import given, strategies as st
 from lockon import runner
 from lockon.metrics import MetricsError
 from lockon.runner import event_log_to_jsonl, parse_jsonl, run
-from lockon.scenario import load_scenario
-from lockon.server import MissionStore, TargetAssignment
+from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
+from lockon.server import MissionStore, ServerThread, TargetAssignment
 from lockon.world import (
     ZERO3,
     CameraParams,
@@ -294,29 +296,38 @@ class TestTelemetryPairing:
         assert responses in (requests, requests - 1)
 
 
+def run_over_http(scenario):
+    """Run ``scenario`` against a loopback server seeded with its targets; the result and the store."""
+    store = MissionStore([TargetAssignment(tid, spec.p0) for tid, spec in scenario.targets])
+    with ServerThread(store) as server:
+        http_scenario = dataclasses.replace(
+            scenario,
+            transport=dataclasses.replace(
+                scenario.transport,
+                mode="http",
+                base_url=f"http://127.0.0.1:{server.port}",
+            ),
+        )
+        return run(http_scenario), store
+
+
 class TestHttpTransportMode:
     def test_run_against_loopback_server_matches_in_process(self):
-        from lockon.server import ServerThread
-
         scenario = load_scenario("moving_target")
         in_process = run(scenario)
-
-        store = MissionStore(
-            [TargetAssignment(tid, spec.p0) for tid, spec in scenario.targets]
-        )
-        with ServerThread(store) as server:
-            http_scenario = dataclasses.replace(
-                scenario,
-                transport=dataclasses.replace(
-                    scenario.transport,
-                    mode="http",
-                    base_url=f"http://127.0.0.1:{server.port}",
-                ),
-            )
-            over_http = run(http_scenario)
+        over_http, store = run_over_http(scenario)
         assert over_http.terminated_by == "land"
         assert over_http.report.per_target == in_process.report.per_target
         assert store.record_count("Lock") == 1
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_loopback_run_logs_the_golden_bytes(self, name):
+        """Over HTTP, each bundled scenario at its file seed logs the bytes pinned in-process."""
+        golden = json.loads(Path(__file__).with_name("golden_logs.json").read_text(encoding="utf-8"))
+        scenario = load_scenario(name)
+        over_http, _ = run_over_http(scenario)
+        digest = hashlib.sha256(event_log_to_jsonl(over_http.event_log).encode()).hexdigest()
+        assert digest == golden[f"{name}/{scenario.seed}"]
 
 
 class TestEventLogShape:
