@@ -13,11 +13,11 @@ messages as values, so no bytes are made for them in-process.
 replaces any other by its encoding. ``Envelope.data()`` gives the bytes,
 encoding a value only there, for the proxy's POST bodies.
 
-An envelope's payload is read at most once: the first reader to call
-``Envelope.parsed`` (in a run, the scheduler's event-log observer) gets
-``payloads.parse_json`` of the bytes, or a value's ``to_obj()``, which is the
-same object, and every later reader shares it read-only. A node's
-``Schema.from_envelope`` takes a value of its own schema as it is.
+Each reader reads the payload anew: ``Envelope.parsed`` (the run's event log
+reads it) gives a value's ``to_obj()``, which equals the parse of its
+encoding, or ``payloads.parse_json`` of the bytes. A node's
+``Schema.from_envelope`` takes a value of its own schema as it is and decodes
+anything else from ``Envelope.data()``.
 
 The broker is a plain in-memory object: it may be handed between threads as a
 whole but does not accept concurrent calls.
@@ -54,52 +54,12 @@ def validate_topic(name: str) -> str:
     return name
 
 
-_UNPARSED = object()  # Publisher.send's mark: the payload has not been parsed yet
-_NOT_JSON = object()  # the payload is not strict JSON
-
-
-class _ParsedOnce:
-    """Keeps the payload's parse in a slot that equality, hash and repr never see.
-
-    The frozen ``__setattr__`` refuses the slot, so it is written through its
-    member descriptor, as ``world.value`` writes the fields.
-    """
-
-    __slots__ = ("_parsed",)
-
-    def parsed(self):
-        """The payload's ``parse_json`` result, shared read-only; ValueError if not strict JSON.
-
-        A message value is canonical, so its ``to_obj()`` is the parse of its encoding.
-        """
-        try:
-            obj = self._parsed
-        except AttributeError:  # built directly rather than by Publisher.send
-            obj = _UNPARSED
-        if obj is _UNPARSED:
-            payload = self.payload
-            if isinstance(payload, Message):
-                obj = payload.to_obj()
-            else:
-                try:
-                    obj = parse_json(payload)
-                except (ValueError, RecursionError):
-                    obj = _NOT_JSON
-            _set_parsed(self, obj)
-        if obj is _NOT_JSON:
-            raise ValueError("payload is not strict JSON")
-        return obj
-
-
-_set_parsed = _ParsedOnce.__dict__["_parsed"].__set__
-
-
 @value
-class Envelope(_ParsedOnce):
+class Envelope:
     """A published message as seen by subscribers.
 
-    ``payload`` is bytes or a canonical message value: ``Publisher.send``
-    encodes a value that is not canonical.
+    ``payload`` is bytes or a canonical message value, else ValueError:
+    ``Publisher.send`` encodes a value that is not canonical.
     """
 
     topic: str
@@ -107,6 +67,21 @@ class Envelope(_ParsedOnce):
     publisher_id: str
     seq: int
     tick: int
+
+    def __post_init__(self) -> None:
+        payload = self.payload
+        if not (isinstance(payload, bytes) or isinstance(payload, Message) and payload.canonical()):
+            raise ValueError("payload must be bytes or a canonical message value")
+
+    def parsed(self):
+        """A value's ``to_obj()``, or ``parse_json`` of the bytes; ValueError if not strict JSON."""
+        payload = self.payload
+        if isinstance(payload, Message):
+            return payload.to_obj()
+        try:
+            return parse_json(payload)
+        except RecursionError:  # nested too deeply; the run's event log catches ValueError only
+            raise ValueError("payload is not strict JSON") from None
 
     def data(self) -> bytes:
         """The payload's bytes; a message value is encoded on each call."""
@@ -218,7 +193,6 @@ class Publisher:
             seq=self._next_seq,
             tick=tick,
         )
-        _set_parsed(envelope, _UNPARSED)
         count = self.bus.publish(envelope)
         self._next_seq += 1
         return count

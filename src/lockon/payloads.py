@@ -9,11 +9,9 @@ Parse contract: every payload that arrives as bytes, on the bus, at the
 mission server and in the run log, goes through one strict parser
 (``parse_json``). The bytes must be UTF-8 (no byte-order mark, no
 UTF-16/32) and hold JSON with no ``NaN`` or ``Infinity`` token and no number
-literal beyond the float range, anywhere in the document. A bus envelope is
-parsed once, by its first reader (in a run, the scheduler's event log), and
-later readers share that parse read-only: ``Schema.from_envelope(envelope)``
-builds from it, and returns the value or raises the DecodeError that
-``Schema.decode(envelope.payload)`` would.
+literal beyond the float range, anywhere in the document. Each reader of a
+bus envelope reads it anew: the run's event log parses the bytes, and
+``Schema.from_envelope(envelope)`` decodes them.
 
 A node may also publish a message value. One that is ``canonical()`` (each
 field exactly its declared type, every float finite) travels on the bus as
@@ -234,15 +232,11 @@ def wire(cls):
         return build(obj)
 
     def from_envelope(cls, envelope):
-        """``decode(envelope.payload)``; a value payload of this schema is returned as it is."""
+        """A value payload of this schema as it is; else ``decode(envelope.data())``."""
         payload = envelope.payload
         if type(payload) is cls:  # canonical, so it is what its encoding decodes to
             return payload
-        try:
-            obj = envelope.parsed()
-        except ValueError:  # decode raises the error, naming a non-finite field
-            return cls.decode(envelope.payload)
-        return build(obj)
+        return cls.decode(envelope.data())
 
     for method in ("to_obj", "encode", "canonical"):
         namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"

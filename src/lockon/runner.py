@@ -148,7 +148,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         }
         events.append(entry)
         if envelope.payload:
-            try:  # the first read: the subscribers build from this parse
+            try:
                 entry["payload"] = envelope.parsed()
             except ValueError:  # not strict JSON: log no payload
                 entry["malformed"] = True

@@ -25,6 +25,9 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
+# Nested past the JSON parser's recursion limit: it raises RecursionError.
+DEEP_JSON = b"[" * 100_000
+
 
 def make_scenario(overrides: dict | None = None, **top_level) -> Scenario:
     """Build a small single-target scenario with optional overrides."""

@@ -140,6 +140,18 @@ def test_criterion_4_paper_finding_scenario_pair(shipped_runs, capsys):
         )
 
 
+def test_hovering_target_is_overflown_once_and_never_seen_again(shipped_runs):
+    """One LOCK, lost when the pursuer passes the target; no offset after the return to SEARCH."""
+    hover = shipped_runs["hovering_target"]
+    fsm = [e for e in hover.event_log if e["kind"] == "fsm"]
+    assert [(e["from"], e["to"]) for e in fsm] == [
+        ("BOOT", "SEARCH"), ("SEARCH", "LOCK"), ("LOCK", "SEARCH"),
+    ]
+    back_to_search = fsm[-1]["tick"]
+    offsets = [e["tick"] for e in msgs(hover, "/image/message")]
+    assert offsets and max(offsets) < back_to_search
+
+
 def test_criterion_5_shutdown(property_batch, shipped_runs, capsys):
     """After /land: no envelope from any node, no request at the server."""
     landed_runs = 0

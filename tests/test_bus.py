@@ -1,12 +1,15 @@
 """Broker behaviour: routing, ordering, idempotence, and delivery properties."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
-from lockon import bus as bus_module
 from lockon.bus import Envelope, MessageBus, ProtocolError, Publisher, validate_topic
+from lockon.payloads import OffsetMessage
+
+from conftest import DEEP_JSON
 
 
 def env(topic, publisher="node", seq=0, tick=0, payload=b"x"):
@@ -165,8 +168,8 @@ class TestRecipientCache:
         assert bus.drain("c") == []
 
 
-class TestParsedOnce:
-    """An envelope's payload is parsed by its first reader and shared after that."""
+class TestParsed:
+    """Each call to ``Envelope.parsed`` reads the payload anew."""
 
     def sent(self, payload):
         bus = MessageBus()
@@ -176,16 +179,8 @@ class TestParsedOnce:
         (envelope,) = bus.drain("sub")
         return envelope
 
-    def test_later_readers_share_the_first_parse(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(bus_module, "parse_json", lambda data: calls.append(data) or {"a": 1})
-        for envelope in (self.sent(b'{"a":1}'), env("/t", payload=b'{"a":1}')):
-            first = envelope.parsed()
-            assert first == {"a": 1} and envelope.parsed() is first
-        assert len(calls) == 2  # once per envelope, sent or built directly
-
     def test_a_payload_that_is_not_strict_json_raises_every_time(self):
-        for payload in (b"NaN", b"not json", b"", b"\xff"):
+        for payload in (b"NaN", b"not json", b"", b"\xff", DEEP_JSON):
             envelope = self.sent(payload)
             for _ in range(2):
                 with pytest.raises(ValueError):
@@ -197,6 +192,19 @@ class TestParsedOnce:
         assert parsed == fresh and hash(parsed) == hash(fresh) and repr(parsed) == repr(fresh)
         assert dataclasses.replace(parsed) == parsed
         assert dataclasses.astuple(parsed) == ("/t", b"[1]", "node", 0, 0)
+
+
+class TestEnvelopePayload:
+    """An envelope holds bytes or a canonical message value, however it is built."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [OffsetMessage(math.nan, 0.0, 1), OffsetMessage(1, 0.0, 1), "{}", None, bytearray(b"{}")],
+        ids=["non-finite value", "int in a float field", "str", "None", "bytearray"],
+    )
+    def test_anything_else_is_refused(self, payload):
+        with pytest.raises(ValueError, match="canonical message value"):
+            Envelope("/image/message", payload, "vision", 0, 1)
 
 
 class TestPublisherHandle:

@@ -12,7 +12,7 @@ import json
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lockon import bus as topics
 from lockon.autonomy import AutonomousNode, ControlGains
@@ -23,10 +23,16 @@ from lockon.server import MissionStore, TargetAssignment
 from lockon.vision import VisionNode, VisionParams
 from lockon.world import PursuerState, Vec3
 
-from conftest import json_values
+from conftest import DEEP_JSON, json_values
 from test_payloads import MESSAGES
 
 GAINS = ControlGains(activation_radius=1e3, lock_duration=0.05)
+
+
+def deep_on(topic_names):
+    """One tick with a too-deeply nested payload on each topic."""
+    return example(ticks=[[(topic, DEEP_JSON) for topic in topic_names]])
+
 
 # Envelopes that move the autonomous node on: an assignment within the
 # activation radius, the end of the queue, and camera offsets.
@@ -63,6 +69,7 @@ def feed(bus, ticks, step):
 
 @settings(max_examples=50, deadline=None)
 @given(ticks_of([topics.SIGNAL_PROCESS_IMAGE, topics.LAND]))
+@deep_on([topics.SIGNAL_PROCESS_IMAGE, topics.LAND])
 def test_vision_node_survives_any_bytes(ticks):
     bus = MessageBus()
     node = VisionNode(bus, VisionParams(p_detect=1.0, detector_latency_frames=0), random.Random(0))
@@ -71,6 +78,7 @@ def test_vision_node_survives_any_bytes(ticks):
 
 @settings(max_examples=200, deadline=None)
 @given(ticks_of([topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LAND], SCRIPTED))
+@deep_on([topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LAND])
 def test_autonomous_node_survives_any_bytes(ticks):
     bus = MessageBus()
     node = AutonomousNode(bus, "uav-1", GAINS, dt=0.05, frame_period=0.1, telemetry_period=1.0)
@@ -87,6 +95,7 @@ def test_autonomous_node_survives_any_bytes(ticks):
 
 @settings(max_examples=100, deadline=None)
 @given(ticks_of([topics.TELEMETRY, topics.LOCK, topics.LAND]))
+@deep_on([topics.TELEMETRY, topics.LOCK, topics.LAND])
 def test_proxy_node_survives_any_bytes(ticks):
     bus = MessageBus()
     store = MissionStore([TargetAssignment("T1", Vec3(60.0, 0.0, 10.0))])

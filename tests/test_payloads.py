@@ -26,7 +26,7 @@ from lockon.scenario import load_scenario
 from lockon.vision import VisionNode
 from lockon.world import Vec3, finite_float
 
-from conftest import json_values
+from conftest import DEEP_JSON, json_values
 
 SCHEMAS = [TelemetryRequest, TelemetryResponse, LockReport, OffsetMessage, CrashReport]
 
@@ -449,7 +449,7 @@ def test_strict_rule_rejects_what_json_loads_accepts(body):
 
 
 class NoteVision(VisionNode):
-    """Vision whose offsets carry an extra field with a non-finite value."""
+    """Vision whose offsets carry an extra field that the strict parser refuses."""
 
     note = b"NaN"
 
@@ -466,7 +466,7 @@ class NoteVision(VisionNode):
             self._publisher.send = send
 
 
-@pytest.mark.parametrize("note", [b"NaN", b"1e400"])
+@pytest.mark.parametrize("note", [b"NaN", b"1e400", DEEP_JSON], ids=["NaN", "1e400", "too deep"])
 def test_nodes_drop_what_the_log_calls_malformed(monkeypatch, note):
     monkeypatch.setattr(NoteVision, "note", note)
     monkeypatch.setattr(runner, "VisionNode", NoteVision)
@@ -527,7 +527,7 @@ def test_from_envelope_agrees_with_decode(schema, data, how):
     envelope = Envelope("/t", data, "node", 0, 0) if how == "built" else published(data)
     if how == "read by another schema first":
         outcome(lambda: OffsetMessage.from_envelope(envelope))
-    for _ in range(2):  # the first read parses, the second shares the parse
+    for _ in range(2):  # each read decodes anew
         got = outcome(lambda: schema.from_envelope(envelope))
         assert type(got) is type(expected) and got == expected
 

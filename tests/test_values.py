@@ -139,6 +139,7 @@ def test_value_class_matches_a_stock_frozen_dataclass(cls):
         lambda: LockReport("uav-1", "T1", 9, 3, POSITION),
         lambda: PipelineState(PipelineMode.TRACKING, None, 0, True),
         lambda: PipelineState(mode=PipelineMode.TRACKING),
+        lambda: Envelope("/image/message", OffsetMessage(math.nan, 0.0, 1), "vision", 0, 1),
     ],
 )
 def test_post_init_checks_still_raise(build):
