@@ -169,8 +169,6 @@ def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand
     v_lock; no range information exists in the offset, so there is no
     closure control.
     """
-    if abs(offset.x) > 1.0 or abs(offset.y) > 1.0:
-        raise ValueError("offset components must lie in [-1, 1]")
     return GuidanceCommand(
         yaw_rate=-gains.k_yaw * offset.x,
         pitch_rate=-gains.k_pitch * offset.y,

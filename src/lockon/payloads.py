@@ -2,8 +2,9 @@
 
 Five payload types travel as UTF-8 JSON: telemetry requests and responses,
 lock reports, camera offset messages, and crash reports. Each is a frozen,
-slotted ``world.value`` dataclass whose codec the ``wire`` decorator
-compiles once from its field types, to straight-line code per schema.
+slotted ``world.value`` dataclass. The ``wire`` decorator compiles its
+``to_obj``, ``canonical`` and decoder once from its field types, to
+straight-line code per schema; ``encode`` is json's encoder over ``to_obj()``.
 
 Parse contract: every payload that arrives as bytes, on the bus, at the
 mission server and in the run log, goes through one strict parser
@@ -27,7 +28,8 @@ a bool), a ``float`` field a finite JSON number, and a ``Vec3`` field an
 required field, a value of the wrong type, a non-finite number or a value
 the schema's own validation rejects raises DecodeError naming the field;
 the mission server answers such a body with HTTP 400. Unknown fields are
-ignored. Encoding is canonical: exactly the bytes of
+ignored. Encoding is canonical: ``CANONICAL_JSON`` (the sorted, compact
+writer of the event log too) over ``to_obj()``, the bytes of
 ``json.dumps(to_obj(), sort_keys=True, separators=(",", ":"))``.
 """
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii
 
 from .world import Vec3, finite_float, value
 
@@ -83,39 +84,8 @@ def parse_json(data: bytes | str):
     return _STRICT_JSON.decode(data)
 
 
-# Anything but a plain scalar (a container, a subclass) is left to the json
-# encoder, which raises TypeError for what json.dumps cannot write either.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _value_text(value) -> str:
-    """``value`` as json.dumps writes it inside the canonical document."""
-    kind = type(value)
-    if kind is float:
-        if value - value == 0.0:  # finite
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return _CANONICAL.encode(value)
-
-
-def _vec3_text(value) -> str:
-    """A Vec3 field as to_obj writes it, ``Vec3.as_dict`` (keys already sorted)."""
-    if value is None:
-        return "null"
-    return (
-        '{"x":' + _value_text(value.x) + ',"y":' + _value_text(value.y)
-        + ',"z":' + _value_text(value.z) + "}"
-    )
+# The one canonical JSON writer: payload encodings and event-log lines.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _exactly(kind: type):
@@ -137,9 +107,6 @@ FROM_JSON = {
     Vec3: Vec3.from_any,
 }
 
-# field type -> (field value -> JSON value or None, field value -> canonical JSON text)
-_TO_JSON = {Vec3: (Vec3.as_dict, _vec3_text)}
-
 # field type -> test that the field value ``v`` is exactly that type, every float finite
 _CANONICAL_TEST = {
     str: "type(v) is str",
@@ -157,18 +124,17 @@ def wire(cls):
     The class gets ``to_obj``, ``encode``, ``canonical``, ``decode`` and
     ``from_envelope``.
 
-    ``to_obj``, ``encode``, ``canonical`` and the decoders' ``build`` are
-    compiled here to straight-line code, a few statements per field, with
-    ``exec`` as ``world.value`` compiles ``__init__``: the encoder joins its
-    ``"key":`` prefixes in sorted-key order, and ``build`` converts each
-    field in field order. So a codec call runs no loop over the fields, no
-    ``getattr`` and no json set-up.
+    ``to_obj``, ``canonical`` and the decoders' ``build`` are compiled here
+    to straight-line code, a few statements per field, with ``exec`` as
+    ``world.value`` compiles ``__init__``, so a call runs no loop over the
+    fields and no ``getattr``. ``encode`` is ``CANONICAL_JSON`` over
+    ``to_obj()``.
     """
     hints = typing.get_type_hints(cls)
     namespace = {
         "__name__": cls.__module__, "DecodeError": DecodeError, "_cls": cls, "_Vec3": Vec3,
     }
-    items, texts = [], {}
+    items = []
     canonical = ["def canonical(self):"]
     build = [
         "def build(obj):",
@@ -181,13 +147,10 @@ def wire(cls):
         optional = type(None) in typing.get_args(kind)
         if optional:
             kind = next(a for a in typing.get_args(kind) if a is not type(None))
-        to_json, to_text = _TO_JSON.get(kind, (None, _value_text))
-        namespace.update({f"_from{i}": FROM_JSON[kind], f"_text{i}": to_text})
-        namespace[f"_json{i}"] = to_json
+        namespace[f"_from{i}"] = FROM_JSON[kind]
         attr = f"self.{name}"
-        items.append(f"{name!r}: {attr}" if to_json is None
-                     else f"{name!r}: None if {attr} is None else _json{i}({attr})")
-        texts[name] = f"_text{i}({attr})"
+        items.append(f"{name!r}: None if {attr} is None else {attr}.as_dict()" if kind is Vec3
+                     else f"{name!r}: {attr}")
         check = _CANONICAL_TEST[kind]
         canonical += [
             f"    v = {attr}",
@@ -205,23 +168,21 @@ def wire(cls):
             "        except ValueError as exc:",
             f"            raise DecodeError({f'field {name!r}: '!r} + str(exc)) from None",
         ]
-    encoded = " + ".join(
-        repr(("," if n else "{") + encode_basestring_ascii(name) + ":") + " + " + texts[name]
-        for n, name in enumerate(sorted(texts))
-    )
     source = "\n".join([
         f"def to_obj(self):\n    return {{{', '.join(items)}}}",
-        f"def encode(self):\n    return ({encoded} + '}}').encode()",
         *canonical,
         "    return True",
         *build,
         "    try:",
-        f"        return _cls({', '.join(f'v{i}' for i in range(len(texts)))})",
+        f"        return _cls({', '.join(f'v{i}' for i in range(len(items)))})",
         "    except ValueError as exc:  # the schema's own __post_init__ checks",
         "        raise DecodeError(str(exc)) from None",
     ])
     exec(source, namespace)
     build = namespace["build"]
+
+    def encode(self) -> bytes:
+        return CANONICAL_JSON.encode(self.to_obj()).encode()
 
     def decode(cls, data: bytes | str):
         try:
@@ -238,9 +199,9 @@ def wire(cls):
             return payload
         return cls.decode(envelope.data())
 
-    for method in ("to_obj", "encode", "canonical"):
-        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, namespace[method])
+    for method in (namespace["to_obj"], encode, namespace["canonical"]):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls.decode = classmethod(decode)
     cls.from_envelope = classmethod(from_envelope)
     return cls
@@ -328,6 +289,12 @@ class CrashReport:
     uav_id: str
     time: float
     position: Vec3
+
+
+# The reply when no target is left, or when the mission server cannot be reached.
+NO_TARGET = TelemetryResponse(
+    has_target=False, target_id=None, target_position=None, remaining_targets=0
+)
 
 
 # A message a node may publish as a value rather than as bytes (see bus.Envelope).

@@ -21,7 +21,14 @@ import logging
 
 from . import bus as topics
 from .bus import Envelope, MessageBus, Publisher
-from .payloads import CrashReport, DecodeError, LockReport, TelemetryRequest, TelemetryResponse
+from .payloads import (
+    NO_TARGET,
+    CrashReport,
+    DecodeError,
+    LockReport,
+    TelemetryRequest,
+    TelemetryResponse,
+)
 from .server import MissionStore
 
 log = logging.getLogger(__name__)
@@ -139,11 +146,8 @@ class ProxyNode:
                 return last[1]
         self.degraded_events += 1
         log.warning("degraded link: publishing empty telemetry response")
-        response = TelemetryResponse(
-            has_target=False, target_id=None, target_position=None, remaining_targets=0
-        )
-        self._publisher.send(topics.TELEMETRY_RESPONSE, response, tick)
-        return response
+        self._publisher.send(topics.TELEMETRY_RESPONSE, NO_TARGET, tick)
+        return NO_TARGET
 
     def forward_lock(self, body: bytes) -> bool:
         """POST an encoded lock report; true on 2xx. Only a transport failure is retried, once."""

@@ -16,7 +16,6 @@ nothing else is recorded per tick.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from . import bus as topics
 from .autonomy import AutonomousNode
 from .bus import Envelope, MessageBus
 from .metrics import MetricsError, RunReport, summarize_run
-from .payloads import CrashReport, parse_json
+from .payloads import CANONICAL_JSON, CrashReport, parse_json
 from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
@@ -59,9 +58,7 @@ class RunResult:
 
 
 def event_log_to_jsonl(entries: list[dict]) -> str:
-    return "".join(
-        json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n" for entry in entries
-    )
+    return "".join(CANONICAL_JSON.encode(entry) + "\n" for entry in entries)
 
 
 def parse_jsonl(text: str) -> list[dict]:

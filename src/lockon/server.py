@@ -73,6 +73,7 @@ from urllib.parse import parse_qs
 
 from .payloads import (
     FROM_JSON,
+    NO_TARGET,
     CrashReport,
     DecodeError,
     LockReport,
@@ -277,12 +278,7 @@ class MissionStore:
                         remaining_targets=len(self._queue),
                     )
                 else:
-                    response = TelemetryResponse(
-                        has_target=False,
-                        target_id=None,
-                        target_position=None,
-                        remaining_targets=0,
-                    )
+                    response = NO_TARGET
                 reply = self._telemetry_reply = _Reply(200, response.to_obj())
         return reply
 
