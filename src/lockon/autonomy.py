@@ -14,10 +14,11 @@ overflown and lost while a receding one stays in frame.
 
 ``handle_event`` is the transition function over (state, context, event).
 Its events are the decoded wire messages (``TelemetryResponse``,
-``OffsetMessage``) and the conditions the node senses each tick; it updates
-the context in place and returns the new state with the actions to run.
-``AutonomousNode`` owns that context, sets its tick, time and pose each tick,
-advances the containment timer, and talks to the bus.
+``OffsetMessage``) and the ``Sensed`` conditions the node senses each tick;
+it updates the context in place and returns the new state with the actions
+to run, each a ``GuidanceCommand`` to fly or a ``(topic, payload)`` pair to
+publish. ``AutonomousNode`` owns that context, sets its tick, time and pose
+each tick, advances the containment timer, and talks to the bus.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 from . import bus as topics
 from .bus import MessageBus, Publisher
@@ -37,7 +38,7 @@ from .payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from .world import GuidanceCommand, PursuerState, Vec3, distance, value, wrap_angle
+from .world import GuidanceCommand, PursuerState, Vec3, distance, wrap_angle
 
 
 class StateMachineError(Exception):
@@ -89,50 +90,18 @@ class MissionContext:
     signal_sent_for_current: bool = False
 
 
-# Events. Besides the decoded TelemetryResponse and OffsetMessage, these are
-# sensed internally by the node each tick.
-@value
-class DistanceBelowThreshold:
-    pass
+class Sensed(Enum):
+    """The events the node senses itself each tick, besides the decoded messages."""
+
+    DISTANCE_BELOW_THRESHOLD = "DISTANCE_BELOW_THRESHOLD"
+    CAMERA_STALE = "CAMERA_STALE"
+    LOCK_TIMER_ELAPSED = "LOCK_TIMER_ELAPSED"
+    NO_MORE_TARGETS = "NO_MORE_TARGETS"
 
 
-@value
-class CameraStale:
-    pass
-
-
-@value
-class LockTimerElapsed:
-    pass
-
-
-@value
-class NoMoreTargets:
-    pass
-
-
-Event = Union[
-    TelemetryResponse,
-    DistanceBelowThreshold,
-    OffsetMessage,
-    CameraStale,
-    LockTimerElapsed,
-    NoMoreTargets,
-]
-
-
-@value
-class PublishAction:
-    topic: str
-    payload: bytes | Message
-
-
-@value
-class SetGuidance:
-    command: GuidanceCommand
-
-
-Action = Union[PublishAction, SetGuidance]
+Event = TelemetryResponse | OffsetMessage | Sensed
+# A guidance to fly, or a (topic, payload) pair to publish.
+Action = GuidanceCommand | tuple[str, bytes | Message]
 
 _TIMER_EPS = 1e-9
 
@@ -214,20 +183,19 @@ def handle_event(
 
     if state is MissionState.SEARCH:
         if isinstance(event, TelemetryResponse) and event.has_target:
-            assert ctx.pursuer is not None
-            command = search_guidance(ctx.pursuer, event.target_position, gains)
+            # The node steers toward target_position at the end of the tick.
             if event.target_id != ctx.current_target:
                 ctx.current_target = event.target_id
                 ctx.signal_sent_for_current = False
                 ctx.last_camera_tick = None
             ctx.target_position = event.target_position
             ctx.remaining_targets = event.remaining_targets
-            return state, [SetGuidance(command)]
-        if isinstance(event, DistanceBelowThreshold):
+            return state, []
+        if event is Sensed.DISTANCE_BELOW_THRESHOLD:
             if ctx.signal_sent_for_current or ctx.current_target is None:
                 return state, []
             ctx.signal_sent_for_current = True
-            return state, [PublishAction(topics.SIGNAL_PROCESS_IMAGE, b"")]
+            return state, [(topics.SIGNAL_PROCESS_IMAGE, b"")]
         if isinstance(event, OffsetMessage):
             if not ctx.signal_sent_for_current:
                 # Stale offset from a previous engagement; vision has not
@@ -235,23 +203,23 @@ def handle_event(
                 return state, []
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = ctx.last_camera_tick = event.tick
-            return MissionState.LOCK, [SetGuidance(lock_guidance(event, gains))]
-        if isinstance(event, (TelemetryResponse, NoMoreTargets)):
+            return MissionState.LOCK, [lock_guidance(event, gains)]
+        if isinstance(event, TelemetryResponse) or event is Sensed.NO_MORE_TARGETS:
             # No target is left: the server sent none, or the last was locked.
             ctx.current_target = ctx.target_position = ctx.lock_start_tick = None
             ctx.lock_timer = 0.0
-            return MissionState.LANDING, [PublishAction(topics.LAND, b"")]
-        raise StateMachineError(f"{type(event).__name__} is illegal in SEARCH")
+            return MissionState.LANDING, [(topics.LAND, b"")]
+        raise StateMachineError(f"{event} is illegal in SEARCH")
 
     if state is MissionState.LOCK:
         if isinstance(event, OffsetMessage):
             ctx.last_camera_tick = event.tick
-            return state, [SetGuidance(lock_guidance(event, gains))]
-        if isinstance(event, CameraStale):
+            return state, [lock_guidance(event, gains)]
+        if event is Sensed.CAMERA_STALE:
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = None
             return MissionState.SEARCH, []
-        if isinstance(event, LockTimerElapsed):
+        if event is Sensed.LOCK_TIMER_ELAPSED:
             assert ctx.current_target is not None and ctx.pursuer is not None
             assert ctx.lock_start_tick is not None
             report = LockReport(
@@ -266,11 +234,9 @@ def handle_event(
             ctx.remaining_targets = max(0, ctx.remaining_targets - 1)
             ctx.lock_timer = 0.0
             ctx.signal_sent_for_current = False
-            actions: list[Action] = [PublishAction(topics.LOCK, report)]
+            actions: list[Action] = [(topics.LOCK, report)]
             if ctx.remaining_targets > 0:
-                actions.append(
-                    PublishAction(topics.TELEMETRY, _telemetry_request(ctx, MissionState.SEARCH))
-                )
+                actions.append((topics.TELEMETRY, _telemetry_request(ctx, MissionState.SEARCH)))
             return MissionState.SEARCH, actions
         if isinstance(event, TelemetryResponse):
             # In-flight periodic response; refresh bookkeeping, no transition.
@@ -279,7 +245,7 @@ def handle_event(
                 ctx.target_position = event.target_position
                 ctx.remaining_targets = event.remaining_targets
             return state, []
-        raise StateMachineError(f"{type(event).__name__} is illegal in LOCK")
+        raise StateMachineError(f"{event} is illegal in LOCK")
 
     raise StateMachineError(f"no events are accepted in {state.value}")
 
@@ -316,12 +282,13 @@ class AutonomousNode:
         bus.subscribe(self.CLIENT_ID, topics.LAND)
 
     def _execute(self, action: Action) -> None:
-        if isinstance(action, PublishAction):
-            self._publisher.send(action.topic, action.payload, self.ctx.tick)
-            if action.topic == topics.TELEMETRY:
-                self._last_telemetry_time = self.ctx.time
+        if isinstance(action, GuidanceCommand):
+            self.guidance = action
         else:
-            self.guidance = action.command
+            topic, payload = action
+            self._publisher.send(topic, payload, self.ctx.tick)
+            if topic == topics.TELEMETRY:
+                self._last_telemetry_time = self.ctx.time
 
     def _enter(self, new_state: MissionState) -> None:
         old, self.state = self.state, new_state
@@ -357,8 +324,7 @@ class AutonomousNode:
         if self.state is MissionState.BOOT:
             # Single boot tick: internal structures are up, announce and search.
             self._enter(MissionState.SEARCH)
-            self._publisher.send(topics.TELEMETRY, _telemetry_request(self.ctx, self.state), tick)
-            self._last_telemetry_time = time
+            self._execute((topics.TELEMETRY, _telemetry_request(self.ctx, self.state)))
             return
         if self.state is MissionState.LANDING:
             self._enter(MissionState.LANDED)
@@ -379,18 +345,18 @@ class AutonomousNode:
                 and distance(pursuer.position, self.ctx.target_position)
                 < self.gains.activation_radius
             ):
-                self._dispatch(DistanceBelowThreshold())
+                self._dispatch(Sensed.DISTANCE_BELOW_THRESHOLD)
         elif self.state is MissionState.LOCK:
             assert self.ctx.last_camera_tick is not None
             gap = tick - self.ctx.last_camera_tick
             if gap > self._grace_ticks:
-                self._dispatch(CameraStale())
+                self._dispatch(Sensed.CAMERA_STALE)
             else:
                 contained = gap <= self._frame_gap_ticks
                 if advance_lock_timer(self.ctx, contained, self.dt, self.gains):
-                    self._dispatch(LockTimerElapsed())
+                    self._dispatch(Sensed.LOCK_TIMER_ELAPSED)
                     if self.ctx.remaining_targets == 0:
-                        self._dispatch(NoMoreTargets())
+                        self._dispatch(Sensed.NO_MORE_TARGETS)
 
         # Periodic telemetry keeps the server informed and the assignment fresh.
         if self.state in (MissionState.SEARCH, MissionState.LOCK):
@@ -399,10 +365,7 @@ class AutonomousNode:
                 or time - self._last_telemetry_time >= self.telemetry_period - 1e-9
             )
             if due:
-                self._publisher.send(
-                    topics.TELEMETRY, _telemetry_request(self.ctx, self.state), tick
-                )
-                self._last_telemetry_time = time
+                self._execute((topics.TELEMETRY, _telemetry_request(self.ctx, self.state)))
 
         # Continuous guidance refresh: SEARCH re-aims at the last reported
         # position every tick; LOCK holds the latest camera command.

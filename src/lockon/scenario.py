@@ -242,15 +242,17 @@ def load_scenario(path: str | Path) -> Scenario:
 
     The file is read by the strict payload parser (``payloads.parse_json``):
     bytes that are not UTF-8, or JSON that is not strict or nests too deep,
-    are a ScenarioError like any other malformed file.
+    are a ScenarioError like any other malformed file. So is a path that
+    cannot be read, such as a directory (``""`` is ``.``) or one with a NUL.
     """
     p = Path(path)
-    if p.exists():
-        data = p.read_bytes()
-        default_name = p.stem
-    else:
-        data = bundled_scenario_bytes(str(path))
-        default_name = str(path)
+    try:
+        if p.exists():
+            data, default_name = p.read_bytes(), p.stem
+        else:
+            data, default_name = bundled_scenario_bytes(str(path)), str(path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{str(path)!r}: cannot read: {exc}") from None
     try:
         doc = parse_json(data)
     except (ValueError, RecursionError) as exc:

@@ -34,8 +34,9 @@ lines may end in LF alone. Every error reply, from either layer, is
 ``{"error": message}`` JSON.
 
 Assignment policy is a FIFO queue whose head stays assigned until a lock
-report consumes it. Records are append-only with gap-free ids. A single
-coarse lock makes the store safe under the threading HTTP server.
+report consumes it. Records are append-only with gap-free ids, and kept as
+the objects that records replies list. A single coarse lock makes the store
+safe under the threading HTTP server.
 
 The telemetry reply depends only on the queue, so the store keeps one reply
 per queue state, with its JSON bytes encoded once, on first use. Every
@@ -45,11 +46,12 @@ the store lock. Records are never changed or removed, so the count of one
 kind's records fixes their contents: the store likewise keeps one records
 reply per kind, and one for all kinds, with the record count it was built
 from. A read under the store lock gets that reply while the count is the
-same, and builds a new one once it differs; its bytes too are encoded on
-first use, outside the lock. Replies are shared by the requests they answer
-and read-only. The HTTP layer likewise keeps the status line and ``Server``
-header per status code, and the ``Date`` text per second. Each request is
-logged (``log_request``) only when ``lockon.server`` is enabled for DEBUG,
+same, and otherwise lists the kept record objects in a new one; its bytes
+too are encoded on first use, outside the lock. Replies, and the records
+they list, are shared by the requests they answer and read-only. The HTTP
+server likewise keeps the status line and ``Server`` header per status
+code, and the ``Date`` text per second. Each request is logged
+(``log_request``) only when ``lockon.server`` is enabled for DEBUG,
 as with ``--log-level debug``.
 
 The module also hosts the loopback-HTTP latency harness.
@@ -97,22 +99,6 @@ MAX_HEADER_LINES = 100  # header lines, counting the blank one that ends them; m
 # LF or (at EOF) in nothing. The value keeps trailing blanks.
 _FIELD_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
 _FRAMING_FIELDS = ("content-length", "transfer-encoding")  # one of each at most
-
-
-@dataclass
-class MissionRecord:
-    record_id: int
-    kind: str
-    received_at: float
-    body: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "kind": self.kind,
-            "received_at": self.received_at,
-            "body": self.body,
-        }
 
 
 @dataclass
@@ -210,9 +196,10 @@ class MissionStore:
     ) -> None:
         self._lock = threading.Lock()
         self._queue: list[TargetAssignment] = list(targets or [])
-        self._records: list[MissionRecord] = []
+        # Each record as a records reply lists it: record_id, kind, received_at, body.
+        self._records: list[dict] = []
         # The same records, one list per kind, so a filtered query reads only its kind.
-        self._by_kind: dict[str, list[MissionRecord]] = {kind: [] for kind in RECORD_KINDS}
+        self._by_kind: dict[str, list[dict]] = {kind: [] for kind in RECORD_KINDS}
         self._clock = clock
         # The telemetry reply for the current queue; None once the queue changes.
         self._telemetry_reply: _Reply | None = None
@@ -243,13 +230,13 @@ class MissionStore:
         except ApiError as exc:
             return _Reply(exc.status, {"error": str(exc)})
 
-    def _append(self, kind: str, body: dict) -> MissionRecord:
-        record = MissionRecord(
-            record_id=len(self._records) + 1,
-            kind=kind,
-            received_at=self._clock(),
-            body=body,
-        )
+    def _append(self, kind: str, body: dict) -> dict:
+        record = {
+            "record_id": len(self._records) + 1,
+            "kind": kind,
+            "received_at": self._clock(),
+            "body": body,
+        }
         self._records.append(record)
         self._by_kind[kind].append(record)
         return record
@@ -297,7 +284,7 @@ class MissionStore:
             del self._queue[index]
             self._telemetry_reply = None
             record = self._append("Lock", report.to_obj())
-        return _Reply(201, {"record_id": record.record_id, "recorded": True})
+        return _Reply(201, {"record_id": record["record_id"], "recorded": True})
 
     def handle_crash_report(self, body: bytes | str) -> _Reply:
         try:
@@ -306,7 +293,7 @@ class MissionStore:
             raise ApiError(400, f"invalid crash report: {exc}") from exc
         with self._lock:
             record = self._append("Crash", report.to_obj())
-        return _Reply(201, {"record_id": record.record_id, "recorded": True})
+        return _Reply(201, {"record_id": record["record_id"], "recorded": True})
 
     def handle_seed(self, body: bytes | str) -> _Reply:
         try:
@@ -323,7 +310,7 @@ class MissionStore:
             records = self._kind(kind)
             kept = self._records_replies.get(kind)
             if kept is None or kept[0] != len(records):  # first read, or a record was added
-                reply = _Reply(200, {"records": [r.as_dict() for r in records]})
+                reply = _Reply(200, {"records": records[:]})
                 kept = self._records_replies[kind] = (len(records), reply)
         return kept[1]
 
@@ -336,7 +323,7 @@ class MissionStore:
         with self._lock:
             return len(self._kind(kind))
 
-    def _kind(self, kind: str | None) -> list[MissionRecord]:
+    def _kind(self, kind: str | None) -> list[dict]:
         return self._records if kind is None else self._by_kind.get(kind, [])
 
 
@@ -408,10 +395,6 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = 30.0  # idle seconds before the server closes a connection
-    store: MissionStore  # set by make_http_server
-    # Status line plus Server header by status code, filled as statuses are
-    # first sent; set by make_http_server, one dict per server.
-    status_heads: dict[int, str]
 
     def handle(self) -> None:
         try:
@@ -485,9 +468,9 @@ class _Handler(BaseHTTPRequestHandler):
         status = reply.status
         if log.isEnabledFor(logging.DEBUG):  # skip formatting a line no handler shows
             self.log_request(status, len(data))
-        status_head = self.status_heads.get(status)
+        status_head = self.server.status_heads.get(status)
         if status_head is None:
-            status_head = self.status_heads[status] = (
+            status_head = self.server.status_heads[status] = (
                 f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
                 f"Server: {self.version_string()}\r\n"
             )
@@ -547,29 +530,33 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
         body = self._read_body()
         if body is not None:
-            self._reply(self.store.dispatch("POST", self.path, body))
+            self._reply(self.server.store.dispatch("POST", self.path, body))
 
     def do_GET(self) -> None:  # noqa: N802
         # A body is read and ignored, so that it is not taken for the next request.
         if self._read_body() is not None:
-            self._reply(self.store.dispatch("GET", self.path))
+            self._reply(self.server.store.dispatch("GET", self.path))
 
     def log_message(self, format: str, *args) -> None:
         log.debug("http " + format, *args)
 
 
 class _HttpServer(ThreadingHTTPServer):
-    """A threading HTTP server whose ``server_close`` also ends open connections.
+    """A threading HTTP server over a store, whose ``server_close`` also ends open connections.
 
     Without that, a kept-alive connection would go on being served, and
-    changing the store, after the server was closed.
+    changing the store, after the server was closed. Its handlers read the
+    store and ``status_heads``, the status line plus Server header by status
+    code, filled as statuses are first sent.
     """
 
-    def __init__(self, address, handler) -> None:
+    def __init__(self, address, store: MissionStore) -> None:
+        self.store = store
+        self.status_heads: dict[int, str] = {}
         # Set first: a failed bind calls server_close() inside super().__init__.
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
-        super().__init__(address, handler)
+        super().__init__(address, _Handler)
 
     def process_request(self, request, client_address) -> None:
         with self._open_lock:
@@ -593,8 +580,7 @@ class _HttpServer(ThreadingHTTPServer):
 
 def make_http_server(store: MissionStore, port: int = 0, host: str = "127.0.0.1") -> ThreadingHTTPServer:
     """Bind a threading HTTP server over the store; port 0 picks a free one."""
-    handler = type("BoundHandler", (_Handler,), {"store": store, "status_heads": {}})
-    return _HttpServer((host, port), handler)
+    return _HttpServer((host, port), store)
 
 
 class ServerThread:

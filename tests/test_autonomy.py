@@ -6,15 +6,10 @@ import math
 import pytest
 
 from lockon.autonomy import (
-    CameraStale,
     ControlGains,
-    DistanceBelowThreshold,
-    LockTimerElapsed,
     MissionContext,
     MissionState,
-    NoMoreTargets,
-    PublishAction,
-    SetGuidance,
+    Sensed,
     StateMachineError,
     advance_lock_timer,
     handle_event,
@@ -24,7 +19,7 @@ from lockon.autonomy import (
 from lockon.autonomy import AutonomousNode
 from lockon.bus import MessageBus, Publisher
 from lockon.payloads import LockReport, OffsetMessage, TelemetryRequest, TelemetryResponse
-from lockon.world import PursuerState, Vec3
+from lockon.world import GuidanceCommand, PursuerState, Vec3
 
 GAINS = ControlGains()
 NO_TARGET = TelemetryResponse(False, None, None, 0)
@@ -53,19 +48,29 @@ class TestSearchTransitions:
         assert state is MissionState.SEARCH
         assert current.current_target == "T1"
         assert current.remaining_targets == 2
-        assert len(actions) == 1 and isinstance(actions[0], SetGuidance)
-        assert actions[0].command.speed == GAINS.v_cruise
+        assert actions == []
+        # The node steers toward the stored target in the tick that reads it.
+        bus = MessageBus()
+        node = AutonomousNode(bus, "uav-1", GAINS, dt=0.05, frame_period=0.1, telemetry_period=1.0)
+        pursuer = PursuerState(Vec3(0, 0, 10), 0.3, 0.0, 0.0)
+        node.step(0, 0.0, pursuer)  # BOOT -> SEARCH
+        target = Vec3(100, 40, 20)
+        Publisher(bus, "proxy").send("/telemetry/response", TelemetryResponse(True, "T1", target, 2), 0)
+        bus.deliver()
+        node.step(1, 0.05, pursuer)
+        assert node.guidance == search_guidance(pursuer, target, GAINS)
+        assert node.guidance.speed == GAINS.v_cruise and node.guidance.yaw_rate != 0.0
 
     def test_distance_threshold_publishes_signal_once(self):
         current = ctx(current_target="T1", target_position=Vec3(5, 0, 10))
         state, actions = handle_event(
-            MissionState.SEARCH, current, DistanceBelowThreshold(), GAINS
+            MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD, GAINS
         )
         assert state is MissionState.SEARCH
         assert current.signal_sent_for_current
-        assert actions == [PublishAction("/signal/process_image", b"")]
+        assert actions == [("/signal/process_image", b"")]
         # Second crossing is a no-op.
-        _, again = handle_event(MissionState.SEARCH, current, DistanceBelowThreshold(), GAINS)
+        _, again = handle_event(MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD, GAINS)
         assert again == []
 
     def test_camera_offset_enters_lock_with_zero_timer(self):
@@ -77,7 +82,7 @@ class TestSearchTransitions:
         assert current.lock_timer == 0.0
         assert current.lock_start_tick == 99
         assert current.last_camera_tick == 99
-        assert isinstance(actions[0], SetGuidance)
+        assert actions == [lock_guidance(event, GAINS)]
 
     def test_stale_offset_before_signal_is_ignored(self):
         current = ctx(current_target="T2", target_position=Vec3(50, 0, 10))
@@ -86,26 +91,26 @@ class TestSearchTransitions:
         assert state is MissionState.SEARCH and actions == []
 
     def test_no_more_targets_lands(self):
-        state, actions = handle_event(MissionState.SEARCH, ctx(), NoMoreTargets(), GAINS)
+        state, actions = handle_event(MissionState.SEARCH, ctx(), Sensed.NO_MORE_TARGETS, GAINS)
         assert state is MissionState.LANDING
-        assert actions == [PublishAction("/land", b"")]
+        assert actions == [("/land", b"")]
 
     def test_response_without_target_lands(self):
         current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                       lock_timer=1.0, lock_start_tick=90)
         state, actions = handle_event(MissionState.SEARCH, current, NO_TARGET, GAINS)
         assert state is MissionState.LANDING
-        assert actions == [PublishAction("/land", b"")]
+        assert actions == [("/land", b"")]
         assert current.current_target is None and current.target_position is None
         assert current.lock_timer == 0.0 and current.lock_start_tick is None
 
     def test_lock_timer_elapsed_is_illegal_in_search(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.SEARCH, ctx(), LockTimerElapsed(), GAINS)
+            handle_event(MissionState.SEARCH, ctx(), Sensed.LOCK_TIMER_ELAPSED, GAINS)
 
     def test_camera_stale_is_illegal_in_search(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.SEARCH, ctx(), CameraStale(), GAINS)
+            handle_event(MissionState.SEARCH, ctx(), Sensed.CAMERA_STALE, GAINS)
 
     def test_new_assignment_resets_signal_flag(self):
         engaged = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
@@ -140,13 +145,14 @@ class TestLockTransitions:
         state, actions = handle_event(MissionState.LOCK, current, event, GAINS)
         assert state is MissionState.LOCK
         assert current.last_camera_tick == 100
-        command = actions[0].command
+        [command] = actions
+        assert isinstance(command, GuidanceCommand)
         assert abs(command.yaw_rate) == pytest.approx(0.4)
         assert command.speed == GAINS.v_lock
 
     def test_camera_stale_returns_to_search(self):
         current = self.lock_ctx()
-        state, actions = handle_event(MissionState.LOCK, current, CameraStale(), GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.CAMERA_STALE, GAINS)
         assert state is MissionState.SEARCH
         assert current.lock_timer == 0.0
         assert current.current_target == "T1"  # engagement continues
@@ -154,12 +160,12 @@ class TestLockTransitions:
 
     def test_lock_timer_elapsed_reports_and_requests_next(self):
         current = self.lock_ctx(tick=300)
-        state, actions = handle_event(MissionState.LOCK, current, LockTimerElapsed(), GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED, GAINS)
         assert state is MissionState.SEARCH
         assert current.current_target is None
         assert current.remaining_targets == 1
-        assert [a.topic for a in actions] == ["/lock", "/telemetry"]
-        report, request = actions[0].payload, actions[1].payload
+        assert [topic for topic, _ in actions] == ["/lock", "/telemetry"]
+        (_, report), (_, request) = actions
         assert type(report) is LockReport
         assert type(request) is TelemetryRequest and request.state == "SEARCH"
         assert report.target_id == "T1"
@@ -167,10 +173,10 @@ class TestLockTransitions:
 
     def test_lock_timer_elapsed_on_last_target_requests_nothing(self):
         current = self.lock_ctx(remaining_targets=1)
-        state, actions = handle_event(MissionState.LOCK, current, LockTimerElapsed(), GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED, GAINS)
         assert state is MissionState.SEARCH
         assert current.remaining_targets == 0
-        assert [a.topic for a in actions] == ["/lock"]
+        assert [topic for topic, _ in actions] == ["/lock"]
 
     def test_telemetry_response_in_lock_is_benign(self):
         current = self.lock_ctx()
@@ -193,7 +199,7 @@ class TestLockTransitions:
 
     def test_no_more_targets_is_illegal_in_lock(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.LOCK, self.lock_ctx(), NoMoreTargets(), GAINS)
+            handle_event(MissionState.LOCK, self.lock_ctx(), Sensed.NO_MORE_TARGETS, GAINS)
 
 
 class TestTerminalStates:
@@ -205,7 +211,7 @@ class TestTerminalStates:
 
     def test_landed_rejects_events(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.LANDED, ctx(), NoMoreTargets(), GAINS)
+            handle_event(MissionState.LANDED, ctx(), Sensed.NO_MORE_TARGETS, GAINS)
 
     def test_equal_contexts_stay_equal(self):
         first = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
@@ -220,10 +226,10 @@ class TestTerminalStates:
     @pytest.mark.parametrize(
         "state, event",
         [
-            (MissionState.SEARCH, LockTimerElapsed()),
-            (MissionState.SEARCH, CameraStale()),
-            (MissionState.LOCK, NoMoreTargets()),
-            (MissionState.LANDED, NoMoreTargets()),
+            (MissionState.SEARCH, Sensed.LOCK_TIMER_ELAPSED),
+            (MissionState.SEARCH, Sensed.CAMERA_STALE),
+            (MissionState.LOCK, Sensed.NO_MORE_TARGETS),
+            (MissionState.LANDED, Sensed.NO_MORE_TARGETS),
         ],
     )
     def test_illegal_event_leaves_context_unchanged(self, state, event):

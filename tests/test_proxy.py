@@ -3,10 +3,25 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockon.bus import MessageBus, Publisher
-from lockon.payloads import CrashReport, LockReport, TelemetryRequest, TelemetryResponse
-from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
+from lockon.payloads import (
+    NO_TARGET,
+    CrashReport,
+    DecodeError,
+    LockReport,
+    TelemetryRequest,
+    TelemetryResponse,
+)
+from lockon.proxy import (
+    LOCK_RETRIES,
+    TELEMETRY_RETRIES,
+    HttpTransport,
+    InProcessTransport,
+    ProxyNode,
+    TransportError,
+)
 from lockon.server import MissionStore, ServerThread, TargetAssignment
 from lockon.world import Vec3
 
@@ -183,6 +198,77 @@ class TestReplyCache:
         )
         assert published == [REPLY, DEGRADED, REPLY]
         assert decoded == [REPLY] and proxy.degraded_events == 1
+
+
+# One post's outcome: an HTTP status with a body that decodes as a telemetry
+# reply or one that does not, or a transport failure.
+STATUSES = st.one_of(
+    st.just(200), st.integers(201, 299), st.integers(400, 499), st.integers(500, 599)
+)
+BODIES = st.one_of(
+    st.sampled_from([REPLY, OTHER, DEGRADED]),
+    st.sampled_from([b"", b"not json", b'{"has_target":true,"remaining_targets":1}']),
+    st.binary(max_size=16),
+)
+OUTCOMES = st.one_of(st.tuples(STATUSES, BODIES), st.just(TransportError("synthetic outage")))
+MOST_POSTS = max(TELEMETRY_RETRIES, LOCK_RETRIES + 1)  # per forwarded envelope
+
+
+@st.composite
+def transport_scripts(draw):
+    """Envelopes to forward ("telemetry" or "lock"), and enough outcomes for every post."""
+    kinds = draw(st.lists(st.sampled_from(["telemetry", "lock"]), min_size=1, max_size=8))
+    size = len(kinds) * MOST_POSTS
+    return kinds, draw(st.lists(OUTCOMES, min_size=size, max_size=size))
+
+
+def decoded_reply(answer):
+    """The response a telemetry answer publishes undegraded, or None."""
+    if answer is None or answer[0] != 200:
+        return None
+    try:
+        return TelemetryResponse.decode(answer[1])
+    except DecodeError:
+        return None
+
+
+class TestTransportScripts:
+    """Over any script of answers and failures, the proxy keeps its retry and degrade rules."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(transport_scripts())
+    def test_retries_stop_at_the_first_answer_and_degrade_only_without_a_reply(self, script):
+        kinds, outcomes = script
+        transport = ScriptedTransport(outcomes)
+        bus, _, proxy = make_proxy(transport=transport)
+        uav = Publisher(bus, "autonomous")
+        degraded = 0
+        for tick, kind in enumerate(kinds):
+            sent = len(outcomes) - len(transport.replies)
+            if kind == "telemetry":
+                uav.send("/telemetry", request(float(tick)), tick)
+            else:
+                uav.send("/lock", report(), tick)
+            bus.deliver()
+            [envelope] = bus.drain("proxy")
+            proxy.handle_envelope(envelope, tick)  # nothing escapes
+            posts = outcomes[sent : len(outcomes) - len(transport.replies)]
+            failures = [o for o in posts if isinstance(o, TransportError)]
+            answer = None if len(failures) == len(posts) else posts[-1]
+            # Only a transport failure is retried, up to the kind's attempts.
+            attempts = TELEMETRY_RETRIES if kind == "telemetry" else LOCK_RETRIES + 1
+            assert posts and failures == posts[: len(failures)]
+            assert len(failures) + (answer is not None) == len(posts) <= attempts
+            assert answer is not None or len(posts) == attempts
+            bus.deliver()
+            published = [e.payload for e in bus.drain("autonomous")]
+            if kind == "telemetry":
+                response = decoded_reply(answer)
+                degraded += response is None
+                assert published == [NO_TARGET if response is None else response]
+            else:
+                assert published == []
+            assert proxy.degraded_events == degraded
 
 
 class TestForwardLock:

@@ -221,5 +221,5 @@ def test_concurrent_writes_and_reads_over_http_see_ordered_growing_records():
     assert failures == []
     assert (store.record_count("Telemetry"), store.record_count("Lock")) == (240, len(ids))
     # The store's own record list, read once every thread has ended, is the oracle.
-    records = [(r.kind, r.body) for r in store._records]
+    records = [(r["kind"], r["body"]) for r in store._records]
     assert last == {kind: fresh_reply(records, kind) for kind in ("Lock", None)}

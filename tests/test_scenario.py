@@ -1,7 +1,9 @@
 """Scenario loading, validation diagnostics, and defaulting."""
 
 import json
+import os
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,21 @@ class TestLoadScenario:
     def test_missing_file_and_unknown_bundle(self):
         with pytest.raises(ScenarioError, match="no bundled scenario"):
             load_scenario("does_not_exist")
+
+    @pytest.mark.parametrize("kind", ["empty", "directory", "nul-byte"])
+    def test_unreadable_path_is_a_scenario_error_naming_it(self, tmp_path, kind):
+        path = {"empty": "", "directory": str(tmp_path), "nul-byte": "a\x00b"}[kind]
+        with pytest.raises(ScenarioError, match=re.escape(f"{path!r}: cannot read")):
+            load_scenario(path)
+
+    def test_fifo_is_read_like_a_file(self, tmp_path):
+        fifo = tmp_path / "s.json"
+        os.mkfifo(fifo)
+        data = json.dumps({"name": "piped", "targets": []}).encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        assert load_scenario(fifo).name == "piped"
+        writer.join(timeout=5.0)
 
     def test_invalid_json_diagnostic(self, tmp_path):
         path = tmp_path / "bad.json"

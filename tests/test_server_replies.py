@@ -214,7 +214,9 @@ REPLY_CASES = {
     ),
     "413": (
         b"POST /api/crash HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
-        "413 Request Entity Too Large", True, b'{"error": "body exceeds 1048576 bytes"}',
+        # The reason phrase is the stdlib's, which Python 3.13 renamed "Content Too Large".
+        f"413 {BaseHTTPRequestHandler.responses[413][0]}", True,
+        b'{"error": "body exceeds 1048576 bytes"}',
     ),
     "431": (
         b"GET /api/records HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n",

@@ -15,14 +15,6 @@ import math
 import pytest
 
 from lockon import autonomy, bus, metrics, payloads, proxy, runner, scenario, server, vision, world
-from lockon.autonomy import (
-    CameraStale,
-    DistanceBelowThreshold,
-    LockTimerElapsed,
-    NoMoreTargets,
-    PublishAction,
-    SetGuidance,
-)
 from lockon.bus import Envelope
 from lockon.payloads import (
     CrashReport,
@@ -52,12 +44,6 @@ SAMPLES = {
         (PipelineMode.TRACKING, (0.1, 0.2), 3, True),
         (PipelineMode.DETECTING, None, 0, False),
     ],
-    DistanceBelowThreshold: [(), ()],
-    CameraStale: [(), ()],
-    LockTimerElapsed: [(), ()],
-    NoMoreTargets: [(), ()],
-    PublishAction: [("/land", b""), ("/lock", b"")],
-    SetGuidance: [(GuidanceCommand(0.1, 0.0, 2.0),), (GuidanceCommand(),)],
 }
 
 # Every frozen, slotted dataclass of the package is a value class, apart
