@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from lockon import bus as topics
 from lockon.autonomy import (
     ControlGains,
     MissionContext,
@@ -18,7 +19,7 @@ from lockon.autonomy import (
 )
 from lockon.autonomy import AutonomousNode
 from lockon.bus import MessageBus, Publisher
-from lockon.payloads import LockReport, OffsetMessage, TelemetryRequest, TelemetryResponse
+from lockon.payloads import LockReport, Message, OffsetMessage, TelemetryRequest, TelemetryResponse
 from lockon.world import GuidanceCommand, PursuerState, Vec3
 
 GAINS = ControlGains()
@@ -239,6 +240,59 @@ class TestTerminalStates:
         with pytest.raises(StateMachineError):
             handle_event(state, current, event, GAINS)
         assert current == before
+
+
+class TestEventsAndActions:
+    """The sensed events are enum members and the actions plain values."""
+
+    @pytest.mark.parametrize(
+        "event, legal_in",
+        [
+            (Sensed.DISTANCE_BELOW_THRESHOLD, MissionState.SEARCH),
+            (Sensed.NO_MORE_TARGETS, MissionState.SEARCH),
+            (Sensed.CAMERA_STALE, MissionState.LOCK),
+            (Sensed.LOCK_TIMER_ELAPSED, MissionState.LOCK),
+        ],
+        ids=lambda value: value.name,
+    )
+    def test_sensed_event_is_legal_in_one_flying_state(self, event, legal_in):
+        legal = set()
+        for state in (MissionState.SEARCH, MissionState.LOCK):
+            current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
+                          remaining_targets=2, lock_start_tick=90)
+            try:
+                handle_event(state, current, event, GAINS)
+            except StateMachineError:
+                continue
+            legal.add(state)
+        assert legal == {legal_in}
+
+    def test_actions_are_guidances_or_topic_payload_pairs(self):
+        current = ctx()
+        state = MissionState.SEARCH
+        actions = []
+        for event in (
+            TelemetryResponse(True, "T1", Vec3(5, 0, 10), 2),
+            Sensed.DISTANCE_BELOW_THRESHOLD,
+            OffsetMessage(0.2, -0.1, tick=100),
+            OffsetMessage(0.1, 0.0, tick=101),
+            Sensed.LOCK_TIMER_ELAPSED,
+            NO_TARGET,
+        ):
+            state, emitted = handle_event(state, current, event, GAINS)
+            actions += emitted
+        assert state is MissionState.LANDING
+        published = [a for a in actions if not isinstance(a, GuidanceCommand)]
+        assert len(actions) - len(published) == 2
+        known = {getattr(topics, name) for name in dir(topics) if name.isupper()}
+        for pair in published:
+            assert type(pair) is tuple and len(pair) == 2
+            topic, payload = pair
+            assert topic in known
+            assert type(payload) is bytes or isinstance(payload, Message)
+        assert [topic for topic, _ in published] == [
+            "/signal/process_image", "/lock", "/telemetry", "/land"
+        ]
 
 
 class TestInboxRaces:
