@@ -5,39 +5,50 @@ mission server) exchange messages over an in-process pub/sub bus under a
 lockstep scheduler, reproducing the SEARCH/LOCK mission protocol, the
 detect-then-track camera handoff, and the characteristic failure on targets
 hovering motionless in the air.
+
+Each public name is imported from its module on first use (PEP 562), so that
+``import lockon``, or a command such as ``lockon serve``, loads only the
+modules it uses.
 """
 
-from .autonomy import ControlGains, MissionState
-from .bus import Envelope, MessageBus
-from .metrics import ConfusionCounts, confusion_metrics, summarize_run
-from .runner import RunResult, run
-from .scenario import Scenario, load_scenario
-from .server import MissionStore, TargetAssignment, latency_harness
-from .vision import VisionParams
-from .world import CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CameraParams",
-    "ConfusionCounts",
-    "ControlGains",
-    "Envelope",
-    "MessageBus",
-    "MissionState",
-    "MissionStore",
-    "PursuerState",
-    "RunResult",
-    "Scenario",
-    "TargetAssignment",
-    "TrajectoryKind",
-    "TrajectorySpec",
-    "Vec3",
-    "VisionParams",
-    "confusion_metrics",
-    "latency_harness",
-    "load_scenario",
-    "run",
-    "summarize_run",
-    "__version__",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "CameraParams": "world",
+    "ConfusionCounts": "metrics",
+    "ControlGains": "autonomy",
+    "Envelope": "bus",
+    "MessageBus": "bus",
+    "MissionState": "autonomy",
+    "MissionStore": "server",
+    "PursuerState": "world",
+    "RunResult": "runner",
+    "Scenario": "scenario",
+    "TargetAssignment": "server",
+    "TrajectoryKind": "world",
+    "TrajectorySpec": "world",
+    "Vec3": "world",
+    "VisionParams": "vision",
+    "confusion_metrics": "metrics",
+    "latency_harness": "latency",
+    "load_scenario": "scenario",
+    "run": "runner",
+    "summarize_run": "metrics",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

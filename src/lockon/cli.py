@@ -1,4 +1,9 @@
-"""Command line interface: run scenarios, compute metrics, serve, measure latency."""
+"""Command line interface: run scenarios, compute metrics, serve, measure latency.
+
+The simulator's modules and the latency client are imported by the commands
+that use them, when they run, so that ``lockon serve`` loads the mission
+server and its payloads alone.
+"""
 
 from __future__ import annotations
 
@@ -9,20 +14,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .metrics import ConfusionCounts, MetricsError, confusion_metrics, summarize_run
-from .runner import event_log_to_jsonl, parse_jsonl, run
-from .scenario import ScenarioError, load_scenario
-from .server import (
-    LatencyHarnessError,
-    MissionStore,
-    TargetAssignment,
-    latency_harness,
-    make_http_server,
-    read_targets,
-)
+from .server import MissionStore, TargetAssignment, make_http_server, read_targets
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .runner import event_log_to_jsonl, run
+    from .scenario import load_scenario
+
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -44,6 +42,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import ConfusionCounts, confusion_metrics, summarize_run
+    from .runner import parse_jsonl
+
     if args.log:
         entries = parse_jsonl(Path(args.log).read_text(encoding="utf-8"))
         report = summarize_run(entries)
@@ -61,6 +62,8 @@ def _load_targets_file(path: str) -> list[TargetAssignment]:
     try:
         return read_targets(Path(path).read_bytes())
     except ValueError as exc:
+        from .scenario import ScenarioError
+
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -68,8 +71,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     targets = _load_targets_file(args.targets) if args.targets else []
     store = MissionStore(targets)
     httpd = make_http_server(store, port=args.port)
-    print(f"mission server listening on 127.0.0.1:{httpd.server_address[1]}", flush=True)
-    try:
+    try:  # a signal that comes just after the line, too, closes the server
+        print(f"mission server listening on 127.0.0.1:{httpd.server_address[1]}", flush=True)
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -79,6 +82,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
+    from .latency import latency_harness
+
     report = latency_harness(port=args.port, payload_bytes=args.bytes, n_requests=args.count)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -143,6 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` prints as ``error: ...`` and exit status 1.
+
+    ``main`` calls this only while it matches a raised exception, so a
+    command that succeeds imports none of these modules for their errors.
+    """
+    from .latency import LatencyHarnessError
+    from .metrics import MetricsError
+    from .scenario import ScenarioError
+
+    return ScenarioError, MetricsError, LatencyHarnessError, ValueError, OSError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -150,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
-    except (ScenarioError, MetricsError, LatencyHarnessError, ValueError, OSError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,6 +113,30 @@ class TestServeCommand:
         assert main(["serve", "--port", "0", "--targets", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_an_interrupt_while_the_listening_line_is_written_closes_the_server(self, monkeypatch):
+        # A supervisor that waits for the line and then stops the server interrupts here.
+        ports = []
+
+        class InterruptedOutput:
+            def write(self, text):
+                if "listening" in text:
+                    ports.append(int(text.rsplit(":", 1)[1]))
+                    raise KeyboardInterrupt
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self: pytest.fail("served"))
+        monkeypatch.setattr(sys, "stdout", InterruptedOutput())
+        try:
+            code = main(["serve", "--port", "0"])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 0 and len(ports) == 1
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", ports[0]), timeout=5.0).close()
+
     @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize(
         "data",
@@ -165,6 +189,28 @@ def test_serve_on_a_busy_port_is_an_error_not_a_traceback():
             [sys.executable, "-m", "lockon.cli", "serve", "--port", busy],
             capture_output=True, text=True, timeout=20,
         )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["serve", "--port", "0", "--targets"], '{"targets": [{"position": [60, 0, 10]}]}'),
+        (["metrics", "--log"], '{"kind": "meta"}\n{"kind": \n'),
+        (["run", "--scenario"], '{"name": "no targets"}'),
+    ],
+    ids=["serve-ScenarioError", "metrics-MetricsError", "run-ScenarioError"],
+)
+def test_an_input_error_exits_1_in_a_fresh_process(tmp_path, command, content):
+    # main imports the error classes it catches only when one is raised, so
+    # this runs where no earlier test has imported their modules.
+    path = tmp_path / "input"
+    path.write_text(content)
+    done = subprocess.run(
+        [sys.executable, "-m", "lockon.cli", *command, str(path)],
+        capture_output=True, text=True, timeout=20,
+    )
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 

@@ -5,13 +5,8 @@ import socket
 
 import pytest
 
-from lockon.server import (
-    LatencyHarnessError,
-    MissionStore,
-    ServerThread,
-    _padded_telemetry_body,
-    latency_harness,
-)
+from lockon.latency import LatencyHarnessError, _padded_telemetry_body, latency_harness
+from lockon.server import MissionStore, ServerThread
 
 
 def free_port():

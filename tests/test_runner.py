@@ -4,13 +4,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lockon import runner
-from lockon.metrics import MetricsError
+from lockon.metrics import MetricsError, summarize_run
+from lockon.proxy import InProcessTransport, TransportError
 from lockon.runner import event_log_to_jsonl, parse_jsonl, run
 from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
 from lockon.server import MissionStore, ServerThread, TargetAssignment
@@ -26,7 +28,7 @@ from lockon.world import (
     eval_trajectory,
 )
 
-from conftest import make_scenario, reference_project, run_recorded
+from conftest import make_scenario, random_scenario, reference_project, run_recorded
 
 
 def topic_msgs(result, topic):
@@ -263,6 +265,42 @@ class TestTermination:
             e for e in result.event_log if e["kind"] == "msg" and e["tick"] > land_tick
         ]
         assert after == []
+
+
+class FlakyLink:
+    """The in-process transport behind a link that, by a seeded draw, fails a post,
+    answers it with a 5xx or with a body that does not decode, or passes it on."""
+
+    def __init__(self, store, seed):
+        self.inner = InProcessTransport(store)
+        self.rng = random.Random(seed)
+        self.faults = 0
+
+    def post(self, path, body):
+        draw = self.rng.random()
+        if draw >= 0.3:
+            return self.inner.post(path, body)
+        self.faults += 1
+        if draw < 0.1:
+            raise TransportError("synthetic outage")
+        if draw < 0.2:
+            return self.rng.choice([500, 502, 503]), b'{"error": "upstream"}'
+        return 200, self.rng.choice([b"", b"not json", b'{"has_target": true}'])
+
+
+class TestFlakyLink:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_run_ends_and_its_log_gets_a_report(self, monkeypatch, seed):
+        links = []
+        monkeypatch.setattr(
+            runner, "InProcessTransport", lambda store: links.append(FlakyLink(store, seed)) or links[-1]
+        )
+        result = run(random_scenario(seed))
+        assert links[0].faults > 0
+        assert result.event_log[-1]["kind"] == "end"
+        # The log as written and read back: a report, never a MetricsError.
+        entries = parse_jsonl(event_log_to_jsonl(result.event_log))
+        assert summarize_run(entries) == result.report
 
 
 class TestActivationRule:
