@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable
 
 from . import bus as topics
-from .bus import MessageBus, Publisher
+from .bus import MessageBus
 from .payloads import (
     DecodeError,
     LockReport,
@@ -274,7 +274,6 @@ class AutonomousNode:
         self._frame_gap_ticks = max(1, round(frame_period / dt))
         self._grace_ticks = max(1, round(gains.camera_grace / dt))
         self._last_telemetry_time: float | None = None
-        self._publisher = Publisher(bus, self.CLIENT_ID)
         self._bus = bus
         self._transition_hook = transition_hook
         bus.subscribe(self.CLIENT_ID, topics.TELEMETRY_RESPONSE)
@@ -286,7 +285,7 @@ class AutonomousNode:
             self.guidance = action
         else:
             topic, payload = action
-            self._publisher.send(topic, payload, self.ctx.tick)
+            self._bus.publish(self.CLIENT_ID, topic, payload, self.ctx.tick)
             if topic == topics.TELEMETRY:
                 self._last_telemetry_time = self.ctx.time
 

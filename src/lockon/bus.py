@@ -1,17 +1,18 @@
 """In-process publish/subscribe broker with exact topic-string routing.
 
 Semantics are QoS-0-like: at-most-once delivery, no retained messages, no
-wildcards. Publishes made during a simulation tick are buffered and handed to
-subscriber inboxes when the scheduler calls ``deliver()``, sorted by
-(publisher_id, seq) so runs replay identically. The recipient set of a publish
-is frozen at publish time; the broker keeps each topic's sorted recipients
-until a subscribe or unsubscribe to that topic.
+wildcards. ``MessageBus.publish`` numbers each publisher id's messages 0, 1,
+2, ... in publish order. Publishes made during a simulation tick are buffered
+and handed to subscriber inboxes when the scheduler calls ``deliver()``,
+sorted by (publisher_id, seq) so runs replay identically. The recipient set
+of a publish is frozen at publish time; the broker keeps each topic's sorted
+recipients until a subscribe or unsubscribe to that topic.
 
 A payload is bytes, or a ``payloads`` message value: the nodes publish their
-messages as values, so no bytes are made for them in-process.
-``Publisher.send`` keeps a value that is ``canonical()`` as it is and
-replaces any other by its encoding. ``Envelope.data()`` gives the bytes,
-encoding a value only there, for the proxy's POST bodies.
+messages as values, so no bytes are made for them in-process. ``publish``
+keeps a value that is ``canonical()`` as it is and replaces any other by its
+encoding. ``Envelope.data()`` gives the bytes, encoding a value only there,
+for the proxy's POST bodies.
 
 Each reader reads the payload anew: ``Envelope.parsed`` (the run's event log
 reads it) gives a value's ``to_obj()``, which equals the parse of its
@@ -40,7 +41,7 @@ LOCK = "/lock"
 
 
 class ProtocolError(Exception):
-    """Malformed topic, bad sequence number, or use of a shut-down broker."""
+    """A malformed topic or an empty client id."""
 
 
 def validate_topic(name: str) -> str:
@@ -59,7 +60,7 @@ class Envelope:
     """A published message as seen by subscribers.
 
     ``payload`` is bytes or a canonical message value, else ValueError:
-    ``Publisher.send`` encodes a value that is not canonical.
+    ``MessageBus.publish`` encodes a value that is not canonical.
     """
 
     topic: str
@@ -103,14 +104,11 @@ class MessageBus:
         self._recipients: dict[str, tuple[str, ...]] = {}  # topic -> sorted client ids
         self._inboxes: dict[str, list[Envelope]] = {}
         self._pending: list[tuple[Envelope, tuple[str, ...]]] = []
-        self._last_seq: dict[str, int] = {}
+        self._next_seq: dict[str, int] = {}  # publisher id -> seq of its next envelope
         self._valid_topics: set[str] = set()
         self._observer = observer
-        self._closed = False
 
     def subscribe(self, client_id: str, topic: str) -> None:
-        if self._closed:
-            raise ProtocolError("broker is shut down")
         validate_topic(topic)
         if not client_id:
             raise ProtocolError("client_id must be nonempty")
@@ -126,19 +124,18 @@ class MessageBus:
         self._recipients.pop(topic, None)
         return True
 
-    def publish(self, envelope: Envelope) -> int:
-        if self._closed:
-            raise ProtocolError("broker is shut down")
-        topic = envelope.topic
+    def publish(self, publisher_id: str, topic: str, payload: bytes | Message, tick: int) -> int:
+        """Queue ``payload`` as the publisher's next envelope; return its delivery count.
+
+        A message value that is not ``canonical()`` is replaced by its encoding.
+        """
         if type(topic) is not str or topic not in self._valid_topics:
             self._valid_topics.add(validate_topic(topic))
-        last = self._last_seq.get(envelope.publisher_id)
-        if last is not None and envelope.seq <= last:
-            raise ProtocolError(
-                f"seq {envelope.seq} from {envelope.publisher_id!r} is not "
-                f"greater than previous seq {last}"
-            )
-        self._last_seq[envelope.publisher_id] = envelope.seq
+        if isinstance(payload, Message) and not payload.canonical():
+            payload = payload.encode()
+        seq = self._next_seq.get(publisher_id, 0)
+        envelope = Envelope(topic, payload, publisher_id, seq, tick)
+        self._next_seq[publisher_id] = seq + 1
         recipients = self._recipients.get(topic)
         if recipients is None:
             recipients = self._recipients[topic] = tuple(sorted(self._subs.get(topic, ())))
@@ -170,29 +167,3 @@ class MessageBus:
             return []
         self._inboxes[client_id] = []
         return inbox
-
-    def shutdown(self) -> None:
-        self._closed = True
-
-
-class Publisher:
-    """Per-node publishing handle that allocates strictly increasing seqs."""
-
-    def __init__(self, bus: MessageBus, client_id: str) -> None:
-        self.bus = bus
-        self.client_id = client_id
-        self._next_seq = 0
-
-    def send(self, topic: str, payload: bytes | Message, tick: int) -> int:
-        if isinstance(payload, Message) and not payload.canonical():
-            payload = payload.encode()
-        envelope = Envelope(
-            topic=topic,
-            payload=payload,
-            publisher_id=self.client_id,
-            seq=self._next_seq,
-            tick=tick,
-        )
-        count = self.bus.publish(envelope)
-        self._next_seq += 1
-        return count

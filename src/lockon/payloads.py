@@ -62,7 +62,6 @@ def _finite_literal(text: str) -> float:
 
 
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_literal)
-_scan = _STRICT_JSON.scan_once
 
 
 def parse_json(data: bytes | str):
@@ -72,15 +71,6 @@ def parse_json(data: bytes | str):
     """
     if not isinstance(data, str):
         data = data.decode("utf-8")
-    # A payload is one unpadded value, which the scanner reads by itself; the
-    # full decode, with its two whitespace matches, reads the padded ones
-    # and reports what is not JSON.
-    try:
-        value, end = _scan(data, 0)
-        if end == len(data):
-            return value
-    except StopIteration:
-        pass
     return _STRICT_JSON.decode(data)
 
 

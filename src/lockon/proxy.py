@@ -5,9 +5,12 @@ payload bytes, ``Envelope.data()``: a message value is encoded there, once,
 where it leaves the run. The telemetry reply comes back on
 /telemetry/response as a ``TelemetryResponse`` value, and lock reports are
 acknowledged; /land disarms the proxy so no request leaves the UAV after
-landing. Transport failures degrade gracefully: telemetry is
-tried three times and then a has_target=false response is published, lock
-reports retry once. Only a transport failure is retried: an HTTP answer,
+landing. Telemetry is tried three times, a lock report twice. A degraded
+telemetry reply (three transport failures, a non-200, or a 200 that does not
+decode) is counted in ``degraded_events`` and publishes nothing: the
+autonomy node keeps its assignment and asks again with its next periodic
+telemetry, so a lost reply cannot pass for the server's empty queue and land
+the mission. Only a transport failure is retried: an HTTP answer,
 even a 4xx or 5xx, is final. Retries follow at once, within the same tick:
 a wall-clock wait would stall the lockstep scheduler. A 200 telemetry reply
 with the same bytes as the last one that decoded is not decoded again: its
@@ -20,9 +23,8 @@ import http.client
 import logging
 
 from . import bus as topics
-from .bus import Envelope, MessageBus, Publisher
+from .bus import Envelope, MessageBus
 from .payloads import (
-    NO_TARGET,
     CrashReport,
     DecodeError,
     LockReport,
@@ -114,7 +116,6 @@ class ProxyNode:
         # response). The server answers with the same bytes until its queue
         # changes, so most replies are a hit.
         self._last_reply: tuple[bytes, TelemetryResponse] | None = None
-        self._publisher = Publisher(bus, self.CLIENT_ID)
         self._bus = bus
         bus.subscribe(self.CLIENT_ID, topics.TELEMETRY)
         bus.subscribe(self.CLIENT_ID, topics.LOCK)
@@ -128,8 +129,8 @@ class ProxyNode:
                 log.warning("transport failure on %s (attempt %d): %s", path, attempt + 1, exc)
         return None
 
-    def forward_telemetry(self, body: bytes, tick: int = 0) -> TelemetryResponse:
-        """POST an encoded telemetry request and publish the (possibly degraded) reply."""
+    def forward_telemetry(self, body: bytes, tick: int = 0) -> TelemetryResponse | None:
+        """POST an encoded telemetry request and publish its reply; None if it degraded."""
         result = self._post_with_retries("/api/telemetry", body, TELEMETRY_RETRIES)
         if result is not None and result[0] == 200:
             data, last = result[1], self._last_reply
@@ -142,12 +143,11 @@ class ProxyNode:
                 else:
                     last = self._last_reply = (data, response)
             if last is not None:
-                self._publisher.send(topics.TELEMETRY_RESPONSE, last[1], tick)
+                self._bus.publish(self.CLIENT_ID, topics.TELEMETRY_RESPONSE, last[1], tick)
                 return last[1]
         self.degraded_events += 1
-        log.warning("degraded link: publishing empty telemetry response")
-        self._publisher.send(topics.TELEMETRY_RESPONSE, NO_TARGET, tick)
-        return NO_TARGET
+        log.warning("degraded link: no telemetry response published")
+        return None
 
     def forward_lock(self, body: bytes) -> bool:
         """POST an encoded lock report; true on 2xx. Only a transport failure is retried, once."""

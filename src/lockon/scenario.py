@@ -198,14 +198,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     targets = tuple(_parse_target(entry, i) for i, entry in enumerate(targets_raw))
 
     dt = _field(data, "dt", float, 0.05)
-    frame_period = _field(data, "frame_period", float, 0.1)
 
     camera_raw = _section(data, "camera")
     try:
         camera = CameraParams(
             hfov=math.radians(_field(camera_raw, "hfov_deg", float, 90.0, "camera.")),
             vfov=math.radians(_field(camera_raw, "vfov_deg", float, 60.0, "camera.")),
-            frame_period=frame_period,
         )
     except ValueError as exc:
         raise ScenarioError(f"camera: {exc}") from exc
@@ -214,7 +212,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         name=_field(data, "name", str, name),
         seed=_field(data, "seed", int, 0),
         dt=dt,
-        frame_period=frame_period,
+        frame_period=_field(data, "frame_period", float, 0.1),
         max_time=_field(data, "max_time", float, 60.0),
         telemetry_period=_field(data, "telemetry_period", float, 1.0),
         pursuer_init=pursuer,

@@ -558,10 +558,10 @@ class _HttpServer(ThreadingHTTPServer):
             self._open.add(request)
         super().process_request(request, client_address)
 
-    def shutdown_request(self, request) -> None:
+    def close_request(self, request) -> None:
         with self._open_lock:
             self._open.discard(request)
-        super().shutdown_request(request)
+        super().close_request(request)
 
     def server_close(self) -> None:
         super().server_close()

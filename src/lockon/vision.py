@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import bus as topics
-from .bus import Envelope, MessageBus, Publisher
+from .bus import Envelope, MessageBus
 from .payloads import OffsetMessage
 from .world import value
 
@@ -144,7 +144,6 @@ class VisionNode:
         self.params = params
         self.rng = rng
         self.state = PipelineState()
-        self._publisher = Publisher(bus, self.CLIENT_ID)
         bus.subscribe(self.CLIENT_ID, topics.SIGNAL_PROCESS_IMAGE)
         bus.subscribe(self.CLIENT_ID, topics.LAND)
         self._bus = bus
@@ -163,4 +162,4 @@ class VisionNode:
             return
         self.state, message = process_frame(self.state, truth, self.params, self.rng, tick)
         if message is not None:
-            self._publisher.send(topics.IMAGE_MESSAGE, message, tick)
+            self._bus.publish(self.CLIENT_ID, topics.IMAGE_MESSAGE, message, tick)

@@ -93,8 +93,6 @@ class Vec3:
                 raise ValueError(f"missing component {exc}") from None
         elif isinstance(value, (list, tuple)) and len(value) == 3:
             x, y, z = value
-        elif isinstance(value, Vec3):
-            return value
         else:
             raise ValueError("expected an {x, y, z} object or 3 components")
         return cls(finite_float(x), finite_float(y), finite_float(z))
@@ -191,7 +189,6 @@ class TrajectorySpec:
 class CameraParams:
     hfov: float
     vfov: float
-    frame_period: float
     # tan(hfov / 2) and tan(vfov / 2), computed once by __post_init__.
     tan_half_hfov: float = field(init=False, repr=False, compare=False)
     tan_half_vfov: float = field(init=False, repr=False, compare=False)
@@ -200,9 +197,6 @@ class CameraParams:
         for name, fov in (("hfov", self.hfov), ("vfov", self.vfov)):
             if not 0.0 < fov < math.pi:
                 raise ValueError(f"{name} must lie strictly inside (0, pi)")
-        if self.frame_period <= 0.0:
-            raise ValueError("frame_period must be > 0")
-        for name, fov in (("hfov", self.hfov), ("vfov", self.vfov)):
             tan_half = math.tan(fov / 2.0)
             if tan_half == 0.0:  # a subnormal fov halves to 0
                 raise ValueError(f"{name} is too small to project onto")

@@ -208,20 +208,13 @@ def test_criterion_6_broker_properties(capsys):
             model_subs[client].discard(topic)
         else:
             publisher = rng.choice(publishers)
-            envelope = Envelope(
-                topic=topic,
-                payload=b"",
-                publisher_id=publisher,
-                seq=seqs[publisher],
-                tick=0,
-            )
-            seqs[publisher] += 1
             publish_count += 1
-            count = bus.publish(envelope)
+            count = bus.publish(publisher, topic, b"", 0)
             members = [c for c in clients if topic in model_subs[c]]
             assert count == len(members)
             for client in members:
-                expected[client].append((topic, envelope.seq, publisher))
+                expected[client].append((topic, seqs[publisher], publisher))
+            seqs[publisher] += 1
             bus.deliver()
             for client in clients:
                 received[client].extend(bus.drain(client))

@@ -18,7 +18,7 @@ from lockon.autonomy import (
     search_guidance,
 )
 from lockon.autonomy import AutonomousNode
-from lockon.bus import MessageBus, Publisher
+from lockon.bus import MessageBus
 from lockon.payloads import LockReport, Message, OffsetMessage, TelemetryRequest, TelemetryResponse
 from lockon.world import GuidanceCommand, PursuerState, Vec3
 
@@ -56,7 +56,7 @@ class TestSearchTransitions:
         pursuer = PursuerState(Vec3(0, 0, 10), 0.3, 0.0, 0.0)
         node.step(0, 0.0, pursuer)  # BOOT -> SEARCH
         target = Vec3(100, 40, 20)
-        Publisher(bus, "proxy").send("/telemetry/response", TelemetryResponse(True, "T1", target, 2), 0)
+        bus.publish("proxy", "/telemetry/response", TelemetryResponse(True, "T1", target, 2), 0)
         bus.deliver()
         node.step(1, 0.05, pursuer)
         assert node.guidance == search_guidance(pursuer, target, GAINS)
@@ -306,7 +306,7 @@ class TestInboxRaces:
         pursuer = PursuerState(Vec3(55, 0, 10), 0.0, 0.0, 0.0)
         node.step(0, 0.0, pursuer)  # BOOT -> SEARCH, first telemetry
         response = TelemetryResponse(True, "T1", Vec3(60, 0, 10), 1).encode()
-        Publisher(bus, "proxy").send("/telemetry/response", response, 0)
+        bus.publish("proxy", "/telemetry/response", response, 0)
         bus.deliver()
         node.step(1, 0.05, pursuer)  # stores target; 5 m < 10 m fires the signal
         assert node.ctx.signal_sent_for_current
@@ -314,11 +314,9 @@ class TestInboxRaces:
 
     def test_offset_then_degraded_response_in_one_batch(self):
         bus, node, pursuer = self.engaged_node()
-        Publisher(bus, "a-vision").send(
-            "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1
-        )
+        bus.publish("a-vision", "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1)
         degraded = TelemetryResponse(False, None, None, 0).encode()
-        Publisher(bus, "z-proxy").send("/telemetry/response", degraded, 1)
+        bus.publish("z-proxy", "/telemetry/response", degraded, 1)
         bus.deliver()
         node.step(2, 0.1, pursuer)  # offset first: LOCK; stale empty reply ignored
         assert node.state is MissionState.LOCK
@@ -326,10 +324,8 @@ class TestInboxRaces:
     def test_degraded_response_then_offset_in_one_batch(self):
         bus, node, pursuer = self.engaged_node()
         degraded = TelemetryResponse(False, None, None, 0).encode()
-        Publisher(bus, "a-proxy").send("/telemetry/response", degraded, 1)
-        Publisher(bus, "z-vision").send(
-            "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1
-        )
+        bus.publish("a-proxy", "/telemetry/response", degraded, 1)
+        bus.publish("z-vision", "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1)
         bus.deliver()
         node.step(2, 0.1, pursuer)  # lands; the late offset is dropped
         assert node.state is MissionState.LANDING

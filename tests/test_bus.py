@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lockon.bus import Envelope, MessageBus, ProtocolError, Publisher, validate_topic
+from lockon.bus import Envelope, MessageBus, ProtocolError, validate_topic
 from lockon.payloads import OffsetMessage
 
 from conftest import DEEP_JSON
@@ -14,6 +14,10 @@ from conftest import DEEP_JSON
 
 def env(topic, publisher="node", seq=0, tick=0, payload=b"x"):
     return Envelope(topic=topic, payload=payload, publisher_id=publisher, seq=seq, tick=tick)
+
+
+def publish(bus, topic, publisher="node", tick=0, payload=b"x"):
+    return bus.publish(publisher, topic, payload, tick)
 
 
 class TestTopicValidation:
@@ -36,7 +40,7 @@ class TestSubscribe:
     def test_subscription_receives_later_publish(self):
         bus = MessageBus()
         bus.subscribe("vision", "/signal/process_image")
-        bus.publish(env("/signal/process_image", publisher="autonomous"))
+        publish(bus, "/signal/process_image", publisher="autonomous")
         bus.deliver()
         received = bus.drain("vision")
         assert len(received) == 1
@@ -46,7 +50,7 @@ class TestSubscribe:
         bus = MessageBus()
         bus.subscribe("vision", "/signal/process_image")
         bus.subscribe("vision", "/signal/process_image")
-        count = bus.publish(env("/signal/process_image"))
+        count = publish(bus, "/signal/process_image")
         bus.deliver()
         assert count == 1
         assert len(bus.drain("vision")) == 1
@@ -56,60 +60,65 @@ class TestSubscribe:
         with pytest.raises(ProtocolError):
             bus.subscribe("vision", "telemetry")
 
-    def test_subscribe_after_shutdown_rejected(self):
-        bus = MessageBus()
-        bus.shutdown()
-        with pytest.raises(ProtocolError):
-            bus.subscribe("vision", "/land")
-
 
 class TestPublish:
     def test_delivery_count_equals_subscribers(self):
         bus = MessageBus()
         for client in ("vision", "proxy", "broker-logger"):
             bus.subscribe(client, "/land")
-        assert bus.publish(env("/land", payload=b"")) == 3
+        assert publish(bus, "/land", payload=b"") == 3
 
     def test_zero_subscribers_is_not_an_error(self):
         bus = MessageBus()
-        assert bus.publish(env("/lock")) == 0
+        assert publish(bus, "/lock") == 0
 
     def test_per_publisher_fifo(self):
         bus = MessageBus()
         bus.subscribe("sub", "/telemetry")
-        bus.publish(env("/telemetry", publisher="uav", seq=5))
-        bus.publish(env("/telemetry", publisher="uav", seq=6))
+        publish(bus, "/telemetry", publisher="uav", payload=b"a")
+        publish(bus, "/telemetry", publisher="uav", payload=b"b")
         bus.deliver()
-        seqs = [e.seq for e in bus.drain("sub")]
-        assert seqs == [5, 6]
+        assert [(e.seq, e.payload) for e in bus.drain("sub")] == [(0, b"a"), (1, b"b")]
 
-    def test_publish_after_shutdown_rejected(self):
+    def test_callers_that_share_a_publisher_id_share_one_sequence(self):
+        # Two nodes under one id, interleaved across deliveries: neither
+        # restarts the other's numbering, and no (publisher, seq) repeats.
         bus = MessageBus()
-        bus.shutdown()
-        with pytest.raises(ProtocolError):
-            bus.publish(env("/land"))
+        bus.subscribe("sub", "/a")
+        bus.subscribe("sub", "/b")
+        for tick in range(3):
+            bus.publish("uav", "/a", b"first", tick)
+            bus.publish("uav", "/b", b"second", tick)
+            bus.deliver()
+        got = [(e.seq, e.topic) for e in bus.drain("sub")]
+        assert got == [(0, "/a"), (1, "/b"), (2, "/a"), (3, "/b"), (4, "/a"), (5, "/b")]
 
-    def test_non_increasing_seq_rejected(self):
+    def test_a_refused_publish_takes_no_seq(self):
         bus = MessageBus()
-        bus.publish(env("/telemetry", seq=3))
+        bus.subscribe("sub", "/t")
         with pytest.raises(ProtocolError):
-            bus.publish(env("/telemetry", seq=3))
+            bus.publish("node", "/has space", b"x", 0)
+        with pytest.raises(ValueError, match="canonical message value"):
+            bus.publish("node", "/t", "{}", 0)
+        publish(bus, "/t")
+        bus.deliver()
+        assert [e.seq for e in bus.drain("sub")] == [0]
 
     def test_malformed_topic_rejected_on_every_publish(self):
         bus = MessageBus()
-        bus.publish(env("/land", seq=0))
-        bus.publish(env("/land", seq=1))
-        for seq in (2, 3):
+        publish(bus, "/land")
+        publish(bus, "/land")
+        for _ in range(2):
             with pytest.raises(ProtocolError):
-                bus.publish(env("/has space", seq=seq))
+                publish(bus, "/has space")
 
     def test_drained_list_is_not_refilled(self):
         bus = MessageBus()
         bus.subscribe("sub", "/land")
-        bus.publish(env("/land", seq=0))
+        publish(bus, "/land")
         bus.deliver()
         first = bus.drain("sub")
-        bus.publish(env("/land", seq=1))
+        publish(bus, "/land")
         bus.deliver()
         assert [e.seq for e in first] == [0]
         assert [e.seq for e in bus.drain("sub")] == [1]
@@ -118,7 +127,7 @@ class TestPublish:
     def test_empty_payload_is_legal(self):
         bus = MessageBus()
         bus.subscribe("sub", "/land")
-        bus.publish(env("/land", payload=b""))
+        publish(bus, "/land", payload=b"")
         bus.deliver()
         assert bus.drain("sub")[0].payload == b""
 
@@ -128,7 +137,7 @@ class TestUnsubscribe:
         bus = MessageBus()
         bus.subscribe("sub", "/lock")
         assert bus.unsubscribe("sub", "/lock") is True
-        bus.publish(env("/lock"))
+        publish(bus, "/lock")
         bus.deliver()
         assert bus.drain("sub") == []
 
@@ -139,9 +148,9 @@ class TestUnsubscribe:
     def test_lifecycle_subscribe_publish_unsubscribe_publish(self):
         bus = MessageBus()
         bus.subscribe("sub", "/lock")
-        first = bus.publish(env("/lock", seq=0))
+        first = publish(bus, "/lock")
         bus.unsubscribe("sub", "/lock")
-        second = bus.publish(env("/lock", seq=1))
+        second = publish(bus, "/lock")
         bus.deliver()
         assert (first, second) == (1, 0)
         assert len(bus.drain("sub")) == 1
@@ -153,14 +162,14 @@ class TestRecipientCache:
     def test_a_subscription_change_moves_only_the_later_publishes(self):
         bus = MessageBus()
         bus.subscribe("b", "/lock")
-        counts = [bus.publish(env("/lock", seq=0))]
+        counts = [publish(bus, "/lock")]
         bus.subscribe("a", "/lock")
-        counts.append(bus.publish(env("/lock", seq=1)))
-        counts.append(bus.publish(env("/lock", seq=2)))
+        counts.append(publish(bus, "/lock"))
+        counts.append(publish(bus, "/lock"))
         bus.unsubscribe("b", "/lock")
-        counts.append(bus.publish(env("/lock", seq=3)))
+        counts.append(publish(bus, "/lock"))
         bus.subscribe("c", "/other")  # another topic's change leaves /lock alone
-        counts.append(bus.publish(env("/lock", seq=4)))
+        counts.append(publish(bus, "/lock"))
         bus.deliver()
         assert counts == [1, 2, 2, 1, 1]
         assert [e.seq for e in bus.drain("a")] == [1, 2, 3, 4]
@@ -174,7 +183,7 @@ class TestParsed:
     def sent(self, payload):
         bus = MessageBus()
         bus.subscribe("sub", "/t")
-        Publisher(bus, "node").send("/t", payload, 0)
+        bus.publish("node", "/t", payload, 0)
         bus.deliver()
         (envelope,) = bus.drain("sub")
         return envelope
@@ -207,17 +216,6 @@ class TestEnvelopePayload:
             Envelope("/image/message", payload, "vision", 0, 1)
 
 
-class TestPublisherHandle:
-    def test_seq_increments_per_send(self):
-        bus = MessageBus()
-        bus.subscribe("sub", "/telemetry")
-        publisher = Publisher(bus, "uav")
-        publisher.send("/telemetry", b"a", tick=0)
-        publisher.send("/telemetry", b"b", tick=1)
-        bus.deliver()
-        assert [e.seq for e in bus.drain("sub")] == [0, 1]
-
-
 class TestDeliveryProperties:
     """Randomized interleavings of the four delivery guarantees."""
 
@@ -229,7 +227,7 @@ class TestDeliveryProperties:
         rng = random.Random(20240817)
         bus = MessageBus()
         subscribed: dict[str, set[str]] = {c: set() for c in self.CLIENTS}
-        expected: dict[str, list[Envelope]] = {c: [] for c in self.CLIENTS}
+        expected: dict[str, list[tuple[str, int, bytes]]] = {c: [] for c in self.CLIENTS}
         received: dict[str, list[Envelope]] = {c: [] for c in self.CLIENTS}
         seqs = {p: 0 for p in self.PUBLISHERS}
 
@@ -247,19 +245,13 @@ class TestDeliveryProperties:
                 subscribed[client].discard(topic)
             else:
                 publisher = rng.choice(self.PUBLISHERS)
-                envelope = Envelope(
-                    topic=topic,
-                    payload=str(seqs[publisher]).encode(),
-                    publisher_id=publisher,
-                    seq=seqs[publisher],
-                    tick=0,
-                )
-                seqs[publisher] += 1
-                count = bus.publish(envelope)
+                payload = str(seqs[publisher]).encode()
+                count = bus.publish(publisher, topic, payload, 0)
                 recipients = [c for c in self.CLIENTS if topic in subscribed[c]]
                 assert count == len(recipients)
                 for c in recipients:
-                    expected[c].append(envelope)
+                    expected[c].append((publisher, seqs[publisher], payload))
+                seqs[publisher] += 1
                 bus.deliver()
                 for c in self.CLIENTS:
                     received[c].extend(bus.drain(c))
@@ -267,8 +259,10 @@ class TestDeliveryProperties:
         for client in self.CLIENTS:
             received[client].extend(bus.drain(client))
             # Delivery completeness: exactly the envelopes whose topic the
-            # client was subscribed to at publish time, in publish order.
-            assert received[client] == expected[client]
+            # client was subscribed to at publish time, in publish order, each
+            # numbered in its publisher's sequence.
+            got = [(e.publisher_id, e.seq, e.payload) for e in received[client]]
+            assert got == expected[client]
             # At-most-once: no duplicated (publisher, seq).
             keys = [(e.publisher_id, e.seq) for e in received[client]]
             assert len(keys) == len(set(keys))

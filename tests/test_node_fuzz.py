@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lockon import bus as topics
 from lockon.autonomy import AutonomousNode, ControlGains
-from lockon.bus import MessageBus, Publisher
+from lockon.bus import MessageBus
 from lockon.payloads import OffsetMessage, TelemetryResponse
 from lockon.proxy import InProcessTransport, ProxyNode
 from lockon.server import MissionStore, TargetAssignment
@@ -59,10 +59,9 @@ def ticks_of(topic_names, scripted=st.nothing()):
 
 def feed(bus, ticks, step):
     """Publish each tick's envelopes, deliver them, then step the node."""
-    fuzzer = Publisher(bus, "fuzzer")
     for tick, envelopes in enumerate(ticks):
         for topic, payload in envelopes:
-            fuzzer.send(topic, payload, tick)
+            bus.publish("fuzzer", topic, payload, tick)
         bus.deliver()
         step(tick)
 

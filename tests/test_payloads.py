@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lockon import bus, payloads, proxy, runner
 from lockon import bus as topics
-from lockon.bus import Envelope, MessageBus, Publisher
+from lockon.bus import Envelope, MessageBus
 from lockon.payloads import (
     CrashReport,
     DecodeError,
@@ -195,7 +195,8 @@ class NaNOffsetVision(VisionNode):
     def step(self, tick, truth, frame_due):
         super().step(tick, truth, frame_due)
         if frame_due:
-            self._publisher.send(topics.IMAGE_MESSAGE, b'{"x":NaN,"y":0.0,"tick":%d}' % tick, tick)
+            nan = b'{"x":NaN,"y":0.0,"tick":%d}' % tick
+            self._bus.publish(self.CLIENT_ID, topics.IMAGE_MESSAGE, nan, tick)
 
 
 def flight(result):
@@ -239,17 +240,17 @@ class NaNValueVision(VisionNode):
     as_bytes = False
 
     def step(self, tick, truth, frame_due):
-        send = self._publisher.send
+        publish = self._bus.publish
 
-        def send_nan(topic, message, tick):
+        def publish_nan(publisher_id, topic, message, tick):
             nan = OffsetMessage(float("nan"), 0.0, tick)
-            return send(topic, nan.encode() if self.as_bytes else nan, tick)
+            return publish(publisher_id, topic, nan.encode() if self.as_bytes else nan, tick)
 
-        self._publisher.send = send_nan
+        self._bus.publish = publish_nan
         try:
             super().step(tick, truth, frame_due)
         finally:
-            self._publisher.send = send
+            del self._bus.publish
 
 
 def test_a_non_finite_offset_value_is_logged_and_dropped_as_its_bytes(monkeypatch):
@@ -454,16 +455,17 @@ class NoteVision(VisionNode):
     note = b"NaN"
 
     def step(self, tick, truth, frame_due):
-        send = self._publisher.send
+        publish = self._bus.publish
 
-        def send_with_note(topic, message, tick):
-            return send(topic, message.encode()[:-1] + b',"note":' + self.note + b"}", tick)
+        def publish_with_note(publisher_id, topic, message, tick):
+            noted = message.encode()[:-1] + b',"note":' + self.note + b"}"
+            return publish(publisher_id, topic, noted, tick)
 
-        self._publisher.send = send_with_note
+        self._bus.publish = publish_with_note
         try:
             super().step(tick, truth, frame_due)
         finally:
-            self._publisher.send = send
+            del self._bus.publish
 
 
 @pytest.mark.parametrize("note", [b"NaN", b"1e400", DEEP_JSON], ids=["NaN", "1e400", "too deep"])
@@ -489,7 +491,7 @@ def published(payload) -> Envelope:
     """``payload``, bytes or a message value, as a subscriber receives it from the bus."""
     bus = MessageBus()
     bus.subscribe("sub", "/t")
-    Publisher(bus, "node").send("/t", payload, 0)
+    bus.publish("node", "/t", payload, 0)
     bus.deliver()
     (envelope,) = bus.drain("sub")
     return envelope
@@ -662,25 +664,28 @@ def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
         proxy.InProcessTransport, "post",
         lambda transport, path, body: posts.append(body) or post(transport, path, body),
     )
-    sent = []
+    sent = []  # (topic, payload) of each publish
     publish = MessageBus.publish
-    monkeypatch.setattr(
-        MessageBus, "publish", lambda broker, env: sent.append(env) or publish(broker, env)
-    )
+
+    def sending(broker, publisher_id, topic, payload, tick):
+        sent.append((topic, payload))
+        return publish(broker, publisher_id, topic, payload, tick)
+
+    monkeypatch.setattr(MessageBus, "publish", sending)
     result = runner.run(load_scenario("moving_target"))
     assert result.terminated_by == "land" and result.report.per_target[0].locked
-    assert {e.topic for e in sent if e.payload} == {
+    assert {topic for topic, payload in sent if payload} == {
         topics.TELEMETRY, topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LOCK
     }
     # Every payload a node published is a message value or empty, and every
     # read of one gives the value itself: no parse and no field-by-field build.
-    assert all(type(e.payload) in SCHEMAS or e.payload == b"" for e in sent)
+    assert all(type(payload) in SCHEMAS or payload == b"" for _, payload in sent)
     assert envelope_parses == []
     assert reads and all(value is payload for payload, value in reads)
     # The only encodes are the proxy's POST bodies, one per forwarded message,
     # and the mission server parses each body once. The other parses are the
     # proxy's, of reply bytes that it publishes as values.
-    forwarded = [e.payload for e in sent if e.topic in (topics.TELEMETRY, topics.LOCK)]
+    forwarded = [payload for topic, payload in sent if topic in (topics.TELEMETRY, topics.LOCK)]
     encoded, bodies = [message for message, _ in encodes], [data for _, data in encodes]
     assert len(encoded) == len(forwarded) and all(map(operator.is_, encoded, forwarded))
     assert len(posts) == len(bodies) and all(map(operator.is_, posts, bodies))

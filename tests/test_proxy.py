@@ -1,13 +1,12 @@
-"""Proxy forwarding, retries, degraded-link fallback, and /land disarm."""
+"""Proxy forwarding, retries, degraded replies that publish nothing, and /land disarm."""
 
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lockon.bus import MessageBus, Publisher
+from lockon.bus import MessageBus
 from lockon.payloads import (
-    NO_TARGET,
     CrashReport,
     DecodeError,
     LockReport,
@@ -78,16 +77,16 @@ class TestForwardTelemetry:
         response = proxy.forward_telemetry(request().encode())
         assert not response.has_target and response.remaining_targets == 0
 
-    def test_three_failures_publish_degraded_response(self):
+    def test_three_failures_publish_nothing(self):
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
         transport = FlakyTransport(InProcessTransport(store), failures=10)
         bus, _, proxy = make_proxy(store=store, transport=transport)
-        response = proxy.forward_telemetry(request().encode())
-        assert not response.has_target
+        assert proxy.forward_telemetry(request().encode()) is None
         assert proxy.degraded_events == 1
         assert transport.calls == 3  # retried exactly three times
         bus.deliver()
-        assert len(bus.drain("autonomous")) == 1  # degraded reply still published
+        # No reply is published: an empty one would read as the server's empty queue.
+        assert bus.drain("autonomous") == []
 
     def test_transient_failure_recovers_within_retries(self):
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
@@ -135,7 +134,7 @@ class ScriptedTransport:
 
 REPLY = TelemetryResponse(True, "T1", Vec3(60.0, 0.0, 10.0), 1).encode()
 OTHER = TelemetryResponse(True, "T2", Vec3(0.0, 60.0, 10.0), 0).encode()
-DEGRADED = TelemetryResponse(False, None, None, 0).encode()
+EMPTY_QUEUE = TelemetryResponse(False, None, None, 0).encode()
 
 
 class TestReplyCache:
@@ -145,7 +144,7 @@ class TestReplyCache:
         """Forward ``forwards`` requests (one per reply by default).
 
         Returns the proxy, the bodies decoded, the payloads published (as
-        bytes) and the responses.
+        bytes) and the responses, None for each degraded reply.
         """
         decoded = []
         decode = TelemetryResponse.decode.__func__
@@ -158,11 +157,13 @@ class TestReplyCache:
         responses = [proxy.forward_telemetry(request().encode(), tick) for tick in ticks]
         bus.deliver()
         envelopes = bus.drain("autonomous")
-        # Each response is published as the value forward_telemetry returned.
-        assert [e.payload for e in envelopes] == responses
-        assert all(e.payload is response for e, response in zip(envelopes, responses))
+        # Each response is published as the value forward_telemetry returned;
+        # a degraded reply publishes nothing.
+        kept = [response for response in responses if response is not None]
+        assert [e.payload for e in envelopes] == kept
+        assert all(e.payload is response for e, response in zip(envelopes, kept))
         published = [e.data() for e in envelopes]
-        assert [decode(TelemetryResponse, payload) for payload in published] == responses
+        assert [decode(TelemetryResponse, payload) for payload in published] == kept
         return proxy, decoded, published, responses
 
     def test_the_same_reply_bytes_are_decoded_once(self, monkeypatch):
@@ -184,8 +185,9 @@ class TestReplyCache:
                                      (200, b'{"has_target":true,"remaining_targets":1}')])
     def test_a_failed_reply_degrades_every_time_and_is_never_kept(self, monkeypatch, bad):
         replies = [bad, bad, (200, REPLY), bad, (200, REPLY)]
-        proxy, decoded, published, _ = self.forward(monkeypatch, replies)
-        assert published == [DEGRADED, DEGRADED, REPLY, DEGRADED, REPLY]
+        proxy, decoded, published, responses = self.forward(monkeypatch, replies)
+        assert [response is None for response in responses] == [True, True, False, True, False]
+        assert published == [REPLY, REPLY]
         assert proxy.degraded_events == 3
         undecodable = [bad[1]] * 2 if bad[0] == 200 else []
         # A bad body is decoded each time it comes; the good one only once.
@@ -193,10 +195,11 @@ class TestReplyCache:
 
     def test_a_transport_outage_degrades_even_with_a_kept_reply(self, monkeypatch):
         outage = [TransportError("synthetic outage")] * 3  # every attempt of one request
-        proxy, decoded, published, _ = self.forward(
+        proxy, decoded, published, responses = self.forward(
             monkeypatch, [(200, REPLY), *outage, (200, REPLY)], forwards=3
         )
-        assert published == [REPLY, DEGRADED, REPLY]
+        assert responses[1] is None and responses[0] is responses[2]
+        assert published == [REPLY, REPLY]
         assert decoded == [REPLY] and proxy.degraded_events == 1
 
 
@@ -206,7 +209,7 @@ STATUSES = st.one_of(
     st.just(200), st.integers(201, 299), st.integers(400, 499), st.integers(500, 599)
 )
 BODIES = st.one_of(
-    st.sampled_from([REPLY, OTHER, DEGRADED]),
+    st.sampled_from([REPLY, OTHER, EMPTY_QUEUE]),
     st.sampled_from([b"", b"not json", b'{"has_target":true,"remaining_targets":1}']),
     st.binary(max_size=16),
 )
@@ -223,7 +226,7 @@ def transport_scripts(draw):
 
 
 def decoded_reply(answer):
-    """The response a telemetry answer publishes undegraded, or None."""
+    """The response a telemetry answer publishes, or None if it degrades."""
     if answer is None or answer[0] != 200:
         return None
     try:
@@ -241,14 +244,13 @@ class TestTransportScripts:
         kinds, outcomes = script
         transport = ScriptedTransport(outcomes)
         bus, _, proxy = make_proxy(transport=transport)
-        uav = Publisher(bus, "autonomous")
         degraded = 0
         for tick, kind in enumerate(kinds):
             sent = len(outcomes) - len(transport.replies)
             if kind == "telemetry":
-                uav.send("/telemetry", request(float(tick)), tick)
+                bus.publish("autonomous", "/telemetry", request(float(tick)), tick)
             else:
-                uav.send("/lock", report(), tick)
+                bus.publish("autonomous", "/lock", report(), tick)
             bus.deliver()
             [envelope] = bus.drain("proxy")
             proxy.handle_envelope(envelope, tick)  # nothing escapes
@@ -265,7 +267,7 @@ class TestTransportScripts:
             if kind == "telemetry":
                 response = decoded_reply(answer)
                 degraded += response is None
-                assert published == [NO_TARGET if response is None else response]
+                assert published == ([] if response is None else [response])
             else:
                 assert published == []
             assert proxy.degraded_events == degraded
@@ -336,7 +338,7 @@ class TestForwardLock:
         bus, _, proxy = make_proxy(store=store, transport=transport)
         lock = LockReport("uav-1", "T1", 0, 200, Vec3(0.0, 0.0, 10.0))
         body = lock.encode()
-        Publisher(bus, "autonomous").send("/lock", lock if as_value else body, 0)
+        bus.publish("autonomous", "/lock", lock if as_value else body, 0)
         bus.deliver()
         encodes = []
         encode = LockReport.encode
@@ -352,9 +354,8 @@ class TestForwardLock:
 class TestEnvelopePipeline:
     def test_each_telemetry_yields_one_response_in_order(self):
         bus, _, proxy = make_proxy()
-        uav = Publisher(bus, "autonomous")
         for tick in range(5):
-            uav.send("/telemetry", request(t=float(tick)).encode(), tick)
+            bus.publish("autonomous", "/telemetry", request(t=float(tick)).encode(), tick)
         bus.deliver()
         proxy.step(6)
         bus.deliver()
@@ -366,9 +367,8 @@ class TestEnvelopePipeline:
         store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
         transport = FlakyTransport(InProcessTransport(store), failures=0)
         bus, _, proxy = make_proxy(store=store, transport=transport)
-        uav = Publisher(bus, "autonomous")
-        uav.send("/land", b"", 0)
-        uav.send("/telemetry", request().encode(), 1)
+        bus.publish("autonomous", "/land", b"", 0)
+        bus.publish("autonomous", "/telemetry", request().encode(), 1)
         bus.deliver()
         proxy.step(2)
         assert transport.calls == 0
@@ -390,9 +390,8 @@ class TestEnvelopePipeline:
         bus, _, proxy = make_proxy(store=store, transport=RecordingTransport())
         loose = b'{"uav_id":"uav-1","time":0.0,"position":[0,0,10],"state":"SEARCH","extra":1}'
         canonical = request().encode()
-        uav = Publisher(bus, "autonomous")
-        uav.send("/telemetry", loose, 0)
-        uav.send("/telemetry", canonical, 0)
+        bus.publish("autonomous", "/telemetry", loose, 0)
+        bus.publish("autonomous", "/telemetry", canonical, 0)
         bus.deliver()
         proxy.step(1)
         assert sent == [loose, canonical]
@@ -401,8 +400,7 @@ class TestEnvelopePipeline:
 
     def test_malformed_envelope_does_not_crash(self):
         bus, _, proxy = make_proxy()
-        uav = Publisher(bus, "autonomous")
-        uav.send("/telemetry", b"not json", 0)
+        bus.publish("autonomous", "/telemetry", b"not json", 0)
         bus.deliver()
         proxy.step(1)  # dropped with a warning
         bus.deliver()

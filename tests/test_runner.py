@@ -174,9 +174,7 @@ def selection_frames(draw):
     else:
         origin = Vec3(*(draw(st.floats(-100, 100)) for _ in range(3)))
         pursuer = PursuerState(origin, draw(st.floats(-4.0, 4.0)), pitch, 0.0)
-    camera = CameraParams(
-        hfov=draw(st.floats(0.2, 3.0)), vfov=draw(st.floats(0.2, 3.0)), frame_period=0.1
-    )
+    camera = CameraParams(hfov=draw(st.floats(0.2, 3.0)), vfov=draw(st.floats(0.2, 3.0)))
     time = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=30.0))
     fx, fy, fz, rx, ry, rz, dx, dy, dz = pursuer.camera_triad()
     specs = []
@@ -223,7 +221,7 @@ class TestCameraTruth:
         # Mirror images across the boresight plane: equal norms, opposite u.
         spec = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, Vec3(40, 6, 8), Vec3(1, 0.5, 0))
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
-        camera = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3, frame_period=0.1)
+        camera = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3)
         for first, second in ((spec, mirrored(spec)), (mirrored(spec), spec)):
             tracks = (("A", first), ("B", second))
             world = WorldState(time=2.0, tick=40, pursuer=pursuer)
@@ -268,22 +266,26 @@ class TestTermination:
 
 
 class FlakyLink:
-    """The in-process transport behind a link that, by a seeded draw, fails a post,
-    answers it with a 5xx or with a body that does not decode, or passes it on."""
+    """The in-process transport behind a link that fails a seeded share ``rate`` of posts.
 
-    def __init__(self, store, seed):
+    A failed post, in equal shares, raises a TransportError, is answered with
+    a 5xx, or is answered 200 with a body that does not decode.
+    """
+
+    def __init__(self, store, seed, rate=0.3):
         self.inner = InProcessTransport(store)
-        self.rng = random.Random(seed)
+        self.rng = random.Random(f"{seed}/link")
+        self.rate = rate
         self.faults = 0
 
     def post(self, path, body):
         draw = self.rng.random()
-        if draw >= 0.3:
+        if draw >= self.rate:
             return self.inner.post(path, body)
         self.faults += 1
-        if draw < 0.1:
+        if draw < self.rate / 3:
             raise TransportError("synthetic outage")
-        if draw < 0.2:
+        if draw < 2 * self.rate / 3:
             return self.rng.choice([500, 502, 503]), b'{"error": "upstream"}'
         return 200, self.rng.choice([b"", b"not json", b'{"has_target": true}'])
 
@@ -301,6 +303,24 @@ class TestFlakyLink:
         # The log as written and read back: a report, never a MetricsError.
         entries = parse_jsonl(event_log_to_jsonl(result.event_log))
         assert summarize_run(entries) == result.report
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_a_degraded_reply_does_not_land_the_mission(self, monkeypatch, rate):
+        # The proxy publishes nothing for a degraded telemetry reply, so the
+        # UAV keeps its assignment and only the server's own empty queue
+        # lands it: every run that lands has locked its target.
+        unlocked = []
+        for seed in range(200):
+            monkeypatch.setattr(
+                runner, "InProcessTransport", lambda store: FlakyLink(store, seed, rate)
+            )
+            result = run(random_scenario(seed))
+            per_target = result.report.per_target
+            if result.terminated_by == "land" and not (
+                per_target and all(outcome.locked for outcome in per_target)
+            ):
+                unlocked.append(seed)
+        assert unlocked == []
 
 
 class TestActivationRule:
@@ -379,6 +399,15 @@ class TestEventLogShape:
         msgs = [e for e in result.event_log if e["kind"] == "msg"]
         keys = [(m["tick"], m["publisher"], m["seq"]) for m in msgs]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_each_publisher_numbers_its_messages_from_zero(self, name):
+        seqs: dict[str, list[int]] = {}
+        for entry in run(load_scenario(name)).event_log:
+            if entry["kind"] == "msg":
+                seqs.setdefault(entry["publisher"], []).append(entry["seq"])
+        assert {"autonomous", "proxy", "vision"} <= set(seqs)
+        assert all(series == list(range(len(series))) for series in seqs.values())
 
     def test_payloads_are_json_objects_or_null(self):
         result = run(load_scenario("moving_target"))

@@ -232,7 +232,7 @@ class TestDefaults:
         scenario = make_scenario()
         assert scenario.camera.hfov == pytest.approx(math.radians(90))
         assert scenario.camera.vfov == pytest.approx(math.radians(60))
-        assert scenario.camera.frame_period == 0.1
+        assert scenario.frame_period == 0.1
 
     @pytest.mark.parametrize("key", ["hfov_deg", "vfov_deg"])
     def test_subnormal_fov_is_a_scenario_error(self, key):

@@ -156,9 +156,7 @@ class TestVisionNode:
         bus = MessageBus()
         bus.subscribe("listener", "/image/message")
         node = VisionNode(bus, CERTAIN, random.Random(0))
-        from lockon.bus import Publisher
-
-        Publisher(bus, "autonomous").send("/signal/process_image", b"", 0)
+        bus.publish("autonomous", "/signal/process_image", b"", 0)
         bus.deliver()
         node.step(1, (0.1, 0.0), frame_due=True)
         bus.deliver()
@@ -172,13 +170,10 @@ class TestVisionNode:
         bus = MessageBus()
         bus.subscribe("listener", "/image/message")
         node = VisionNode(bus, CERTAIN, random.Random(0))
-        from lockon.bus import Publisher
-
-        autonomous = Publisher(bus, "autonomous")
-        autonomous.send("/signal/process_image", b"", 0)
+        bus.publish("autonomous", "/signal/process_image", b"", 0)
         bus.deliver()
         node.step(1, (0.0, 0.0), frame_due=True)
-        autonomous.send("/land", b"", 1)
+        bus.publish("autonomous", "/land", b"", 1)
         bus.deliver()
         bus.drain("listener")
         node.step(2, (0.0, 0.0), frame_due=True)

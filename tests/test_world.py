@@ -26,7 +26,7 @@ from lockon.world import (
 
 from conftest import reference_project
 
-CAM = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3, frame_period=0.1)
+CAM = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3)
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3, finite, finite, finite)
@@ -327,7 +327,7 @@ class TestProjectionMatchesReference:
     def test_bit_identical_to_per_call_body(self, position, yaw, pitch, targets, hfov, vfov):
         # Several targets per pose, as in a frame of a multi-target mission.
         pursuer = PursuerState(position, yaw, pitch, 0.0)
-        cam = CameraParams(hfov=hfov, vfov=vfov, frame_period=0.1)
+        cam = CameraParams(hfov=hfov, vfov=vfov)
         pose = camera_pose(pursuer, cam)
         for target in targets:
             new = project_to_camera(pose, target.x, target.y, target.z)
@@ -339,7 +339,7 @@ class TestProjectionMatchesReference:
                 assert [c.hex() for c in new] == [c.hex() for c in old]
 
     def test_caches_do_not_enter_equality_or_repr(self):
-        other = CameraParams(hfov=CAM.hfov, vfov=CAM.vfov, frame_period=CAM.frame_period)
+        other = CameraParams(hfov=CAM.hfov, vfov=CAM.vfov)
         object.__setattr__(other, "tan_half_hfov", 0.0)
         assert other == CAM and hash(other) == hash(CAM) and repr(other) == repr(CAM)
         assert "tan" not in repr(CAM)
@@ -350,7 +350,7 @@ class TestProjectionMatchesReference:
         # The per-call body divided by zero here once a target was ahead.
         for fovs in ((5e-324, 1.0), (1.0, 5e-324)):
             with pytest.raises(ValueError, match="too small"):
-                CameraParams(*fovs, frame_period=0.1)
+                CameraParams(*fovs)
 
 
 class TestAngles:
