@@ -1,14 +1,17 @@
 """Deterministic lockstep scheduler wiring all nodes over one bus.
 
-Per tick the order is fixed: physics, camera frame (when due), vision,
-autonomous node, proxy/server exchange, then bus delivery. Envelopes
+Per tick the order is fixed: physics, vision (with the camera frame, when
+due), autonomous node, proxy/server exchange, then bus delivery. Envelopes
 published during a tick are therefore seen by other nodes on the next tick,
 giving the protocol a reproducible one-tick transport delay. Runs terminate
 on /land (after a short grace window so every node can shut down), at
 max_time, or on a crash (altitude below ground).
 
-A camera frame projects every unconsumed target from one camera pose, with
-the targets' trajectory terms read into flat rows once per run.
+A camera frame is rendered only when the vision node uses it: on a frame
+tick, while its pipeline is armed (from the tick that delivers the first
+/signal/process_image) and until /land. A rendered frame projects every
+unconsumed target from one camera pose, with the targets' trajectory terms
+read into flat rows once per run.
 
 A run's outputs are its event log and the report built from that log;
 nothing else is recorded per tick.
@@ -186,6 +189,11 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
 
     world = WorldState(time=0.0, tick=0, pursuer=scenario.pursuer_init)
     rows = _track_rows(scenario.targets)
+    camera = scenario.camera
+
+    def frame() -> tuple[float, float] | None:
+        return _camera_truth(world, rows, consumed, camera)
+
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
 
@@ -205,9 +213,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                     terminated_by = "crash"
                     break
 
-            frame_due = tick % frame_ticks == 0
-            truth = _camera_truth(world, rows, consumed, scenario.camera) if frame_due else None
-            vision.step(tick, truth, frame_due)
+            vision.step(tick, frame if tick % frame_ticks == 0 else None)
             autonomous.step(tick, world.time, world.pursuer)
             proxy.step(tick)
             bus.deliver()

@@ -16,6 +16,7 @@ comes from the caller-supplied seeded stream.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,11 +156,19 @@ class VisionNode:
         elif envelope.topic == topics.LAND:
             self._terminated = True
 
-    def step(self, tick: int, truth: tuple[float, float] | None, frame_due: bool) -> None:
+    def step(self, tick: int, frame: Callable[[], tuple[float, float] | None] | None) -> None:
+        """Drain the inbox, then process this tick's camera frame, if any.
+
+        ``frame`` is None on a tick with no frame, else a callable that renders
+        the frame and returns its truth. It is called after the inbox is
+        drained, so the arming tick sees its frame, and only while the pipeline
+        is armed and /land has not been seen: an unarmed pipeline would
+        discard the frame.
+        """
         for envelope in self._bus.drain(self.CLIENT_ID):
             self.handle_envelope(envelope)
-        if not frame_due or self._terminated:
+        if frame is None or self._terminated or not self.state.active:
             return
-        self.state, message = process_frame(self.state, truth, self.params, self.rng, tick)
+        self.state, message = process_frame(self.state, frame(), self.params, self.rng, tick)
         if message is not None:
             self._bus.publish(self.CLIENT_ID, topics.IMAGE_MESSAGE, message, tick)

@@ -134,10 +134,9 @@ class PursuerState:
         """Check the speed, wrap the yaw and clamp the pitch; each slot is written once."""
         if speed < 0.0:
             raise ValueError("speed must be >= 0")
-        _set_position(self, position)
-        _set_yaw(self, wrap_angle(yaw))
-        _set_pitch(self, max(-math.pi / 2.0, min(math.pi / 2.0, pitch)))
-        _set_speed(self, speed)
+        _fill_pursuer(
+            self, position, wrap_angle(yaw), max(-math.pi / 2.0, min(math.pi / 2.0, pitch)), speed
+        )
 
     def camera_triad(self) -> tuple[float, ...]:
         """The camera's forward, right and down unit vectors, as 9 components.
@@ -161,6 +160,16 @@ class PursuerState:
 _set_position, _set_yaw, _set_pitch, _set_speed = (
     PursuerState.__dict__[f.name].__set__ for f in fields(PursuerState)
 )
+
+
+def _fill_pursuer(
+    pursuer: PursuerState, position: Vec3, yaw: float, pitch: float, speed: float
+) -> None:
+    """Write each slot once, as given: the caller wrapped, clamped and checked."""
+    _set_position(pursuer, position)
+    _set_yaw(pursuer, yaw)
+    _set_pitch(pursuer, pitch)
+    _set_speed(pursuer, speed)
 
 
 class TrajectoryKind(Enum):
@@ -291,21 +300,28 @@ def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
     Attitude integrates first (yaw wraps, pitch clamps), then the position
     moves speed*dt along the updated attitude. Time is recomputed as
     tick * dt so it never drifts from the tick count.
+
+    The new pursuer is filled without ``PursuerState.__init__``: its yaw is
+    wrapped and its pitch clamped here, and wrapping or clamping again would
+    give the same bits (``wrap_angle`` is idempotent on finite input), so
+    only the speed check is repeated.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
+    if guidance.speed < 0.0:
+        raise ValueError("speed must be >= 0")
     pursuer = world.pursuer
     yaw = wrap_angle(pursuer.yaw + guidance.yaw_rate * dt)
     pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pursuer.pitch + guidance.pitch_rate * dt))
     cp = math.cos(pitch)
     travel = guidance.speed * dt
     p = pursuer.position
-    # The position moves along the once-wrapped yaw; PursuerState wraps again.
     position = Vec3(
         p.x + cp * math.cos(yaw) * travel,
         p.y + cp * math.sin(yaw) * travel,
         p.z + math.sin(pitch) * travel,
     )
     new_tick = world.tick + 1
-    new_pursuer = PursuerState(position, yaw, pitch, guidance.speed)
+    new_pursuer = object.__new__(PursuerState)
+    _fill_pursuer(new_pursuer, position, yaw, pitch, guidance.speed)
     return WorldState(new_tick * dt, new_tick, new_pursuer)

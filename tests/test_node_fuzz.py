@@ -72,7 +72,7 @@ def feed(bus, ticks, step):
 def test_vision_node_survives_any_bytes(ticks):
     bus = MessageBus()
     node = VisionNode(bus, VisionParams(p_detect=1.0, detector_latency_frames=0), random.Random(0))
-    feed(bus, ticks, lambda tick: node.step(tick, (0.1, -0.2), True))
+    feed(bus, ticks, lambda tick: node.step(tick, lambda: (0.1, -0.2)))
 
 
 @settings(max_examples=200, deadline=None)

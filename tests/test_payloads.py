@@ -192,9 +192,9 @@ def test_decode_inverts_encode(message):
 class NaNOffsetVision(VisionNode):
     """Vision that also publishes a NaN offset with every frame."""
 
-    def step(self, tick, truth, frame_due):
-        super().step(tick, truth, frame_due)
-        if frame_due:
+    def step(self, tick, frame):
+        super().step(tick, frame)
+        if frame is not None:
             nan = b'{"x":NaN,"y":0.0,"tick":%d}' % tick
             self._bus.publish(self.CLIENT_ID, topics.IMAGE_MESSAGE, nan, tick)
 
@@ -239,7 +239,7 @@ class NaNValueVision(VisionNode):
 
     as_bytes = False
 
-    def step(self, tick, truth, frame_due):
+    def step(self, tick, frame):
         publish = self._bus.publish
 
         def publish_nan(publisher_id, topic, message, tick):
@@ -248,7 +248,7 @@ class NaNValueVision(VisionNode):
 
         self._bus.publish = publish_nan
         try:
-            super().step(tick, truth, frame_due)
+            super().step(tick, frame)
         finally:
             del self._bus.publish
 
@@ -454,7 +454,7 @@ class NoteVision(VisionNode):
 
     note = b"NaN"
 
-    def step(self, tick, truth, frame_due):
+    def step(self, tick, frame):
         publish = self._bus.publish
 
         def publish_with_note(publisher_id, topic, message, tick):
@@ -463,7 +463,7 @@ class NoteVision(VisionNode):
 
         self._bus.publish = publish_with_note
         try:
-            super().step(tick, truth, frame_due)
+            super().step(tick, frame)
         finally:
             del self._bus.publish
 

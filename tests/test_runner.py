@@ -50,6 +50,32 @@ class TestShippedScenarios:
         assert outcome.reason == "containment_never_reached"
         assert 0.0 < outcome.max_containment_s < 10.0
 
+    def test_no_frame_is_rendered_before_the_signal(self, monkeypatch):
+        scenario = load_scenario("hovering_target")
+        now = [0]
+        projected = []
+        world_step, project = runner.world_step, runner.project_to_camera
+
+        def step_and_note_tick(*args):
+            world = world_step(*args)
+            now[0] = world.tick
+            return world
+
+        def project_and_note_tick(*args):
+            projected.append(now[0])
+            return project(*args)
+
+        monkeypatch.setattr(runner, "world_step", step_and_note_tick)
+        monkeypatch.setattr(runner, "project_to_camera", project_and_note_tick)
+        result = run(scenario)
+        signal = next(
+            e["tick"] for e in result.event_log if e.get("topic") == "/signal/process_image"
+        )
+        # The signal is delivered at the end of its tick; the vision node
+        # arms on the next one and renders the first frame due from then.
+        first_frame = (signal // scenario.frame_ticks + 1) * scenario.frame_ticks
+        assert projected and min(projected) == first_frame
+
     def test_protocol_completeness_single_target(self):
         result = run(load_scenario("moving_target"))
         counts = result.report.topic_counts

@@ -148,7 +148,7 @@ class TestVisionNode:
         bus = MessageBus()
         bus.subscribe("listener", "/image/message")
         node = VisionNode(bus, CERTAIN, random.Random(0))
-        node.step(0, (0.0, 0.0), frame_due=True)
+        node.step(0, lambda: (0.0, 0.0))
         bus.deliver()
         assert bus.drain("listener") == []
 
@@ -158,7 +158,7 @@ class TestVisionNode:
         node = VisionNode(bus, CERTAIN, random.Random(0))
         bus.publish("autonomous", "/signal/process_image", b"", 0)
         bus.deliver()
-        node.step(1, (0.1, 0.0), frame_due=True)
+        node.step(1, lambda: (0.1, 0.0))
         bus.deliver()
         received = bus.drain("listener")
         assert len(received) == 1
@@ -172,13 +172,41 @@ class TestVisionNode:
         node = VisionNode(bus, CERTAIN, random.Random(0))
         bus.publish("autonomous", "/signal/process_image", b"", 0)
         bus.deliver()
-        node.step(1, (0.0, 0.0), frame_due=True)
+        node.step(1, lambda: (0.0, 0.0))
         bus.publish("autonomous", "/land", b"", 1)
         bus.deliver()
         bus.drain("listener")
-        node.step(2, (0.0, 0.0), frame_due=True)
+        node.step(2, lambda: (0.0, 0.0))
         bus.deliver()
         assert bus.drain("listener") == []
+
+    def test_frame_is_rendered_only_while_armed(self):
+        bus = MessageBus()
+        node = VisionNode(bus, CERTAIN, random.Random(0))
+        rendered = []
+
+        def frame_of(tick):
+            def frame():
+                rendered.append(tick)
+                return (0.0, 0.0)
+
+            return frame
+
+        def run_ticks(ticks):
+            for tick in ticks:  # a frame is due on each even tick
+                node.step(tick, frame_of(tick) if tick % 2 == 0 else None)
+                bus.deliver()
+
+        run_ticks(range(0, 4))
+        assert rendered == []  # unarmed: no frame is rendered
+        bus.publish("autonomous", "/signal/process_image", b"", 3)
+        bus.deliver()
+        run_ticks(range(4, 10))
+        assert rendered == [4, 6, 8]  # once per due frame, from the arming tick on
+        bus.publish("autonomous", "/land", b"", 9)
+        bus.deliver()
+        run_ticks(range(10, 14))
+        assert rendered == [4, 6, 8]  # none after /land
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lockon.world import (
     CameraParams,
@@ -310,6 +310,43 @@ class TestStepMatchesReference:
         for advance in (step, reference_step):
             with pytest.raises(ValueError):
                 advance(make_world(), command, 0.05)
+
+
+class TestStepSkipsTheConstructorChecks:
+    """``step`` fills its pursuer without ``PursuerState.__init__``; these show
+    that wrapping, clamping and checking again would change no bit."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(math.nextafter(math.pi, 0.0))
+    @example(math.nextafter(-math.pi, 0.0))
+    @example(math.nextafter(math.pi, 4.0))
+    @example(5e-324)
+    @example(-5e-324)
+    @example(-0.0)
+    def test_wrap_angle_is_idempotent(self, angle):
+        once = wrap_angle(angle)
+        assert wrap_angle(once).hex() == once.hex()
+
+    @given(
+        position=vectors,
+        yaw=angles,
+        pitch=angles,
+        yaw_rate=angles,
+        pitch_rate=angles,
+        speed=st.floats(min_value=0.0, max_value=1e4),
+        dt=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    def test_stepped_pursuer_equals_a_constructed_one(
+        self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt
+    ):
+        world = make_world(PursuerState(position, yaw, pitch, 1.0))
+        command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
+        p = step(world, command, dt).pursuer
+        built = PursuerState(p.position, p.yaw, p.pitch, p.speed)
+        assert p == built
+        assert float_bits(WorldState(0.0, 0, p)) == float_bits(WorldState(0.0, 0, built))
 
 
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
