@@ -145,7 +145,8 @@ def summarize_run(entries: list[dict]) -> RunReport:
 
     Targets are reported in order of first assignment. A signal or an
     offset counts toward the target assigned most recently before it in
-    the log; one before any assignment is ignored.
+    the log; one before any assignment is ignored. A target locks at its
+    first /lock: a later one, as a retried post logs, moves nothing.
     """
     meta = end = None
     topic_counts: dict[str, int] = {}
@@ -176,7 +177,7 @@ def summarize_run(entries: list[dict]) -> RunReport:
                 if target_id not in engaged:
                     current = engaged[target_id] = [None, []]
             elif topic == topics.LOCK:
-                locks[_target_id(payload, topic)] = tick
+                locks.setdefault(_target_id(payload, topic), tick)
             elif topic == topics.SIGNAL_PROCESS_IMAGE and current is not None and current[0] is None:
                 current[0] = tick
         elif kind == "meta" and meta is None:

@@ -1,11 +1,13 @@
 """Deterministic lockstep scheduler wiring all nodes over one bus.
 
-Per tick the order is fixed: physics, vision (with the camera frame, when
-due), autonomous node, proxy/server exchange, then bus delivery. Envelopes
-published during a tick are therefore seen by other nodes on the next tick,
-giving the protocol a reproducible one-tick transport delay. Runs terminate
-on /land (after a short grace window so every node can shut down), at
-max_time, or on a crash (altitude below ground).
+The scheduler holds the tick, the time (tick * dt, recomputed each tick so
+it never drifts from the tick count) and the pursuer. Per tick the order is
+fixed: physics, vision (with the camera frame, when due), autonomous node,
+proxy/server exchange, then bus delivery. Envelopes published during a tick
+are therefore seen by other nodes on the next tick, giving the protocol a
+reproducible one-tick transport delay. Runs terminate on /land (after a
+short grace window so every node can shut down), at max_time, or on a crash
+(altitude below ground).
 
 A camera frame is rendered only when the vision node uses it: on a frame
 tick, while its pipeline is armed (from the tick that delivers the first
@@ -31,12 +33,7 @@ from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
 from .vision import VisionNode
-from .world import (
-    WorldState,
-    camera_pose,
-    project_to_camera,
-    step as world_step,
-)
+from .world import PursuerState, camera_pose, project_to_camera, step as world_step
 
 SHUTDOWN_GRACE_TICKS = 2
 
@@ -90,16 +87,15 @@ def _track_rows(targets) -> tuple[tuple, ...]:
 
 
 def _camera_truth(
-    world: WorldState, rows: tuple[tuple, ...], consumed: set[str], camera
+    pursuer: PursuerState, t: float, rows: tuple[tuple, ...], consumed: set[str], camera
 ) -> tuple[float, float] | None:
-    """Projection of the in-frame target nearest the camera center.
+    """Projection of the in-frame target nearest the camera center at time ``t``.
 
     Positions are ``eval_trajectory``'s expression in its operation order.
     ``project_to_camera`` is called per target through this module's global,
     so a wrapper set on that attribute (the benchmark's tracer) sees each one.
     """
-    pose = camera_pose(world.pursuer, camera)
-    t = world.time
+    pose = camera_pose(pursuer, camera)
     half_t2 = 0.5 * t * t
     best: tuple[float, float] | None = None
     best_norm = 0.0
@@ -187,12 +183,12 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     )
     proxy = ProxyNode(bus, transport)
 
-    world = WorldState(time=0.0, tick=0, pursuer=scenario.pursuer_init)
+    pursuer, time = scenario.pursuer_init, 0.0
     rows = _track_rows(scenario.targets)
     camera = scenario.camera
 
     def frame() -> tuple[float, float] | None:
-        return _camera_truth(world, rows, consumed, camera)
+        return _camera_truth(pursuer, time, rows, consumed, camera)
 
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks
@@ -201,20 +197,17 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     try:
         while True:
             if tick > 0:
-                world = world_step(world, autonomous.guidance, dt)
-                if world.pursuer.position.z < 0.0:
+                pursuer = world_step(pursuer, autonomous.guidance, dt)
+                time = tick * dt
+                if pursuer.position.z < 0.0:
                     proxy.report_crash(
-                        CrashReport(
-                            uav_id=scenario.uav_id,
-                            time=world.time,
-                            position=world.pursuer.position,
-                        )
+                        CrashReport(uav_id=scenario.uav_id, time=time, position=pursuer.position)
                     )
                     terminated_by = "crash"
                     break
 
             vision.step(tick, frame if tick % frame_ticks == 0 else None)
-            autonomous.step(tick, world.time, world.pursuer)
+            autonomous.step(tick, time, pursuer)
             proxy.step(tick)
             bus.deliver()
 

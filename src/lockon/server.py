@@ -309,7 +309,7 @@ class MissionStore:
                 kept = self._records_replies[kind] = (len(records), reply)
         return kept[1]
 
-    # Introspection used by tests and the scheduler.
+    # Introspection for tests; the benchmark tracer reads record_count.
     def queue_length(self) -> int:
         with self._lock:
             return len(self._queue)

@@ -11,6 +11,10 @@ track_window of the last known position unless a dropout draw misses.
 A successful stage reports the exact ground-truth offset, so every emitted
 message is unbiased; noise enters only as missed frames. All randomness
 comes from the caller-supplied seeded stream.
+
+The node arms a fresh ``PipelineState`` and each frame updates it in
+place: the pipeline is detecting while ``last_known`` is None and tracking
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 from . import bus as topics
 from .bus import Envelope, MessageBus
 from .payloads import OffsetMessage
-from .world import value
 
 
 @dataclass(frozen=True)
@@ -43,28 +45,11 @@ class VisionParams:
             raise ValueError("track_window must be > 0")
 
 
-class PipelineMode(Enum):
-    DETECTING = "detecting"
-    TRACKING = "tracking"
-
-
-@value
+@dataclass(slots=True)
 class PipelineState:
-    mode: PipelineMode = PipelineMode.DETECTING
-    last_known: tuple[float, float] | None = None
+    last_known: tuple[float, float] | None = None  # None while detecting
     frames_in_view: int = 0
     active: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode is PipelineMode.TRACKING and self.last_known is None:
-            raise ValueError("tracking mode requires a last known position")
-
-
-def arm(state: PipelineState) -> PipelineState:
-    """Start (or restart) the pipeline in detection mode."""
-    return PipelineState(
-        mode=PipelineMode.DETECTING, last_known=None, frames_in_view=0, active=True
-    )
 
 
 def detector_attempt(
@@ -113,27 +98,25 @@ def process_frame(
     rng: random.Random,
     tick: int,
 ) -> tuple[PipelineState, OffsetMessage | None]:
-    """Advance the pipeline one camera frame.
+    """Advance the pipeline one camera frame, updating ``state`` in place.
 
-    Inactive pipelines produce nothing. In detection mode a hit switches to
-    tracking and emits the offset; in tracking mode a successful update
+    Inactive pipelines produce nothing. While detecting, a hit switches to
+    tracking and emits the offset; while tracking, a successful update
     refreshes the last known position and emits, while a loss falls back to
-    detection with no message this frame.
+    detection with no message this frame. Returns ``state`` and the message.
     """
     if not state.active:
         return state, None
-    if state.mode is PipelineMode.DETECTING:
-        frames, hit = detector_attempt(state.frames_in_view, truth, params, rng)
-        if hit is None:
-            return PipelineState(state.mode, state.last_known, frames, state.active), None
-        new_state = PipelineState(PipelineMode.TRACKING, hit, 0, state.active)
-        return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
-    assert state.last_known is not None
-    hit = tracker_update(state.last_known, truth, params, rng)
+    if state.last_known is None:
+        state.frames_in_view, hit = detector_attempt(state.frames_in_view, truth, params, rng)
+        if hit is not None:
+            state.frames_in_view = 0
+    else:
+        hit = tracker_update(state.last_known, truth, params, rng)
+    state.last_known = hit
     if hit is None:
-        return PipelineState(PipelineMode.DETECTING, None, 0, state.active), None
-    new_state = PipelineState(state.mode, hit, state.frames_in_view, state.active)
-    return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
+        return state, None
+    return state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
 
 
 class VisionNode:
@@ -152,7 +135,7 @@ class VisionNode:
 
     def handle_envelope(self, envelope: Envelope) -> None:
         if envelope.topic == topics.SIGNAL_PROCESS_IMAGE and not self._terminated:
-            self.state = arm(self.state)
+            self.state = PipelineState(active=True)
         elif envelope.topic == topics.LAND:
             self._terminated = True
 
@@ -169,6 +152,6 @@ class VisionNode:
             self.handle_envelope(envelope)
         if frame is None or self._terminated or not self.state.active:
             return
-        self.state, message = process_frame(self.state, frame(), self.params, self.rng, tick)
+        _, message = process_frame(self.state, frame(), self.params, self.rng, tick)
         if message is not None:
             self._bus.publish(self.CLIENT_ID, topics.IMAGE_MESSAGE, message, tick)

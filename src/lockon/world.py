@@ -3,9 +3,9 @@
 Everything lives in a flat-earth local ENU frame: x east, y north, z up,
 meters. The pursuer is a kinematic point with yaw/pitch attitude and a
 commanded speed; targets follow closed-form trajectories (stationary,
-constant velocity, constant acceleration) evaluated at absolute time, so the
-world state is a pure function of the tick count. Integration is forward
-Euler at a fixed dt.
+constant velocity, constant acceleration) evaluated at absolute time, so a
+target's position depends on the time alone. ``step`` advances the pursuer
+by forward Euler at a fixed dt; the scheduler keeps the tick and the time.
 
 A camera frame is projected from one ``camera_pose``, built once per frame,
 and ``project_to_camera`` projects each point, as raw coordinates, with it.
@@ -227,13 +227,6 @@ class GuidanceCommand:
             raise ValueError("rates must be finite")
 
 
-@value
-class WorldState:
-    time: float
-    tick: int
-    pursuer: PursuerState
-
-
 def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
     """Closed-form position at time t: p0 + v0*t + a*t^2/2."""
     if t < 0.0:
@@ -294,12 +287,11 @@ def project_to_camera(
     return (u, v)
 
 
-def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
-    """Advance the world one tick under a guidance command.
+def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> PursuerState:
+    """Advance the pursuer one tick under a guidance command.
 
     Attitude integrates first (yaw wraps, pitch clamps), then the position
-    moves speed*dt along the updated attitude. Time is recomputed as
-    tick * dt so it never drifts from the tick count.
+    moves speed*dt along the updated attitude.
 
     The new pursuer is filled without ``PursuerState.__init__``: its yaw is
     wrapped and its pitch clamped here, and wrapping or clamping again would
@@ -310,7 +302,6 @@ def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
         raise ValueError("dt must be > 0")
     if guidance.speed < 0.0:
         raise ValueError("speed must be >= 0")
-    pursuer = world.pursuer
     yaw = wrap_angle(pursuer.yaw + guidance.yaw_rate * dt)
     pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pursuer.pitch + guidance.pitch_rate * dt))
     cp = math.cos(pitch)
@@ -321,7 +312,6 @@ def step(world: WorldState, guidance: GuidanceCommand, dt: float) -> WorldState:
         p.y + cp * math.sin(yaw) * travel,
         p.z + math.sin(pitch) * travel,
     )
-    new_tick = world.tick + 1
     new_pursuer = object.__new__(PursuerState)
     _fill_pursuer(new_pursuer, position, yaw, pitch, guidance.speed)
-    return WorldState(new_tick * dt, new_tick, new_pursuer)
+    return new_pursuer

@@ -115,6 +115,32 @@ class TestSummarizeRun:
         assert outcome.max_containment_s == pytest.approx(10.0)
         assert report.terminated_by == "land"
 
+    def test_a_repeated_lock_keeps_the_first_lock_time(self):
+        # A retried /lock post logs the same target again, later.
+        offsets = [msg(t, "/image/message", {"x": 0, "y": 0, "tick": t}) for t in range(130, 332, 2)]
+        lock = {"uav_id": "u", "target_id": "T1", "lock_start_tick": 130, "lock_end_tick": 330,
+                "position": {"x": 0, "y": 0, "z": 0}}
+        entries = [
+            meta(),
+            assignment(2, "T1"),
+            msg(128, "/signal/process_image"),
+            *offsets,
+            msg(330, "/lock", lock),
+            msg(730, "/lock", lock),
+            msg(730, "/land"),
+            end("land", 732),
+        ]
+        outcome = summarize_run(entries).per_target[0]
+        assert outcome.locked
+        assert outcome.time_to_lock == pytest.approx((330 - 128) * 0.05)
+
+    def test_every_lock_needs_a_target_id(self):
+        entries = [meta(), assignment(2, "T1"), msg(128, "/signal/process_image"),
+                   msg(330, "/lock", {"target_id": "T1"}), msg(340, "/lock", {}),
+                   end("land", 342)]
+        with pytest.raises(MetricsError, match="/lock message without a target_id"):
+            summarize_run(entries)
+
     def test_containment_never_reached(self):
         offsets = [msg(t, "/image/message", {"x": 0, "y": 0, "tick": t}) for t in range(130, 160, 2)]
         entries = [meta(), assignment(2, "T1"), msg(128, "/signal/process_image"),

@@ -23,7 +23,6 @@ from lockon.world import (
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
-    WorldState,
     distance,
     eval_trajectory,
 )
@@ -57,9 +56,8 @@ class TestShippedScenarios:
         world_step, project = runner.world_step, runner.project_to_camera
 
         def step_and_note_tick(*args):
-            world = world_step(*args)
-            now[0] = world.tick
-            return world
+            now[0] += 1  # the scheduler steps once per tick from tick 1
+            return world_step(*args)
 
         def project_and_note_tick(*args):
             projected.append(now[0])
@@ -154,7 +152,7 @@ class TestMultiTarget:
         assert result.report.topic_counts["/land"] == 1
 
 
-def reference_camera_truth(world, tracks, consumed, camera):
+def reference_camera_truth(pursuer, time, tracks, consumed, camera):
     """The earlier _camera_truth body, kept as the oracle: a Vec3 from
     eval_trajectory and a per-call projection for every unconsumed
     (target id, trajectory) pair."""
@@ -162,7 +160,7 @@ def reference_camera_truth(world, tracks, consumed, camera):
     for target_id, spec in tracks:
         if target_id in consumed:
             continue
-        uv = reference_project(world.pursuer, eval_trajectory(spec, world.time), camera)
+        uv = reference_project(pursuer, eval_trajectory(spec, time), camera)
         if uv is None:
             continue
         norm = uv[0] ** 2 + uv[1] ** 2
@@ -171,8 +169,8 @@ def reference_camera_truth(world, tracks, consumed, camera):
     return best
 
 
-def camera_truth(world, tracks, consumed, camera):
-    return runner._camera_truth(world, runner._track_rows(tracks), consumed, camera)
+def camera_truth(pursuer, time, tracks, consumed, camera):
+    return runner._camera_truth(pursuer, time, runner._track_rows(tracks), consumed, camera)
 
 
 def mirrored(spec):
@@ -227,16 +225,14 @@ def selection_frames(draw):
         specs.insert(draw(st.integers(0, len(specs))), twin)
     tracks = tuple((f"T{index:02d}", spec) for index, spec in enumerate(specs))
     consumed = draw(st.sets(st.sampled_from([target_id for target_id, _ in tracks])))
-    world = WorldState(time=time, tick=round(time / 0.05), pursuer=pursuer)
-    return world, tracks, consumed, camera
+    return pursuer, time, tracks, consumed, camera
 
 
 class TestCameraTruth:
     @given(selection_frames())
     def test_bit_identical_to_per_target_body(self, frame):
-        world, tracks, consumed, camera = frame
-        new = camera_truth(world, tracks, consumed, camera)
-        old = reference_camera_truth(world, tracks, consumed, camera)
+        new = camera_truth(*frame)
+        old = reference_camera_truth(*frame)
         if old is None:
             assert new is None
         else:
@@ -250,12 +246,11 @@ class TestCameraTruth:
         camera = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3)
         for first, second in ((spec, mirrored(spec)), (mirrored(spec), spec)):
             tracks = (("A", first), ("B", second))
-            world = WorldState(time=2.0, tick=40, pursuer=pursuer)
-            uv = camera_truth(world, tracks, set(), camera)
+            uv = camera_truth(pursuer, 2.0, tracks, set(), camera)
             expected = reference_project(pursuer, eval_trajectory(first, 2.0), camera)
             assert uv == expected and uv[0] != 0.0
-            assert camera_truth(world, tracks, {"A"}, camera) == (-uv[0], uv[1])
-            assert camera_truth(world, tracks, {"A", "B"}, camera) is None
+            assert camera_truth(pursuer, 2.0, tracks, {"A"}, camera) == (-uv[0], uv[1])
+            assert camera_truth(pursuer, 2.0, tracks, {"A", "B"}, camera) is None
 
 
 class TestTermination:
@@ -281,6 +276,10 @@ class TestTermination:
         result = run(scenario, store=store)
         assert result.terminated_by == "crash"
         assert store.record_count("Crash") == 1
+        # The crash is reported at the end tick, at the scheduler's tick * dt.
+        (crash,) = store.query_records("Crash").body["records"]
+        end_tick = result.event_log[-1]["tick"]
+        assert crash["body"]["time"].hex() == (end_tick * scenario.dt).hex()
 
     def test_shutdown_after_land(self):
         result = run(load_scenario("moving_target"))
@@ -434,6 +433,14 @@ class TestEventLogShape:
                 seqs.setdefault(entry["publisher"], []).append(entry["seq"])
         assert {"autonomous", "proxy", "vision"} <= set(seqs)
         assert all(series == list(range(len(series))) for series in seqs.values())
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_telemetry_time_is_exactly_tick_times_dt(self, name):
+        scenario = load_scenario(name)
+        telemetry = topic_msgs(run(scenario), "/telemetry")
+        assert telemetry
+        for entry in telemetry:
+            assert entry["payload"]["time"].hex() == (entry["tick"] * scenario.dt).hex()
 
     def test_payloads_are_json_objects_or_null(self):
         result = run(load_scenario("moving_target"))

@@ -23,27 +23,20 @@ from lockon.payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from lockon.vision import PipelineMode, PipelineState
-from lockon.world import GuidanceCommand, PursuerState, Vec3, WorldState, value
+from lockon.world import GuidanceCommand, PursuerState, Vec3, value
 
 POSITION = Vec3(1.5, -2.0, 10.0)
-PURSUER = PursuerState(POSITION, 0.25, -0.1, 6.0)
 
 # class -> two argument tuples that build unequal instances
 SAMPLES = {
     Vec3: [(1.0, -2.0, 3.5), (1.0, -2.0, -0.0)],
     GuidanceCommand: [(0.1, -0.2, 3.0), (0.1, -0.2, 0.0)],
-    WorldState: [(0.5, 10, PURSUER), (0.55, 11, PURSUER)],
     Envelope: [("/lock", b"{}", "autonomous", 3, 7), ("/lock", b"{}", "autonomous", 4, 7)],
     TelemetryRequest: [("uav-1", 1.5, POSITION, "SEARCH"), ("uav-1", 1.5, POSITION, "LOCK")],
     TelemetryResponse: [(True, "T1", POSITION, 2), (False, None, None, 0)],
     LockReport: [("uav-1", "T1", 3, 9, POSITION), ("uav-1", "T2", 3, 9, POSITION)],
     OffsetMessage: [(0.25, -0.5, 12), (0.25, -0.5, 13)],
     CrashReport: [("uav-1", 2.0, POSITION), ("uav-2", 2.0, POSITION)],
-    PipelineState: [
-        (PipelineMode.TRACKING, (0.1, 0.2), 3, True),
-        (PipelineMode.DETECTING, None, 0, False),
-    ],
 }
 
 # Every frozen, slotted dataclass of the package is a value class, apart
@@ -123,8 +116,6 @@ def test_value_class_matches_a_stock_frozen_dataclass(cls):
         lambda: TelemetryResponse(has_target=True, target_id="T1", target_position=None,
                                   remaining_targets=1),
         lambda: LockReport("uav-1", "T1", 9, 3, POSITION),
-        lambda: PipelineState(PipelineMode.TRACKING, None, 0, True),
-        lambda: PipelineState(mode=PipelineMode.TRACKING),
         lambda: Envelope("/image/message", OffsetMessage(math.nan, 0.0, 1), "vision", 0, 1),
     ],
 )

@@ -1,17 +1,18 @@
 """Detect-then-track pipeline behaviour and its handoff discipline."""
 
 import random
+from dataclasses import dataclass
+from enum import Enum
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lockon.bus import MessageBus
 from lockon.payloads import OffsetMessage
 from lockon.vision import (
-    PipelineMode,
     PipelineState,
     VisionNode,
     VisionParams,
-    arm,
     detector_attempt,
     process_frame,
     tracker_update,
@@ -20,18 +21,39 @@ from lockon.vision import (
 CERTAIN = VisionParams(p_detect=1.0, detector_latency_frames=0, track_window=0.2, p_track_dropout=0.0)
 
 
+def signal(bus, tick):
+    """Publish and deliver /signal/process_image, as the autonomous node does."""
+    bus.publish("autonomous", "/signal/process_image", b"", tick)
+    bus.deliver()
+
+
 class TestArm:
-    def test_fresh_state_becomes_active_detecting(self):
-        state = arm(PipelineState())
-        assert state.active and state.mode is PipelineMode.DETECTING
-        assert state.last_known is None
+    def test_signal_arms_a_detecting_pipeline(self):
+        bus = MessageBus()
+        node = VisionNode(bus, CERTAIN, random.Random(0))
+        assert not node.state.active
+        signal(bus, 0)
+        node.step(1, None)
+        assert node.state == PipelineState(last_known=None, frames_in_view=0, active=True)
 
     def test_rearm_resets_tracking(self):
-        tracking = PipelineState(
-            mode=PipelineMode.TRACKING, last_known=(0.1, 0.1), active=True
-        )
-        state = arm(tracking)
-        assert state.mode is PipelineMode.DETECTING and state.last_known is None
+        # With a one-frame detector latency, a restarted detector stays
+        # silent on its first frame, where the tracker would have emitted.
+        params = VisionParams(p_detect=1.0, detector_latency_frames=1, track_window=0.2)
+        bus = MessageBus()
+        bus.subscribe("listener", "/image/message")
+        node = VisionNode(bus, params, random.Random(0))
+        signal(bus, 0)
+        for tick in (1, 2, 3):
+            node.step(tick, lambda: (0.1, 0.1))
+            bus.deliver()
+        assert [e.tick for e in bus.drain("listener")] == [2, 3]
+        assert node.state.last_known == (0.1, 0.1)  # tracking
+        signal(bus, 3)
+        node.step(4, lambda: (0.1, 0.1))
+        bus.deliver()
+        assert bus.drain("listener") == []
+        assert node.state == PipelineState(last_known=None, frames_in_view=1, active=True)
 
 
 class TestDetectorAttempt:
@@ -94,24 +116,24 @@ class TestTrackerUpdate:
 class TestProcessFrame:
     def test_inactive_pipeline_emits_nothing(self):
         state, message = process_frame(PipelineState(), (0.0, 0.0), CERTAIN, random.Random(0), 0)
-        assert message is None and not state.active
+        assert message is None and state == PipelineState()
 
     def test_detection_switches_to_tracking_and_emits(self):
-        state = arm(PipelineState())
+        state = PipelineState(active=True)
         state, message = process_frame(state, (0.2, -0.1), CERTAIN, random.Random(0), 4)
-        assert state.mode is PipelineMode.TRACKING
+        assert state.last_known is not None
         assert message == OffsetMessage(x=0.2, y=-0.1, tick=4)
 
     def test_track_loss_falls_back_to_detection_without_message(self):
-        state = arm(PipelineState())
+        state = PipelineState(active=True)
         state, _ = process_frame(state, (0.0, 0.0), CERTAIN, random.Random(0), 0)
         state, message = process_frame(state, (0.9, 0.0), CERTAIN, random.Random(0), 2)
         assert message is None
-        assert state.mode is PipelineMode.DETECTING and state.last_known is None
+        assert state.last_known is None
 
     def test_emitted_offsets_equal_truth(self):
         rng = random.Random(7)
-        state = arm(PipelineState())
+        state = PipelineState(active=True)
         truth_stream = [(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)) for _ in range(50)]
         for tick, truth in enumerate(truth_stream):
             state, message = process_frame(state, truth, CERTAIN, rng, tick)
@@ -119,7 +141,7 @@ class TestProcessFrame:
                 assert (message.x, message.y) == truth
 
     def test_perfect_pipeline_emits_every_frame(self):
-        state = arm(PipelineState())
+        state = PipelineState(active=True)
         messages = 0
         for tick in range(100):
             state, message = process_frame(state, (0.0, 0.0), CERTAIN, random.Random(tick), tick)
@@ -131,16 +153,104 @@ class TestProcessFrame:
         params = VisionParams(p_detect=0.6, detector_latency_frames=0, track_window=0.2,
                               p_track_dropout=0.1)
         rng = random.Random(31)
-        state = arm(PipelineState())
+        state = PipelineState(active=True)
         for tick in range(500):
             in_frame = rng.random() < 0.8
             truth = (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) if in_frame else None
-            before = state.mode
+            was_detecting = state.last_known is None  # read first: the call updates state
             state, message = process_frame(state, truth, params, rng, tick)
-            if before is PipelineMode.DETECTING and state.mode is PipelineMode.TRACKING:
+            if was_detecting and state.last_known is not None:
                 assert message is not None
-            if before is PipelineMode.TRACKING and state.mode is PipelineMode.DETECTING:
+            if not was_detecting and state.last_known is None:
                 assert message is None
+
+
+class ReferenceMode(Enum):
+    DETECTING = "detecting"
+    TRACKING = "tracking"
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    mode: ReferenceMode = ReferenceMode.DETECTING
+    last_known: tuple[float, float] | None = None
+    frames_in_view: int = 0
+    active: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode is ReferenceMode.TRACKING and self.last_known is None:
+            raise ValueError("tracking mode requires a last known position")
+
+
+def reference_process_frame(state, truth, params, rng, tick):
+    """The earlier process_frame body, kept as the oracle: it builds a new
+    frozen state every frame, with a mode beside the last known position."""
+    if not state.active:
+        return state, None
+    if state.mode is ReferenceMode.DETECTING:
+        frames, hit = detector_attempt(state.frames_in_view, truth, params, rng)
+        if hit is None:
+            return ReferenceState(state.mode, state.last_known, frames, state.active), None
+        new_state = ReferenceState(ReferenceMode.TRACKING, hit, 0, state.active)
+        return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
+    assert state.last_known is not None
+    hit = tracker_update(state.last_known, truth, params, rng)
+    if hit is None:
+        return ReferenceState(ReferenceMode.DETECTING, None, 0, state.active), None
+    new_state = ReferenceState(state.mode, hit, state.frames_in_view, state.active)
+    return new_state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
+
+
+offsets = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def truth_streams(draw):
+    """Per-frame truths: out of frame (None), a small move from the last
+    in-frame truth, or a jump anywhere in the frame."""
+    stream, last = [], (0.0, 0.0)
+    for _ in range(draw(st.integers(0, 60))):
+        move = draw(st.sampled_from(["none", "near", "jump"]))
+        if move == "none":
+            stream.append(None)
+            continue
+        if move == "near":
+            step = st.floats(min_value=-0.1, max_value=0.1)
+            last = (max(-1.0, min(1.0, last[0] + draw(step))),
+                    max(-1.0, min(1.0, last[1] + draw(step))))
+        else:
+            last = (draw(offsets), draw(offsets))
+        stream.append(last)
+    return stream
+
+
+vision_params = st.builds(
+    VisionParams,
+    p_detect=st.floats(min_value=0.0, max_value=1.0),
+    detector_latency_frames=st.integers(min_value=0, max_value=3),
+    track_window=st.floats(min_value=0.01, max_value=2.0),
+    p_track_dropout=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestProcessFrameMatchesReference:
+    @given(params=vision_params, stream=truth_streams(), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_state_follows_the_frozen_body(self, params, stream, seed):
+        # An armed pipeline is the only reachable start: the node arms a
+        # fresh state, so frames_in_view is 0 whenever it is tracking.
+        state, reference = PipelineState(active=True), ReferenceState(active=True)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for tick, truth in enumerate(stream):
+            returned, message = process_frame(state, truth, params, rng, tick)
+            reference, expected = reference_process_frame(
+                reference, truth, params, reference_rng, tick
+            )
+            assert returned is state
+            assert message == expected
+            assert (state.last_known, state.frames_in_view) == (
+                reference.last_known, reference.frames_in_view
+            )
+        assert rng.getstate() == reference_rng.getstate()
 
 
 class TestVisionNode:

@@ -15,7 +15,6 @@ from lockon.world import (
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
-    WorldState,
     camera_pose,
     distance,
     eval_trajectory,
@@ -202,55 +201,43 @@ class TestProjection:
                 assert rotated[1] == pytest.approx(base[1], abs=1e-9)
 
 
-def make_world(pursuer=None):
-    return WorldState(
-        time=0.0, tick=0, pursuer=pursuer or PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
-    )
+def make_pursuer():
+    return PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
 
 
 class TestStep:
     def test_zero_guidance_is_fixed_point(self):
-        world = make_world()
-        after = step(world, GuidanceCommand(), 0.05)
-        assert after.pursuer.position == world.pursuer.position
-        assert after.tick == 1
-        assert after.time == pytest.approx(0.05)
+        pursuer = make_pursuer()
+        after = step(pursuer, GuidanceCommand(), 0.05)
+        assert after.position == pursuer.position
 
     def test_straight_motion(self):
-        world = make_world()
-        after = step(world, GuidanceCommand(speed=5.0), 0.05)
-        assert after.pursuer.position.x == pytest.approx(0.25)
-        assert after.pursuer.position.y == pytest.approx(0.0)
+        after = step(make_pursuer(), GuidanceCommand(speed=5.0), 0.05)
+        assert after.position.x == pytest.approx(0.25)
+        assert after.position.y == pytest.approx(0.0)
 
     def test_yaw_rate_euler(self):
-        world = make_world()
-        after = step(world, GuidanceCommand(yaw_rate=0.4), 0.05)
-        assert after.pursuer.yaw == pytest.approx(0.02)
+        after = step(make_pursuer(), GuidanceCommand(yaw_rate=0.4), 0.05)
+        assert after.yaw == pytest.approx(0.02)
 
     def test_pitch_clamped(self):
         start = PursuerState(Vec3(0, 0, 10), 0.0, math.pi / 2 - 0.01, 0.0)
-        after = step(make_world(start), GuidanceCommand(pitch_rate=10.0), 0.05)
-        assert after.pursuer.pitch == pytest.approx(math.pi / 2)
+        after = step(start, GuidanceCommand(pitch_rate=10.0), 0.05)
+        assert after.pitch == pytest.approx(math.pi / 2)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            step(make_world(), GuidanceCommand(), 0.0)
+            step(make_pursuer(), GuidanceCommand(), 0.0)
 
     def test_deterministic(self):
-        world = make_world()
+        pursuer = make_pursuer()
         cmd = GuidanceCommand(yaw_rate=0.123, pitch_rate=-0.05, speed=7.7)
-        a = step(world, cmd, 0.05)
-        b = step(world, cmd, 0.05)
+        a = step(pursuer, cmd, 0.05)
+        b = step(pursuer, cmd, 0.05)
         assert a == b
 
-    def test_time_is_exactly_tick_times_dt(self):
-        world = make_world()
-        for _ in range(1000):
-            world = step(world, GuidanceCommand(speed=1.0), 0.05)
-        assert world.time == world.tick * 0.05
 
-
-def reference_step(world, guidance, dt):
+def reference_step(pursuer, guidance, dt):
     """The earlier step body, kept as the oracle: it builds PursuerState twice.
 
     The first construction wraps the yaw, the position then moves along that
@@ -258,24 +245,20 @@ def reference_step(world, guidance, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    pursuer = world.pursuer
     new_pursuer = PursuerState(
         position=pursuer.position,
         yaw=pursuer.yaw + guidance.yaw_rate * dt,
         pitch=pursuer.pitch + guidance.pitch_rate * dt,
         speed=guidance.speed,
     )
-    new_pursuer = dataclasses.replace(
+    return dataclasses.replace(
         new_pursuer,
         position=pursuer.position + new_pursuer.forward().scale(guidance.speed * dt),
     )
-    new_tick = world.tick + 1
-    return WorldState(time=new_tick * dt, tick=new_tick, pursuer=new_pursuer)
 
 
-def float_bits(world):
-    p = world.pursuer
-    values = (world.time, p.position.x, p.position.y, p.position.z, p.yaw, p.pitch, p.speed)
+def float_bits(p):
+    values = (p.position.x, p.position.y, p.position.z, p.yaw, p.pitch, p.speed)
     return tuple(v.hex() for v in values)
 
 
@@ -291,16 +274,13 @@ class TestStepMatchesReference:
         pitch_rate=angles,
         speed=st.floats(min_value=0.0, max_value=1e4),
         dt=st.floats(min_value=1e-6, max_value=10.0),
-        tick=st.integers(min_value=0, max_value=10**6),
     )
     def test_bit_identical_to_two_construction_body(
-        self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt, tick
+        self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt
     ):
-        world = WorldState(
-            time=tick * dt, tick=tick, pursuer=PursuerState(position, yaw, pitch, 1.0)
-        )
+        pursuer = PursuerState(position, yaw, pitch, 1.0)
         command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
-        new, old = step(world, command, dt), reference_step(world, command, dt)
+        new, old = step(pursuer, command, dt), reference_step(pursuer, command, dt)
         assert new == old
         assert float_bits(new) == float_bits(old)  # also tells -0.0 from 0.0
 
@@ -309,7 +289,7 @@ class TestStepMatchesReference:
         command = SimpleNamespace(yaw_rate=0.0, pitch_rate=0.0, speed=-1.0)
         for advance in (step, reference_step):
             with pytest.raises(ValueError):
-                advance(make_world(), command, 0.05)
+                advance(make_pursuer(), command, 0.05)
 
 
 class TestStepSkipsTheConstructorChecks:
@@ -341,12 +321,12 @@ class TestStepSkipsTheConstructorChecks:
     def test_stepped_pursuer_equals_a_constructed_one(
         self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt
     ):
-        world = make_world(PursuerState(position, yaw, pitch, 1.0))
+        pursuer = PursuerState(position, yaw, pitch, 1.0)
         command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
-        p = step(world, command, dt).pursuer
+        p = step(pursuer, command, dt)
         built = PursuerState(p.position, p.yaw, p.pitch, p.speed)
         assert p == built
-        assert float_bits(WorldState(0.0, 0, p)) == float_bits(WorldState(0.0, 0, built))
+        assert float_bits(p) == float_bits(built)
 
 
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
