@@ -77,12 +77,7 @@ class Envelope:
     def parsed(self):
         """A value's ``to_obj()``, or ``parse_json`` of the bytes; ValueError if not strict JSON."""
         payload = self.payload
-        if isinstance(payload, Message):
-            return payload.to_obj()
-        try:
-            return parse_json(payload)
-        except RecursionError:  # nested too deeply; the run's event log catches ValueError only
-            raise ValueError("payload is not strict JSON") from None
+        return payload.to_obj() if isinstance(payload, Message) else parse_json(payload)
 
     def data(self) -> bytes:
         """The payload's bytes; a message value is encoded on each call."""

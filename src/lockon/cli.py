@@ -14,7 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .server import MissionStore, TargetAssignment, make_http_server, read_targets
+from .payloads import read_json
+from .server import MissionStore, TargetAssignment, make_http_server, parse_targets
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -60,7 +61,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _load_targets_file(path: str) -> list[TargetAssignment]:
     try:
-        return read_targets(Path(path).read_bytes())
+        return read_json(Path(path).read_bytes(), parse_targets)
     except ValueError as exc:
         from .scenario import ScenarioError
 

@@ -6,13 +6,15 @@ slotted ``world.value`` dataclass. The ``wire`` decorator compiles its
 ``to_obj``, ``canonical`` and decoder once from its field types, to
 straight-line code per schema; ``encode`` is json's encoder over ``to_obj()``.
 
-Parse contract: every payload that arrives as bytes, on the bus, at the
-mission server and in the run log, goes through one strict parser
-(``parse_json``). The bytes must be UTF-8 (no byte-order mark, no
-UTF-16/32) and hold JSON with no ``NaN`` or ``Infinity`` token and no number
-literal beyond the float range, anywhere in the document. Each reader of a
-bus envelope reads it anew: the run's event log parses the bytes, and
-``Schema.from_envelope(envelope)`` decodes them.
+Parse contract: every JSON document that arrives as bytes, on the bus, at
+the mission server, in the run log and in a scenario file, goes through one
+strict parser (``parse_json``). The bytes must be UTF-8 (no byte-order mark,
+no UTF-16/32) and hold JSON with no ``NaN`` or ``Infinity`` token and no
+number literal beyond the float range, anywhere in the document, nested no
+deeper than the parser can go. Each document read into a value is read by
+``read_json``, which names the field that holds a non-finite number. Each
+reader of a bus envelope reads it anew: the run's event log parses the
+bytes, and ``Schema.from_envelope(envelope)`` decodes them.
 
 A node may also publish a message value. One that is ``canonical()`` (each
 field exactly its declared type, every float finite) travels on the bus as
@@ -51,13 +53,13 @@ class _NonFinite(ValueError):
 
 
 def _reject_constant(token: str):
-    raise _NonFinite(f"{token} is not a JSON number")
+    raise _NonFinite(f"invalid JSON: {token} is not a JSON number")
 
 
 def _finite_literal(text: str) -> float:
     value = float(text)
     if value - value != 0.0:  # a JSON literal can only overflow to +-inf
-        raise _NonFinite(f"number {text[:24]} is beyond the float range")
+        raise _NonFinite(f"invalid JSON: number {text[:24]} is beyond the float range")
     return value
 
 
@@ -65,13 +67,38 @@ _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_fi
 
 
 def parse_json(data: bytes | str):
-    """Parse one strict JSON payload; ValueError or RecursionError if it is not.
+    """Parse one strict JSON document; ValueError ("invalid JSON: ...") if it is not.
 
     Bytes must be UTF-8; ``json.loads`` would also take UTF-16/32 and a BOM.
     """
-    if not isinstance(data, str):
-        data = data.decode("utf-8")
-    return _STRICT_JSON.decode(data)
+    try:
+        return _STRICT_JSON.decode(data if isinstance(data, str) else data.decode("utf-8"))
+    except _NonFinite:
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, too deep
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
+def read_json(data: bytes | str, read):
+    """``read(parse_json(data))``: the one reader of a JSON document into a value.
+
+    The strict parser stops at the first NaN, Infinity or overflowing
+    literal without knowing whose value it is. So before its ValueError is
+    raised, ``read`` is given json's lenient parse of the same text, and its
+    own field checks raise an error naming the field. The parser's error is
+    raised when ``read`` accepts that document (the value sits where no
+    field reads it) or the lenient parse fails too.
+    """
+    try:
+        obj = parse_json(data)
+    except _NonFinite as error:
+        try:
+            obj = json.loads(data)  # UTF-8, as the strict parser decoded it
+        except (ValueError, RecursionError):
+            raise error from None
+        read(obj)
+        raise
+    return read(obj)
 
 
 # The one canonical JSON writer: payload encodings and event-log lines.
@@ -176,11 +203,9 @@ def wire(cls):
 
     def decode(cls, data: bytes | str):
         try:
-            obj = parse_json(data)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, ...
-            blame_non_finite(data, exc, lambda obj: type(obj) is dict and build(obj))
-            raise DecodeError(f"not valid JSON: {exc}") from None
-        return build(obj)
+            return read_json(data, build)
+        except ValueError as exc:  # not strict JSON; build raises DecodeError only
+            raise DecodeError(str(exc)) from None
 
     def from_envelope(cls, envelope):
         """A value payload of this schema as it is; else ``decode(envelope.data())``."""
@@ -195,26 +220,6 @@ def wire(cls):
     cls.decode = classmethod(decode)
     cls.from_envelope = classmethod(from_envelope)
     return cls
-
-
-def blame_non_finite(data: bytes | str, error: Exception, read) -> None:
-    """Let ``read`` name the field whose non-finite number failed ``parse_json(data)``.
-
-    The strict parser stops at the first NaN, Infinity or overflowing
-    literal without knowing whose value it is. When that is why ``error``
-    was raised, ``read`` is given json's lenient parse of the same text, so
-    its own field checks raise an error naming the field. Returns for any
-    other parse error, or when ``read`` accepts the document (the value sits
-    where no field reads it).
-    """
-    if not isinstance(error, _NonFinite):
-        return
-    text = data if isinstance(data, str) else data.decode("utf-8")
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError):
-        return
-    read(obj)
 
 
 @wire

@@ -72,8 +72,8 @@ def parse_jsonl(text: str) -> list[dict]:
         if line.strip():
             try:
                 entries.append(parse_json(line))
-            except (ValueError, RecursionError) as exc:
-                raise MetricsError(f"line {number}: not valid JSON: {exc}") from None
+            except ValueError as exc:
+                raise MetricsError(f"line {number}: {exc}") from None
     return entries
 
 

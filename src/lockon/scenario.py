@@ -19,7 +19,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .autonomy import ControlGains
-from .payloads import FROM_JSON, blame_non_finite, parse_json
+from .payloads import FROM_JSON, read_json
 from .vision import VisionParams
 from .world import ZERO3, CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
 
@@ -238,7 +238,7 @@ def bundled_scenario_bytes(name: str) -> bytes:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario from a file path or a bundled name.
 
-    The file is read by the strict payload parser (``payloads.parse_json``):
+    The file is read by the strict payload reader (``payloads.read_json``):
     bytes that are not UTF-8, or JSON that is not strict or nests too deep,
     are a ScenarioError like any other malformed file. So is a path that
     cannot be read, such as a directory (``""`` is ``.``) or one with a NUL.
@@ -252,8 +252,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"{str(path)!r}: cannot read: {exc}") from None
     try:
-        doc = parse_json(data)
-    except (ValueError, RecursionError) as exc:
-        blame_non_finite(data, exc, lambda doc: scenario_from_dict(doc, name=default_name))
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
-    return scenario_from_dict(doc, name=default_name)
+        return read_json(data, lambda doc: scenario_from_dict(doc, name=default_name))
+    except ValueError as exc:  # not strict JSON; scenario_from_dict raises ScenarioError
+        raise ScenarioError(f"{path}: {exc}") from None

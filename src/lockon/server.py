@@ -76,8 +76,7 @@ from .payloads import (
     LockReport,
     TelemetryRequest,
     TelemetryResponse,
-    blame_non_finite,
-    parse_json,
+    read_json,
 )
 from .world import Vec3
 
@@ -102,7 +101,7 @@ class TargetAssignment:
     position: Vec3
 
 
-# json.dumps(body, sort_keys=True) without building an encoder per reply.
+# The bytes of json.dumps(body, sort_keys=True); each encode still builds json's C encoder.
 _REPLY_JSON = json.JSONEncoder(sort_keys=True)
 
 
@@ -143,10 +142,10 @@ def _check_unique(targets: list[TargetAssignment]) -> None:
 def parse_targets(doc) -> list[TargetAssignment]:
     """The target queue of a ``{"targets": [{"id", "position" | "p0"}, ...]}`` document.
 
-    ``read_targets`` reads it for ``/api/seed`` and ``lockon serve
-    --targets`` (which takes a scenario file). A malformed entry, an ``id``
-    that is not a string or a non-finite position raises ValueError naming
-    the entry.
+    ``/api/seed`` and ``lockon serve --targets`` (which takes a scenario
+    file) read their document with it, through ``payloads.read_json``. A
+    malformed entry, an ``id`` that is not a string or a non-finite position
+    raises ValueError naming the entry.
     """
     entries = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -165,20 +164,6 @@ def parse_targets(doc) -> list[TargetAssignment]:
             raise ValueError(f"targets[{index}] position: {exc}") from None
         targets.append(TargetAssignment(target_id, position))
     return targets
-
-
-def read_targets(data: bytes | str) -> list[TargetAssignment]:
-    """``parse_targets`` of a document's bytes; ValueError naming what is wrong.
-
-    A NaN or Infinity is blamed on the entry that holds it, as
-    ``parse_targets`` names a non-finite position.
-    """
-    try:
-        doc = parse_json(data)
-    except (ValueError, RecursionError) as exc:
-        blame_non_finite(data, exc, parse_targets)
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return parse_targets(doc)
 
 
 class MissionStore:
@@ -292,7 +277,7 @@ class MissionStore:
 
     def handle_seed(self, body: bytes | str) -> _Reply:
         try:
-            targets = read_targets(body)
+            targets = read_json(body, parse_targets)
             self.seed(targets)
         except ValueError as exc:
             raise ApiError(400, f"invalid seed body: {exc}") from exc

@@ -25,7 +25,7 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-# Nested past the JSON parser's recursion limit: it raises RecursionError.
+# Nested past json's recursion limit: json.loads raises RecursionError, parse_json ValueError.
 DEEP_JSON = b"[" * 100_000
 
 

@@ -153,9 +153,10 @@ class TestServeCommand:
 
     def test_nan_position_raises_scenario_error(self, tmp_path):
         path = tmp_path / "targets.json"
-        path.write_text('{"targets": [{"id": "T1", "position": [0, NaN, 10]}]}')
-        with pytest.raises(ScenarioError, match=r"targets\[0\]"):
-            _load_targets_file(str(path))
+        for literal in ("NaN", "1e400"):
+            path.write_text('{"targets": [{"id": "T1", "position": [0, %s, 10]}]}' % literal)
+            with pytest.raises(ScenarioError, match=r"targets\[0\] position: expected a finite"):
+                _load_targets_file(str(path))
 
     def test_scenario_file_seeds_the_queue(self, tmp_path):
         path = tmp_path / "scenario.json"

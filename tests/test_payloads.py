@@ -440,6 +440,11 @@ STRICTLY_REJECTED = [
 ]
 
 
+def test_too_deep_a_document_is_a_value_error():
+    with pytest.raises(ValueError, match="invalid JSON"):
+        parse_json(DEEP_JSON)
+
+
 @pytest.mark.parametrize("body", STRICTLY_REJECTED)
 def test_strict_rule_rejects_what_json_loads_accepts(body):
     assert reference_decode(OffsetMessage, body) == OffsetMessage(0.5, 0.0, 3)

@@ -74,8 +74,9 @@ class TestLoadScenario:
             b"[" * 200_000 + b"]" * 200_000,
             '{"targets": [], "name": "caf\xe9"}'.encode("latin-1"),
             '{"targets": []}'.encode("utf-16"),
+            b'{"targets": [], "note": [NaN, 1e400]}',
         ],
-        ids=["nested-200000-deep", "latin-1", "utf-16"],
+        ids=["nested-200000-deep", "latin-1", "utf-16", "non-finite-unread"],
     )
     def test_unparseable_file_is_a_scenario_error(self, tmp_path, data):
         path = tmp_path / "bad.json"

@@ -219,6 +219,8 @@ class TestSeeding:
             b'{"targets": [{"id": 7, "position": [0, 0, 0]}]}',
             b'{"targets": {"id": "A"}}',
             b"[]",
+            b'{"targets": [{"id": "A", "position": [0, 0, 0]}], "note": NaN}',
+            b'{"targets": [{"id": "A", "position": [0, 0, 0]}], "note": [1e400]}',
         ],
     )
     def test_malformed_seed_is_400_and_keeps_the_queue(self, body):
@@ -227,7 +229,9 @@ class TestSeeding:
             store.handle_seed(body)
         assert err.value.status == 400
         assert store.queue_length() == 2
-        if b"NaN" in body or b"Infinity" in body:  # named as `serve --targets` names it
+        if b"note" in body:  # a value no field reads is refused without naming a field
+            assert "targets[" not in str(err.value) and "invalid JSON" in str(err.value)
+        elif b"NaN" in body or b"Infinity" in body:  # named as `serve --targets` names it
             assert "targets[0] position" in str(err.value)
 
 
