@@ -113,8 +113,7 @@ def search_guidance(pursuer: PursuerState, target: Vec3, gains: ControlGains) ->
     the current attitude and the LOS to the target. Coincident positions
     degenerate to a zero-rate command.
     """
-    origin = pursuer.position
-    rx, ry, rz = target.x - origin.x, target.y - origin.y, target.z - origin.z
+    rx, ry, rz = target.x - pursuer.x, target.y - pursuer.y, target.z - pursuer.z
     if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-6:
         return GuidanceCommand(0.0, 0.0, gains.v_cruise)
     los_yaw = math.atan2(ry, rx)
@@ -341,8 +340,7 @@ class AutonomousNode:
                 self.ctx.current_target is not None
                 and self.ctx.target_position is not None
                 and not self.ctx.signal_sent_for_current
-                and distance(pursuer.position, self.ctx.target_position)
-                < self.gains.activation_radius
+                and distance(pursuer, self.ctx.target_position) < self.gains.activation_radius
             ):
                 self._dispatch(Sensed.DISTANCE_BELOW_THRESHOLD)
         elif self.state is MissionState.LOCK:

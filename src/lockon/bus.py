@@ -126,10 +126,13 @@ class MessageBus:
         """
         if type(topic) is not str or topic not in self._valid_topics:
             self._valid_topics.add(validate_topic(topic))
-        if isinstance(payload, Message) and not payload.canonical():
-            payload = payload.encode()
         seq = self._next_seq.get(publisher_id, 0)
-        envelope = Envelope(topic, payload, publisher_id, seq, tick)
+        try:  # the envelope tests canonical() once
+            envelope = Envelope(topic, payload, publisher_id, seq, tick)
+        except ValueError:
+            if not isinstance(payload, Message):
+                raise
+            envelope = Envelope(topic, payload.encode(), publisher_id, seq, tick)
         self._next_seq[publisher_id] = seq + 1
         recipients = self._recipients.get(topic)
         if recipients is None:

@@ -1,7 +1,9 @@
 """Deterministic lockstep scheduler wiring all nodes over one bus.
 
 The scheduler holds the tick, the time (tick * dt, recomputed each tick so
-it never drifts from the tick count) and the pursuer. Per tick the order is
+it never drifts from the tick count) and the pursuer: a copy of the
+scenario's start pose, which ``world.step`` updates in place, so a Scenario
+runs again unchanged. Per tick the order is
 fixed: physics, vision (with the camera frame, when due), autonomous node,
 proxy/server exchange, then bus delivery. Envelopes published during a tick
 are therefore seen by other nodes on the next tick, giving the protocol a
@@ -21,6 +23,7 @@ nothing else is recorded per tick.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
@@ -183,7 +186,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     )
     proxy = ProxyNode(bus, transport)
 
-    pursuer, time = scenario.pursuer_init, 0.0
+    pursuer, time = copy.copy(scenario.pursuer_init), 0.0
     rows = _track_rows(scenario.targets)
     camera = scenario.camera
 
@@ -197,9 +200,9 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     try:
         while True:
             if tick > 0:
-                pursuer = world_step(pursuer, autonomous.guidance, dt)
+                world_step(pursuer, autonomous.guidance, dt)
                 time = tick * dt
-                if pursuer.position.z < 0.0:
+                if pursuer.z < 0.0:
                     proxy.report_crash(
                         CrashReport(uav_id=scenario.uav_id, time=time, position=pursuer.position)
                     )

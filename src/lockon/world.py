@@ -5,7 +5,9 @@ meters. The pursuer is a kinematic point with yaw/pitch attitude and a
 commanded speed; targets follow closed-form trajectories (stationary,
 constant velocity, constant acceleration) evaluated at absolute time, so a
 target's position depends on the time alone. ``step`` advances the pursuer
-by forward Euler at a fixed dt; the scheduler keeps the tick and the time.
+by forward Euler at a fixed dt, updating it in place: its ``position`` is a
+new Vec3 on each read, so a message built from it keeps that tick's value.
+The scheduler keeps the tick and the time.
 
 A camera frame is projected from one ``camera_pose``, built once per frame,
 and ``project_to_camera`` projects each point, as raw coordinates, with it.
@@ -123,20 +125,30 @@ def wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False)
 class PursuerState:
-    position: Vec3
+    """The pursuer's position, attitude and speed; ``step`` updates it in place."""
+
+    x: float
+    y: float
+    z: float
     yaw: float
     pitch: float
     speed: float
 
     def __init__(self, position: Vec3, yaw: float, pitch: float, speed: float) -> None:
-        """Check the speed, wrap the yaw and clamp the pitch; each slot is written once."""
+        """Check the speed, wrap the yaw and clamp the pitch."""
         if speed < 0.0:
             raise ValueError("speed must be >= 0")
-        _fill_pursuer(
-            self, position, wrap_angle(yaw), max(-math.pi / 2.0, min(math.pi / 2.0, pitch)), speed
-        )
+        self.x, self.y, self.z = position.x, position.y, position.z
+        self.yaw = wrap_angle(yaw)
+        self.pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pitch))
+        self.speed = speed
+
+    @property
+    def position(self) -> Vec3:
+        """The position now, as a new Vec3 that later steps leave as it is."""
+        return Vec3(self.x, self.y, self.z)
 
     def camera_triad(self) -> tuple[float, ...]:
         """The camera's forward, right and down unit vectors, as 9 components.
@@ -150,26 +162,6 @@ class PursuerState:
         rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
         dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
         return (fx, fy, fz, rx, ry, rz, dx, dy, dz)
-
-    def forward(self) -> Vec3:
-        """Unit vector along the (yaw, pitch) attitude."""
-        fx, fy, fz = self.camera_triad()[:3]
-        return Vec3(fx, fy, fz)
-
-
-_set_position, _set_yaw, _set_pitch, _set_speed = (
-    PursuerState.__dict__[f.name].__set__ for f in fields(PursuerState)
-)
-
-
-def _fill_pursuer(
-    pursuer: PursuerState, position: Vec3, yaw: float, pitch: float, speed: float
-) -> None:
-    """Write each slot once, as given: the caller wrapped, clamped and checked."""
-    _set_position(pursuer, position)
-    _set_yaw(pursuer, yaw)
-    _set_pitch(pursuer, pitch)
-    _set_speed(pursuer, speed)
 
 
 class TrajectoryKind(Enum):
@@ -240,9 +232,9 @@ def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
     )
 
 
-def distance(a: Vec3, b: Vec3) -> float:
-    """Euclidean distance between two points."""
-    if not (a.is_finite() and b.is_finite()):
+def distance(a: Vec3 | PursuerState, b: Vec3) -> float:
+    """Euclidean distance between two points; a pursuer stands for its position."""
+    if not (Vec3.is_finite(a) and b.is_finite()):
         raise ValueError("distance requires finite inputs")
     dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
     return math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -252,10 +244,8 @@ def camera_pose(pursuer: PursuerState, cam: CameraParams) -> tuple[float, ...]:
     """What a frame's projections share, as 14 floats: the camera origin, the
     forward, right and down vectors of ``camera_triad``, tan(hfov / 2) and
     tan(vfov / 2)."""
-    origin = pursuer.position
-    return (
-        origin.x, origin.y, origin.z, *pursuer.camera_triad(), cam.tan_half_hfov, cam.tan_half_vfov
-    )
+    p = pursuer
+    return (p.x, p.y, p.z, *p.camera_triad(), cam.tan_half_hfov, cam.tan_half_vfov)
 
 
 def project_to_camera(
@@ -287,16 +277,11 @@ def project_to_camera(
     return (u, v)
 
 
-def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> PursuerState:
-    """Advance the pursuer one tick under a guidance command.
+def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> None:
+    """Advance the pursuer one tick under a guidance command, in place.
 
     Attitude integrates first (yaw wraps, pitch clamps), then the position
     moves speed*dt along the updated attitude.
-
-    The new pursuer is filled without ``PursuerState.__init__``: its yaw is
-    wrapped and its pitch clamped here, and wrapping or clamping again would
-    give the same bits (``wrap_angle`` is idempotent on finite input), so
-    only the speed check is repeated.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -306,12 +291,7 @@ def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> Pursuer
     pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pursuer.pitch + guidance.pitch_rate * dt))
     cp = math.cos(pitch)
     travel = guidance.speed * dt
-    p = pursuer.position
-    position = Vec3(
-        p.x + cp * math.cos(yaw) * travel,
-        p.y + cp * math.sin(yaw) * travel,
-        p.z + math.sin(pitch) * travel,
-    )
-    new_pursuer = object.__new__(PursuerState)
-    _fill_pursuer(new_pursuer, position, yaw, pitch, guidance.speed)
-    return new_pursuer
+    pursuer.x += cp * math.cos(yaw) * travel
+    pursuer.y += cp * math.sin(yaw) * travel
+    pursuer.z += math.sin(pitch) * travel
+    pursuer.yaw, pursuer.pitch, pursuer.speed = yaw, pitch, guidance.speed

@@ -215,6 +215,23 @@ class TestEnvelopePayload:
         with pytest.raises(ValueError, match="canonical message value"):
             Envelope("/image/message", payload, "vision", 0, 1)
 
+    def test_publish_tests_each_value_once(self, monkeypatch):
+        calls = []
+        canonical = OffsetMessage.canonical
+        monkeypatch.setattr(
+            OffsetMessage, "canonical", lambda self: calls.append(self) or canonical(self)
+        )
+        bus = MessageBus()
+        bus.subscribe("sub", "/image/message")
+        value, loose = OffsetMessage(0.5, 0.0, 1), OffsetMessage(1, 0.0, 1)
+        publish(bus, "/image/message", payload=value)
+        publish(bus, "/image/message", payload=loose)
+        assert calls == [value, loose]
+        bus.deliver()
+        first, second = bus.drain("sub")
+        assert first.payload is value and (first.seq, second.seq) == (0, 1)
+        assert second.payload == loose.encode()
+
 
 class TestDeliveryProperties:
     """Randomized interleavings of the four delivery guarantees."""

@@ -1,5 +1,6 @@
 """End-to-end scheduler behaviour: protocol flow, determinism, termination."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -92,12 +93,38 @@ class TestShippedScenarios:
         assert order == ["/signal/process_image", "/lock", "/land"]
 
 
+def queue_mission(targets=16):
+    """A long mission of the benchmark's target_queue shape: a row of movers 65-75 m apart."""
+    rng = random.Random(7)
+    x, queue = 60.0, []
+    for index in range(targets):
+        queue.append({"id": f"T{index + 1:02d}", "kind": "constant_velocity",
+                      "p0": [x, 0.0, 10.0], "v0": [rng.uniform(5.2, 5.8), 0.0, 0.0]})
+        x += rng.uniform(65.0, 75.0)
+    return make_scenario(max_time=400.0, targets=queue,
+                         vision={"p_detect": 0.95, "detector_latency_frames": 1})
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_logs(self):
         scenario = load_scenario("moving_target")
         first = event_log_to_jsonl(run(scenario).event_log)
         second = event_log_to_jsonl(run(scenario).event_log)
         assert first == second
+
+    @pytest.mark.parametrize("build", ["bundled", "target_queue"])
+    def test_a_scenario_runs_again_unchanged(self, build):
+        # The run flies a copy of the start pose, so running a Scenario again
+        # replays it and leaves pursuer_init as it was.
+        scenario = load_scenario("moving_target") if build == "bundled" else queue_mission()
+        start = copy.copy(scenario.pursuer_init)
+        first = run(scenario)
+        assert scenario.pursuer_init == start
+        second = run(scenario)
+        assert scenario.pursuer_init == start
+        assert event_log_to_jsonl(first.event_log) == event_log_to_jsonl(second.event_log)
+        if build == "target_queue":
+            assert all(outcome.locked for outcome in first.report.per_target)
 
     def test_different_seed_changes_detector_pattern(self):
         # With p_detect < 1 the first-detection frame is seed-dependent, so a
@@ -363,6 +390,15 @@ class TestActivationRule:
                 break
             if target is not None:
                 assert distance(pursuer, target) >= radius
+
+    def test_the_recorder_keeps_each_ticks_position(self):
+        # The run's one pursuer moves in place; each sample is a Vec3 taken then.
+        scenario = load_scenario("moving_target")
+        _, samples = run_recorded(scenario)
+        positions = [position for _, position, _ in samples]
+        assert all(type(position) is Vec3 for position in positions)
+        assert positions[0] == scenario.pursuer_init.position
+        assert len(set(positions)) > len(positions) // 2
 
 
 class TestTelemetryPairing:

@@ -39,8 +39,8 @@ SAMPLES = {
     CrashReport: [("uav-1", 2.0, POSITION), ("uav-2", 2.0, POSITION)],
 }
 
-# Every frozen, slotted dataclass of the package is a value class, apart
-# from PursuerState, whose own __init__ wraps the yaw and clamps the pitch.
+# Every frozen, slotted dataclass of the package is a value class. The
+# PursuerState is not frozen: world.step updates a run's one pursuer in place.
 MODULES = (world, bus, payloads, vision, autonomy, proxy, server, metrics, scenario, runner)
 
 
@@ -69,7 +69,8 @@ def test_every_value_class_is_sampled():
         if dataclasses.is_dataclass(obj) and isinstance(obj, type)
         and obj.__dataclass_params__.frozen and "__slots__" in vars(obj)
     }
-    assert frozen_slotted - {PursuerState} == set(SAMPLES)
+    assert frozen_slotted == set(SAMPLES)
+    assert not PursuerState.__dataclass_params__.frozen
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)

@@ -1,5 +1,6 @@
 """Kinematics: trajectories, distances, camera projection, Euler stepping."""
 
+import copy
 import dataclasses
 import math
 import random
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lockon.payloads import LockReport, TelemetryRequest
 from lockon.world import (
     CameraParams,
     GuidanceCommand,
@@ -34,6 +36,12 @@ vectors = st.builds(Vec3, finite, finite, finite)
 def project(pursuer, target, cam=CAM):
     """Project one point through the frame's pose, as the scheduler does."""
     return project_to_camera(camera_pose(pursuer, cam), target.x, target.y, target.z)
+
+
+def forward(pursuer):
+    """Unit vector along the pursuer's (yaw, pitch) attitude."""
+    fx, fy, fz = pursuer.camera_triad()[:3]
+    return Vec3(fx, fy, fz)
 
 
 class TestEvalTrajectory:
@@ -169,7 +177,7 @@ class TestProjection:
             yaw = rng.uniform(-math.pi, math.pi)
             pitch = rng.uniform(-1.0, 1.0)
             pursuer = PursuerState(position=Vec3(0, 0, 0), yaw=yaw, pitch=pitch, speed=0.0)
-            ahead = pursuer.position + pursuer.forward().scale(rng.uniform(1.0, 50.0))
+            ahead = pursuer.position + forward(pursuer).scale(rng.uniform(1.0, 50.0))
             uv = project(pursuer, ahead)
             assert uv is not None
             assert abs(uv[0]) < 1e-9 and abs(uv[1]) < 1e-9
@@ -205,24 +213,31 @@ def make_pursuer():
     return PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
 
 
+def stepped(pursuer, guidance, dt):
+    """A copy of ``pursuer`` stepped once; ``pursuer`` itself is left as it is."""
+    after = copy.copy(pursuer)
+    step(after, guidance, dt)
+    return after
+
+
 class TestStep:
     def test_zero_guidance_is_fixed_point(self):
         pursuer = make_pursuer()
-        after = step(pursuer, GuidanceCommand(), 0.05)
+        after = stepped(pursuer, GuidanceCommand(), 0.05)
         assert after.position == pursuer.position
 
     def test_straight_motion(self):
-        after = step(make_pursuer(), GuidanceCommand(speed=5.0), 0.05)
+        after = stepped(make_pursuer(), GuidanceCommand(speed=5.0), 0.05)
         assert after.position.x == pytest.approx(0.25)
         assert after.position.y == pytest.approx(0.0)
 
     def test_yaw_rate_euler(self):
-        after = step(make_pursuer(), GuidanceCommand(yaw_rate=0.4), 0.05)
+        after = stepped(make_pursuer(), GuidanceCommand(yaw_rate=0.4), 0.05)
         assert after.yaw == pytest.approx(0.02)
 
     def test_pitch_clamped(self):
         start = PursuerState(Vec3(0, 0, 10), 0.0, math.pi / 2 - 0.01, 0.0)
-        after = step(start, GuidanceCommand(pitch_rate=10.0), 0.05)
+        after = stepped(start, GuidanceCommand(pitch_rate=10.0), 0.05)
         assert after.pitch == pytest.approx(math.pi / 2)
 
     def test_nonpositive_dt_rejected(self):
@@ -232,33 +247,53 @@ class TestStep:
     def test_deterministic(self):
         pursuer = make_pursuer()
         cmd = GuidanceCommand(yaw_rate=0.123, pitch_rate=-0.05, speed=7.7)
-        a = step(pursuer, cmd, 0.05)
-        b = step(pursuer, cmd, 0.05)
-        assert a == b
+        a = stepped(pursuer, cmd, 0.05)
+        b = stepped(pursuer, cmd, 0.05)
+        assert a == b and a is not b
+
+    def test_updates_the_pursuer_it_is_given(self):
+        pursuer = make_pursuer()
+        expected = reference_step(pursuer, GuidanceCommand(yaw_rate=0.4, speed=5.0), 0.05)
+        assert step(pursuer, GuidanceCommand(yaw_rate=0.4, speed=5.0), 0.05) is None
+        assert pursuer == expected
+
+    def test_a_payload_keeps_its_position_after_later_steps(self):
+        pursuer = PursuerState(Vec3(0.0, 0.0, 10.0), 0.0, 0.0, 0.0)
+        telemetry = TelemetryRequest("uav-1", 0.0, pursuer.position, "SEARCH")
+        lock = LockReport("uav-1", "T1", 0, 1, pursuer.position)
+        before = telemetry.encode(), lock.encode()
+        for _ in range(3):
+            step(pursuer, GuidanceCommand(yaw_rate=0.4, pitch_rate=0.1, speed=5.0), 0.05)
+        assert pursuer.position != Vec3(0.0, 0.0, 10.0)
+        assert telemetry.position == lock.position == Vec3(0.0, 0.0, 10.0)
+        assert (telemetry.encode(), lock.encode()) == before
 
 
 def reference_step(pursuer, guidance, dt):
-    """The earlier step body, kept as the oracle: it builds PursuerState twice.
+    """The earlier step body, kept as the oracle: it builds two new pursuers.
 
-    The first construction wraps the yaw, the position then moves along that
-    wrapped yaw, and ``replace`` runs the validation (and the wrap) again.
+    The first construction wraps the yaw and clamps the pitch, the position
+    then moves along that attitude, and the second construction checks,
+    wraps and clamps again. The pursuer it is given is left as it is.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    new_pursuer = PursuerState(
+    turned = PursuerState(
         position=pursuer.position,
         yaw=pursuer.yaw + guidance.yaw_rate * dt,
         pitch=pursuer.pitch + guidance.pitch_rate * dt,
         speed=guidance.speed,
     )
-    return dataclasses.replace(
-        new_pursuer,
-        position=pursuer.position + new_pursuer.forward().scale(guidance.speed * dt),
+    return PursuerState(
+        position=pursuer.position + forward(turned).scale(guidance.speed * dt),
+        yaw=turned.yaw,
+        pitch=turned.pitch,
+        speed=turned.speed,
     )
 
 
 def float_bits(p):
-    values = (p.position.x, p.position.y, p.position.z, p.yaw, p.pitch, p.speed)
+    values = (p.x, p.y, p.z, p.yaw, p.pitch, p.speed)
     return tuple(v.hex() for v in values)
 
 
@@ -280,7 +315,7 @@ class TestStepMatchesReference:
     ):
         pursuer = PursuerState(position, yaw, pitch, 1.0)
         command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
-        new, old = step(pursuer, command, dt), reference_step(pursuer, command, dt)
+        new, old = stepped(pursuer, command, dt), reference_step(pursuer, command, dt)
         assert new == old
         assert float_bits(new) == float_bits(old)  # also tells -0.0 from 0.0
 
@@ -288,13 +323,15 @@ class TestStepMatchesReference:
         # GuidanceCommand itself refuses a negative speed, so pass a stand-in.
         command = SimpleNamespace(yaw_rate=0.0, pitch_rate=0.0, speed=-1.0)
         for advance in (step, reference_step):
+            pursuer = make_pursuer()
             with pytest.raises(ValueError):
-                advance(make_pursuer(), command, 0.05)
+                advance(pursuer, command, 0.05)
+            assert pursuer == make_pursuer()
 
 
 class TestStepSkipsTheConstructorChecks:
-    """``step`` fills its pursuer without ``PursuerState.__init__``; these show
-    that wrapping, clamping and checking again would change no bit."""
+    """``step`` writes the pursuer's fields without ``PursuerState.__init__``;
+    these show that wrapping, clamping and checking again would change no bit."""
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(math.pi)
@@ -323,10 +360,10 @@ class TestStepSkipsTheConstructorChecks:
     ):
         pursuer = PursuerState(position, yaw, pitch, 1.0)
         command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
-        p = step(pursuer, command, dt)
-        built = PursuerState(p.position, p.yaw, p.pitch, p.speed)
-        assert p == built
-        assert float_bits(p) == float_bits(built)
+        step(pursuer, command, dt)
+        built = PursuerState(pursuer.position, pursuer.yaw, pursuer.pitch, pursuer.speed)
+        assert pursuer == built
+        assert float_bits(pursuer) == float_bits(built)
 
 
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
