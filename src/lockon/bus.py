@@ -11,14 +11,15 @@ recipients until a subscribe or unsubscribe to that topic.
 A payload is bytes, or a ``payloads`` message value: the nodes publish their
 messages as values, so no bytes are made for them in-process. ``publish``
 keeps a value that is ``canonical()`` as it is and replaces any other by its
-encoding. ``Envelope.data()`` gives the bytes, encoding a value only there,
-for the proxy's POST bodies.
+encoding. No node needs a value's bytes: the proxy forwards a payload to
+the mission server as it is, and ``proxy.HttpTransport`` encodes it only
+where it leaves the process.
 
 Each reader reads the payload anew: ``Envelope.parsed`` (the run's event log
 reads it) gives a value's ``to_obj()``, which equals the parse of its
 encoding, or ``payloads.parse_json`` of the bytes. A node's
 ``Schema.from_envelope`` takes a value of its own schema as it is and decodes
-anything else from ``Envelope.data()``.
+anything else as ``Schema.decode`` does.
 
 The broker is a plain in-memory object: it may be handed between threads as a
 whole but does not accept concurrent calls.
@@ -78,11 +79,6 @@ class Envelope:
         """A value's ``to_obj()``, or ``parse_json`` of the bytes; ValueError if not strict JSON."""
         payload = self.payload
         return payload.to_obj() if isinstance(payload, Message) else parse_json(payload)
-
-    def data(self) -> bytes:
-        """The payload's bytes; a message value is encoded on each call."""
-        payload = self.payload
-        return payload.encode() if isinstance(payload, Message) else payload
 
 
 class MessageBus:

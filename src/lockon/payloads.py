@@ -20,8 +20,13 @@ A node may also publish a message value. One that is ``canonical()`` (each
 field exactly its declared type, every float finite) travels on the bus as
 itself, and nothing parses it: its ``to_obj()`` equals
 ``parse_json(encode())``, and ``Schema.decode(encode())`` equals the value,
-so the envelope reads as its encoding would. ``from_envelope`` returns such
-a value of its own schema as it is. Any other value is sent as its encoding.
+so the envelope reads as its encoding would. Any other value is sent as its
+encoding. ``Schema.decode`` takes a message value as well as bytes: a
+canonical value of its own schema is returned as it is, and any other value
+is decoded from its ``encode()``, so ``decode(v)`` equals
+``decode(v.encode())`` for every value its constructor built.
+``from_envelope`` is ``decode(envelope.payload)``, with no ``canonical()``
+test for a value of its own schema, which the envelope has checked.
 
 Decode contract: the payload must be a JSON object. A ``str`` or ``bool``
 field takes a JSON value of that type, an ``int`` field a JSON integer (not
@@ -201,18 +206,22 @@ def wire(cls):
     def encode(self) -> bytes:
         return CANONICAL_JSON.encode(self.to_obj()).encode()
 
-    def decode(cls, data: bytes | str):
+    def decode(cls, data: bytes | str | Message):
+        if type(data) is not bytes and isinstance(data, Message):
+            if type(data) is cls and data.canonical():  # what its encoding decodes to
+                return data
+            data = data.encode()
         try:
             return read_json(data, build)
         except ValueError as exc:  # not strict JSON; build raises DecodeError only
             raise DecodeError(str(exc)) from None
 
     def from_envelope(cls, envelope):
-        """A value payload of this schema as it is; else ``decode(envelope.data())``."""
+        """``decode(envelope.payload)``, taking a value of this schema without a check."""
         payload = envelope.payload
-        if type(payload) is cls:  # canonical, so it is what its encoding decodes to
+        if type(payload) is cls:  # the envelope checked that it is canonical
             return payload
-        return cls.decode(envelope.data())
+        return cls.decode(payload)
 
     for method in (namespace["to_obj"], encode, namespace["canonical"]):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"

@@ -1,8 +1,11 @@
 """Proxy node: bridges bus topics to the mission server's HTTP API.
 
 A telemetry or lock envelope that decodes is forwarded as a POST of its
-payload bytes, ``Envelope.data()``: a message value is encoded there, once,
-where it leaves the run. The telemetry reply comes back on
+payload as the bus carried it, a message value or bytes, and a crash report
+as its ``CrashReport`` value: nothing here encodes. ``InProcessTransport``
+hands the body to ``MissionStore.dispatch`` as it is, so a value is never
+encoded in-process, and ``HttpTransport`` encodes it on each post, where it
+leaves the run. The telemetry reply comes back on
 /telemetry/response as a ``TelemetryResponse`` value, and lock reports are
 acknowledged; /land disarms the proxy so no request leaves the UAV after
 landing. Telemetry is tried three times, a lock report twice. A degraded
@@ -28,6 +31,7 @@ from .payloads import (
     CrashReport,
     DecodeError,
     LockReport,
+    Message,
     TelemetryRequest,
     TelemetryResponse,
 )
@@ -49,7 +53,7 @@ class InProcessTransport:
     def __init__(self, store: MissionStore) -> None:
         self.store = store
 
-    def post(self, path: str, body: bytes) -> tuple[int, bytes]:
+    def post(self, path: str, body: bytes | Message) -> tuple[int, bytes]:
         reply = self.store.dispatch("POST", path, body)
         return reply.status, reply.encode()
 
@@ -75,7 +79,10 @@ class HttpTransport:
             self._conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         return self._conn
 
-    def post(self, path: str, body: bytes) -> tuple[int, bytes]:
+    def post(self, path: str, body: bytes | Message) -> tuple[int, bytes]:
+        """POST ``body``, a message value encoded here, once; TransportError on failure."""
+        if isinstance(body, Message):
+            body = body.encode()
         reused = self._conn is not None
         try:
             try:
@@ -121,7 +128,9 @@ class ProxyNode:
         bus.subscribe(self.CLIENT_ID, topics.LOCK)
         bus.subscribe(self.CLIENT_ID, topics.LAND)
 
-    def _post_with_retries(self, path: str, body: bytes, attempts: int) -> tuple[int, bytes] | None:
+    def _post_with_retries(
+        self, path: str, body: bytes | Message, attempts: int
+    ) -> tuple[int, bytes] | None:
         for attempt in range(attempts):
             try:
                 return self.transport.post(path, body)
@@ -129,8 +138,8 @@ class ProxyNode:
                 log.warning("transport failure on %s (attempt %d): %s", path, attempt + 1, exc)
         return None
 
-    def forward_telemetry(self, body: bytes, tick: int = 0) -> TelemetryResponse | None:
-        """POST an encoded telemetry request and publish its reply; None if it degraded."""
+    def forward_telemetry(self, body: bytes | Message, tick: int = 0) -> TelemetryResponse | None:
+        """POST a telemetry request and publish its reply; None if it degraded."""
         result = self._post_with_retries("/api/telemetry", body, TELEMETRY_RETRIES)
         if result is not None and result[0] == 200:
             data, last = result[1], self._last_reply
@@ -149,13 +158,13 @@ class ProxyNode:
         log.warning("degraded link: no telemetry response published")
         return None
 
-    def forward_lock(self, body: bytes) -> bool:
-        """POST an encoded lock report; true on 2xx. Only a transport failure is retried, once."""
+    def forward_lock(self, body: bytes | Message) -> bool:
+        """POST a lock report; true on 2xx. Only a transport failure is retried, once."""
         result = self._post_with_retries("/api/lock", body, LOCK_RETRIES + 1)
         return result is not None and 200 <= result[0] < 300
 
     def report_crash(self, report: CrashReport) -> bool:
-        result = self._post_with_retries("/api/crash", report.encode(), 1)
+        result = self._post_with_retries("/api/crash", report, 1)
         return result is not None and 200 <= result[0] < 300
 
     def handle_envelope(self, envelope: Envelope, tick: int) -> None:
@@ -170,15 +179,15 @@ class ProxyNode:
             except DecodeError as exc:
                 log.warning("dropping malformed telemetry envelope: %s", exc)
                 return
-            # The payload decoded, so its bytes are a valid request body.
-            self.forward_telemetry(envelope.data(), tick)
+            # The payload decoded, so it is a valid request body as it is.
+            self.forward_telemetry(envelope.payload, tick)
         elif envelope.topic == topics.LOCK:
             try:
                 report = LockReport.from_envelope(envelope)
             except DecodeError as exc:
                 log.warning("dropping malformed lock envelope: %s", exc)
                 return
-            if not self.forward_lock(envelope.data()):
+            if not self.forward_lock(envelope.payload):
                 log.error("lock report for %s was not acknowledged", report.target_id)
 
     def step(self, tick: int) -> None:

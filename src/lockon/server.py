@@ -74,6 +74,7 @@ from .payloads import (
     CrashReport,
     DecodeError,
     LockReport,
+    Message,
     TelemetryRequest,
     TelemetryResponse,
     read_json,
@@ -197,8 +198,14 @@ class MissionStore:
         ("GET", "/api/records"): "query_records",
     }
 
-    def dispatch(self, method: str, target: str, body: bytes = b"") -> _Reply:
-        """Answer one request to ``target`` (path and query); errors become replies."""
+    def dispatch(self, method: str, target: str, body: bytes | Message = b"") -> _Reply:
+        """Answer one request to ``target`` (path and query); errors become replies.
+
+        A POST body is bytes, as HTTP delivers it, or a message value, as
+        the in-process transport hands it over, which ``Schema.decode``
+        takes without a parse; each route answers a value exactly as it
+        answers the value's encoding.
+        """
         path, _, query = target.partition("?")
         name = self._ROUTES.get((method, path))
         try:
@@ -227,7 +234,7 @@ class MissionStore:
             self._queue = list(targets)
             self._telemetry_reply = None
 
-    def handle_telemetry(self, body: bytes | str) -> _Reply:
+    def handle_telemetry(self, body: bytes | str | Message) -> _Reply:
         try:
             request = TelemetryRequest.decode(body)
         except DecodeError as exc:
@@ -249,7 +256,7 @@ class MissionStore:
                 reply = self._telemetry_reply = _Reply(200, response.to_obj())
         return reply
 
-    def handle_lock_report(self, body: bytes | str) -> _Reply:
+    def handle_lock_report(self, body: bytes | str | Message) -> _Reply:
         try:
             report = LockReport.decode(body)
         except DecodeError as exc:
@@ -266,7 +273,7 @@ class MissionStore:
             record = self._append("Lock", report.to_obj())
         return _Reply(201, {"record_id": record["record_id"], "recorded": True})
 
-    def handle_crash_report(self, body: bytes | str) -> _Reply:
+    def handle_crash_report(self, body: bytes | str | Message) -> _Reply:
         try:
             report = CrashReport.decode(body)
         except DecodeError as exc:
@@ -275,7 +282,9 @@ class MissionStore:
             record = self._append("Crash", report.to_obj())
         return _Reply(201, {"record_id": record["record_id"], "recorded": True})
 
-    def handle_seed(self, body: bytes | str) -> _Reply:
+    def handle_seed(self, body: bytes | str | Message) -> _Reply:
+        if isinstance(body, Message):  # no schema is a seed document; read it as its bytes
+            body = body.encode()
         try:
             targets = read_json(body, parse_targets)
             self.seed(targets)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,13 @@ import pytest
 from hypothesis import strategies as st
 
 from lockon.autonomy import AutonomousNode
+from lockon.payloads import (
+    CrashReport,
+    LockReport,
+    OffsetMessage,
+    TelemetryRequest,
+    TelemetryResponse,
+)
 from lockon.runner import RunResult, run
 from lockon.scenario import Scenario, scenario_from_dict
 from lockon.world import Vec3
@@ -27,6 +35,71 @@ json_values = st.recursive(
 
 # Nested past json's recursion limit: json.loads raises RecursionError, parse_json ValueError.
 DEEP_JSON = b"[" * 100_000
+
+SCHEMAS = [TelemetryRequest, TelemetryResponse, LockReport, OffsetMessage, CrashReport]
+
+# Text of any category, lone surrogates included.
+any_text = st.text(st.characters(categories=("Cs", "Ll", "Lo", "Cc", "So", "Nd")), max_size=6)
+
+# Field values of each declared type: floats finite, negative zero, subnormal
+# and large; non-ASCII and lone surrogate text. The loose ones add the types
+# next to them: non-finite floats, and ints and bools in float fields; bools
+# in int fields; ints in bool fields; and None, which only an optional field
+# declares.
+finite_floats = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300]),
+)
+loose_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.integers(-1, 1),
+    st.integers(),
+    st.booleans(),
+)
+DECLARED = {
+    "float": finite_floats,
+    "int": st.integers(0, 2**53) | st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=6) | any_text,
+    "Vec3": st.builds(Vec3, finite_floats, finite_floats, finite_floats),
+}
+LOOSE = {
+    **DECLARED,
+    "float": loose_floats,
+    "int": DECLARED["int"] | st.booleans(),
+    "bool": st.booleans() | st.integers(0, 1),
+    "Vec3": st.builds(Vec3, loose_floats, loose_floats, loose_floats),
+}
+
+
+def wire_messages(schema):
+    """Instances of ``schema``, or None where its own checks refuse the values.
+
+    Half are built from DECLARED values only, half from LOOSE values or None.
+    """
+    def fields_from(table, none_anywhere):
+        def values(f):
+            kind = table[f.type.split(" ")[0]]
+            return kind | st.none() if none_anywhere or f.type.endswith("| None") else kind
+
+        return st.tuples(*map(values, dataclasses.fields(schema)))
+
+    def build(values):
+        try:
+            return schema(*values)
+        except (TypeError, ValueError):
+            return None
+
+    declared = fields_from(DECLARED, none_anywhere=False)
+    return (declared | fields_from(LOOSE, none_anywhere=True)).map(build)
+
+
+def stored_records(store) -> list[str]:
+    """A store's records as ``repr`` shows them, floats and types exact, without ``received_at``."""
+    records = store.query_records().body["records"]
+    return [repr({k: v for k, v in record.items() if k != "received_at"}) for record in records]
 
 
 def make_scenario(overrides: dict | None = None, **top_level) -> Scenario:

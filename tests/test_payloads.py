@@ -1,7 +1,6 @@
 """Wire codec round-trips and validation diagnostics."""
 
 import codecs
-import collections
 import dataclasses
 import json
 import math
@@ -26,9 +25,7 @@ from lockon.scenario import load_scenario
 from lockon.vision import VisionNode
 from lockon.world import Vec3, finite_float
 
-from conftest import DEEP_JSON, json_values
-
-SCHEMAS = [TelemetryRequest, TelemetryResponse, LockReport, OffsetMessage, CrashReport]
+from conftest import DEEP_JSON, SCHEMAS, any_text, json_values, wire_messages
 
 SAMPLES = [
     TelemetryRequest(uav_id="uav-1", time=12.5, position=Vec3(1, 2, 3), state="SEARCH"),
@@ -286,7 +283,6 @@ def unchecked(schema, values):
 
 
 # Values the field types do not declare as well as the ones they do.
-any_text = st.text(st.characters(categories=("Cs", "Ll", "Lo", "Cc", "So", "Nd")), max_size=6)
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -538,61 +534,6 @@ def test_from_envelope_agrees_with_decode(schema, data, how):
 
 # --- A message value on the bus reads as its encoding -------------------------
 
-# Field values of each declared type: floats finite, negative zero and
-# subnormal; non-ASCII and lone surrogate text. The loose ones add the types
-# next to them: non-finite floats, and ints and bools in float fields; bools
-# in int fields; ints in bool fields; and None, which only an optional field
-# declares.
-finite_floats = st.one_of(
-    st.floats(-1.0, 1.0),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]),
-)
-loose_floats = st.one_of(
-    finite_floats,
-    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-    st.integers(-1, 1),
-    st.integers(),
-    st.booleans(),
-)
-DECLARED = {
-    "float": finite_floats,
-    "int": st.integers(0, 2**53) | st.integers(),
-    "bool": st.booleans(),
-    "str": st.text(max_size=6) | any_text,
-    "Vec3": st.builds(Vec3, finite_floats, finite_floats, finite_floats),
-}
-LOOSE = {
-    **DECLARED,
-    "float": loose_floats,
-    "int": DECLARED["int"] | st.booleans(),
-    "bool": st.booleans() | st.integers(0, 1),
-    "Vec3": st.builds(Vec3, loose_floats, loose_floats, loose_floats),
-}
-
-
-def wire_messages(schema):
-    """Instances of ``schema``, or None where its own checks refuse the values.
-
-    Half are built from DECLARED values only, half from LOOSE values or None.
-    """
-    def fields_from(table, none_anywhere):
-        def values(f):
-            kind = table[f.type.split(" ")[0]]
-            return kind | st.none() if none_anywhere or f.type.endswith("| None") else kind
-
-        return st.tuples(*map(values, dataclasses.fields(schema)))
-
-    def build(values):
-        try:
-            return schema(*values)
-        except (TypeError, ValueError):
-            return None
-
-    declared = fields_from(DECLARED, none_anywhere=False)
-    return (declared | fields_from(LOOSE, none_anywhere=True)).map(build)
-
-
 def exact(message):
     """Each field with its type, floats as ``float.hex``, so that -0.0 differs from 0.0."""
     def one(v):
@@ -642,6 +583,7 @@ def test_a_message_sent_as_a_value_reads_as_its_encoding(message):
 
 
 def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
+    scenario = load_scenario("moving_target")  # its file is parsed here, before counting
     envelope_parses, other_parses, reads, encodes, posts = [], [], [], [], []
 
     def counting(parse, parses):
@@ -665,10 +607,13 @@ def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
         monkeypatch.setattr(schema, "from_envelope", classmethod(reading))
         monkeypatch.setattr(schema, "encode", encoding)
     post = proxy.InProcessTransport.post
-    monkeypatch.setattr(
-        proxy.InProcessTransport, "post",
-        lambda transport, path, body: posts.append(body) or post(transport, path, body),
-    )
+
+    def posting(transport, path, body):
+        reply = post(transport, path, body)
+        posts.append((path, body, reply[1]))
+        return reply
+
+    monkeypatch.setattr(proxy.InProcessTransport, "post", posting)
     sent = []  # (topic, payload) of each publish
     publish = MessageBus.publish
 
@@ -677,7 +622,7 @@ def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
         return publish(broker, publisher_id, topic, payload, tick)
 
     monkeypatch.setattr(MessageBus, "publish", sending)
-    result = runner.run(load_scenario("moving_target"))
+    result = runner.run(scenario)
     assert result.terminated_by == "land" and result.report.per_target[0].locked
     assert {topic for topic, payload in sent if payload} == {
         topics.TELEMETRY, topics.TELEMETRY_RESPONSE, topics.IMAGE_MESSAGE, topics.LOCK
@@ -687,12 +632,18 @@ def test_no_published_payload_is_parsed_or_rebuilt_in_a_run(monkeypatch):
     assert all(type(payload) in SCHEMAS or payload == b"" for _, payload in sent)
     assert envelope_parses == []
     assert reads and all(value is payload for payload, value in reads)
-    # The only encodes are the proxy's POST bodies, one per forwarded message,
-    # and the mission server parses each body once. The other parses are the
-    # proxy's, of reply bytes that it publishes as values.
+    # Nothing is encoded: each POST body is the published value itself, which
+    # the mission server takes as it is.
+    assert encodes == []
     forwarded = [payload for topic, payload in sent if topic in (topics.TELEMETRY, topics.LOCK)]
-    encoded, bodies = [message for message, _ in encodes], [data for _, data in encodes]
-    assert len(encoded) == len(forwarded) and all(map(operator.is_, encoded, forwarded))
-    assert len(posts) == len(bodies) and all(map(operator.is_, posts, bodies))
-    posted = collections.Counter(map(id, posts))
-    assert collections.Counter(id(data) for data in other_parses if id(data) in posted) == posted
+    bodies = [body for _, body, _ in posts]
+    assert len(bodies) == len(forwarded) and all(map(operator.is_, bodies, forwarded))
+    # The only parses are the proxy's, of each telemetry reply whose bytes
+    # differ from the last one's, which it publishes as a value.
+    changed, last = [], None
+    for path, _, data in posts:
+        if path == "/api/telemetry" and data != last:
+            changed.append(data)
+            last = data
+    assert changed and len(other_parses) == len(changed)
+    assert all(map(operator.is_, other_parses, changed))

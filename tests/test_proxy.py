@@ -70,7 +70,7 @@ class TestForwardTelemetry:
         delivered = bus.drain("autonomous")
         assert len(delivered) == 1
         assert delivered[0].payload is response  # published as the value itself
-        assert TelemetryResponse.decode(delivered[0].data()) == response
+        assert TelemetryResponse.decode(delivered[0].payload.encode()) == response
 
     def test_empty_queue_round_trip(self):
         bus, _, proxy = make_proxy(store=MissionStore([]))
@@ -162,7 +162,7 @@ class TestReplyCache:
         kept = [response for response in responses if response is not None]
         assert [e.payload for e in envelopes] == kept
         assert all(e.payload is response for e, response in zip(envelopes, kept))
-        published = [e.data() for e in envelopes]
+        published = [e.payload.encode() for e in envelopes]
         assert [decode(TelemetryResponse, payload) for payload in published] == kept
         return proxy, decoded, published, responses
 
@@ -344,10 +344,11 @@ class TestForwardLock:
         encode = LockReport.encode
         monkeypatch.setattr(LockReport, "encode", lambda self: encodes.append(self) or encode(self))
         proxy.step(1)
-        # The first POST fails and the retry sends the same bytes: a value is
-        # encoded once, and bytes are posted as they came.
-        assert bodies == [body] * 2 and bodies[0] is bodies[1]
-        assert encodes == ([lock] if as_value else [])
+        # The first POST fails and the retry sends the same body: the value
+        # itself, never encoded, or the bytes as they came.
+        sent = lock if as_value else body
+        assert len(bodies) == 2 and bodies[0] is sent and bodies[1] is sent
+        assert encodes == []
         assert store.record_count("Lock") == 1
 
 

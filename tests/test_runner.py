@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 
 from lockon import runner
 from lockon.metrics import MetricsError, summarize_run
-from lockon.proxy import InProcessTransport, TransportError
+from lockon.payloads import CrashReport, LockReport, TelemetryRequest
+from lockon.proxy import HttpTransport, InProcessTransport, TransportError
 from lockon.runner import event_log_to_jsonl, parse_jsonl, run
 from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
 from lockon.server import MissionStore, ServerThread, TargetAssignment
@@ -28,7 +29,13 @@ from lockon.world import (
     eval_trajectory,
 )
 
-from conftest import make_scenario, random_scenario, reference_project, run_recorded
+from conftest import (
+    make_scenario,
+    random_scenario,
+    reference_project,
+    run_recorded,
+    stored_records,
+)
 
 
 def topic_msgs(result, topic):
@@ -280,6 +287,15 @@ class TestCameraTruth:
             assert camera_truth(pursuer, 2.0, tracks, {"A", "B"}, camera) is None
 
 
+def crashing_scenario():
+    """Diving from just above the ground: the pursuer goes below z=0 quickly."""
+    return make_scenario(
+        pursuer={"position": [0, 0, 0.2], "yaw": 0.0, "pitch": -1.2, "speed": 0.0},
+        targets=[{"id": "T1", "kind": "stationary", "p0": [100, 0, -50]}],
+        max_time=20.0,
+    )
+
+
 class TestTermination:
     def test_timeout_bounds_tick_count(self):
         scenario = make_scenario(
@@ -293,12 +309,7 @@ class TestTermination:
         assert end["tick"] <= scenario.max_ticks + 1
 
     def test_crash_on_negative_altitude(self):
-        # Start diving at ground level: the pursuer goes below z=0 quickly.
-        scenario = make_scenario(
-            pursuer={"position": [0, 0, 0.2], "yaw": 0.0, "pitch": -1.2, "speed": 0.0},
-            targets=[{"id": "T1", "kind": "stationary", "p0": [100, 0, -50]}],
-            max_time=20.0,
-        )
+        scenario = crashing_scenario()
         store = MissionStore([TargetAssignment("T1", Vec3(100, 0, -50))])
         result = run(scenario, store=store)
         assert result.terminated_by == "crash"
@@ -438,6 +449,39 @@ class TestHttpTransportMode:
         assert over_http.terminated_by == "land"
         assert over_http.report.per_target == in_process.report.per_target
         assert store.record_count("Lock") == 1
+
+    @pytest.mark.parametrize(
+        "make, ends", [(lambda: load_scenario("moving_target"), "land"), (crashing_scenario, "crash")],
+        ids=["moving_target", "crash"],
+    )
+    def test_in_process_and_http_stores_record_the_same(self, make, ends):
+        """In-process the server takes each message as a value; over HTTP, as its bytes."""
+        scenario = make()
+        store = MissionStore([TargetAssignment(tid, spec.p0) for tid, spec in scenario.targets])
+        in_process = run(scenario, store=store)
+        over_http, http_store = run_over_http(scenario)
+        assert in_process.terminated_by == over_http.terminated_by == ends
+        assert stored_records(store) and stored_records(http_store) == stored_records(store)
+        assert http_store.queue_length() == store.queue_length()
+
+    @pytest.mark.parametrize("message", [
+        LockReport("uav-1", "T1", 3, 9, Vec3(1.0, -0.0, 10.0)),
+        TelemetryRequest("uav-1", 2, Vec3(0, 0, 10), "SEARCH"),  # ints in float fields
+        CrashReport("uav-1", 1e300, Vec3(0.5, 0.0, -1.0)),
+    ], ids=lambda message: type(message).__name__)
+    def test_http_transport_posts_a_value_as_its_encoding(self, message):
+        path = {LockReport: "/api/lock", TelemetryRequest: "/api/telemetry", CrashReport: "/api/crash"}
+        in_process = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        expected = in_process.dispatch("POST", path[type(message)], message.encode())
+        store = MissionStore([TargetAssignment("T1", Vec3(60, 0, 10))])
+        with ServerThread(store) as server:
+            transport = HttpTransport(port=server.port)
+            try:
+                status, data = transport.post(path[type(message)], message)
+            finally:
+                transport.close()
+        assert (status, data) == (expected.status, expected.encode())
+        assert stored_records(store) == stored_records(in_process) and len(stored_records(store)) == 1
 
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_loopback_run_logs_the_golden_bytes(self, name):

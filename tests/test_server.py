@@ -26,7 +26,7 @@ from lockon.server import (
 )
 from lockon.world import Vec3
 
-from conftest import json_values
+from conftest import SCHEMAS, json_values, stored_records, wire_messages
 
 
 def telemetry_body(uav="uav-1", t=0.0):
@@ -575,6 +575,30 @@ def test_in_process_and_http_transports_agree():
             check()
         finally:
             remote.close()
+
+
+def store_for(message):
+    """A fresh store whose queue holds T1, and the target the message names if it names one."""
+    ids = ["T1"]
+    target_id = getattr(message, "target_id", None)
+    if type(target_id) is str and target_id != "T1":
+        ids.append(target_id)
+    return MissionStore([TargetAssignment(t, Vec3(10, 0, 10)) for t in ids])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(POST_PATHS),
+    st.sampled_from(SCHEMAS).flatmap(wire_messages).filter(lambda message: message is not None),
+)
+def test_a_posted_value_is_answered_as_its_encoding(path, message):
+    """In-process the proxy posts message values; each route answers one as its bytes."""
+    by_value, by_bytes = store_for(message), store_for(message)
+    reply = by_value.dispatch("POST", path, message)
+    expected = by_bytes.dispatch("POST", path, message.encode())
+    assert (reply.status, reply.encode()) == (expected.status, expected.encode())
+    assert stored_records(by_value) == stored_records(by_bytes)
+    assert by_value.queue_length() == by_bytes.queue_length()
 
 
 def parse_replies(data):

@@ -272,9 +272,9 @@ class TestVisionNode:
         bus.deliver()
         received = bus.drain("listener")
         assert len(received) == 1
-        # Published as a value; its bytes are made only when asked for.
+        # Published as a value, which decodes as its bytes do.
         assert received[0].payload == OffsetMessage(0.1, 0.0, 1)
-        assert OffsetMessage.decode(received[0].data()) == OffsetMessage(0.1, 0.0, 1)
+        assert OffsetMessage.decode(received[0].payload.encode()) == OffsetMessage(0.1, 0.0, 1)
 
     def test_land_terminates_output(self):
         bus = MessageBus()
