@@ -99,6 +99,21 @@ class Sensed(Enum):
     NO_MORE_TARGETS = "NO_MORE_TARGETS"
 
 
+# The FSM reads its states and events through these module constants. On
+# Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so every
+# ``MissionState.SEARCH`` read goes through the metaclass hook: about 0.13 us,
+# against 0.015 us for a global, and ``step`` alone makes up to nine a tick.
+_BOOT = MissionState.BOOT
+_SEARCH = MissionState.SEARCH
+_LOCK = MissionState.LOCK
+_LANDING = MissionState.LANDING
+_LANDED = MissionState.LANDED
+_DISTANCE_BELOW_THRESHOLD = Sensed.DISTANCE_BELOW_THRESHOLD
+_CAMERA_STALE = Sensed.CAMERA_STALE
+_LOCK_TIMER_ELAPSED = Sensed.LOCK_TIMER_ELAPSED
+_NO_MORE_TARGETS = Sensed.NO_MORE_TARGETS
+
+
 Event = TelemetryResponse | OffsetMessage | Sensed
 # A guidance to fly, or a (topic, payload) pair to publish.
 Action = GuidanceCommand | tuple[str, bytes | Message]
@@ -174,13 +189,13 @@ def handle_event(
     state: MissionState, ctx: MissionContext, event: Event, gains: ControlGains
 ) -> tuple[MissionState, list[Action]]:
     """Mission transition: updates ctx in place, deterministic action order."""
-    if state is MissionState.LANDED:
+    if state is _LANDED:
         raise StateMachineError("no events are accepted after landing")
-    if state is MissionState.LANDING:
+    if state is _LANDING:
         # Mission is over; late envelopes are dropped.
         return state, []
 
-    if state is MissionState.SEARCH:
+    if state is _SEARCH:
         if isinstance(event, TelemetryResponse) and event.has_target:
             # The node steers toward target_position at the end of the tick.
             if event.target_id != ctx.current_target:
@@ -190,7 +205,7 @@ def handle_event(
             ctx.target_position = event.target_position
             ctx.remaining_targets = event.remaining_targets
             return state, []
-        if event is Sensed.DISTANCE_BELOW_THRESHOLD:
+        if event is _DISTANCE_BELOW_THRESHOLD:
             if ctx.signal_sent_for_current or ctx.current_target is None:
                 return state, []
             ctx.signal_sent_for_current = True
@@ -202,23 +217,23 @@ def handle_event(
                 return state, []
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = ctx.last_camera_tick = event.tick
-            return MissionState.LOCK, [lock_guidance(event, gains)]
-        if isinstance(event, TelemetryResponse) or event is Sensed.NO_MORE_TARGETS:
+            return _LOCK, [lock_guidance(event, gains)]
+        if isinstance(event, TelemetryResponse) or event is _NO_MORE_TARGETS:
             # No target is left: the server sent none, or the last was locked.
             ctx.current_target = ctx.target_position = ctx.lock_start_tick = None
             ctx.lock_timer = 0.0
-            return MissionState.LANDING, [(topics.LAND, b"")]
+            return _LANDING, [(topics.LAND, b"")]
         raise StateMachineError(f"{event} is illegal in SEARCH")
 
-    if state is MissionState.LOCK:
+    if state is _LOCK:
         if isinstance(event, OffsetMessage):
             ctx.last_camera_tick = event.tick
             return state, [lock_guidance(event, gains)]
-        if event is Sensed.CAMERA_STALE:
+        if event is _CAMERA_STALE:
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = None
-            return MissionState.SEARCH, []
-        if event is Sensed.LOCK_TIMER_ELAPSED:
+            return _SEARCH, []
+        if event is _LOCK_TIMER_ELAPSED:
             assert ctx.current_target is not None and ctx.pursuer is not None
             assert ctx.lock_start_tick is not None
             report = LockReport(
@@ -235,8 +250,8 @@ def handle_event(
             ctx.signal_sent_for_current = False
             actions: list[Action] = [(topics.LOCK, report)]
             if ctx.remaining_targets > 0:
-                actions.append((topics.TELEMETRY, _telemetry_request(ctx, MissionState.SEARCH)))
-            return MissionState.SEARCH, actions
+                actions.append((topics.TELEMETRY, _telemetry_request(ctx, _SEARCH)))
+            return _SEARCH, actions
         if isinstance(event, TelemetryResponse):
             # In-flight periodic response; refresh bookkeeping, no transition.
             # One without a target never matches: a lock always has one.
@@ -264,7 +279,7 @@ class AutonomousNode:
         telemetry_period: float,
         transition_hook: Callable[[int, MissionState, MissionState], None] | None = None,
     ) -> None:
-        self.state = MissionState.BOOT
+        self.state = _BOOT
         self.ctx = MissionContext(uav_id=uav_id)
         self.gains = gains
         self.dt = dt
@@ -319,44 +334,44 @@ class AutonomousNode:
     def step(self, tick: int, time: float, pursuer: PursuerState) -> None:
         self.ctx.tick, self.ctx.time, self.ctx.pursuer = tick, time, pursuer
 
-        if self.state is MissionState.BOOT:
+        if self.state is _BOOT:
             # Single boot tick: internal structures are up, announce and search.
-            self._enter(MissionState.SEARCH)
+            self._enter(_SEARCH)
             self._execute((topics.TELEMETRY, _telemetry_request(self.ctx, self.state)))
             return
-        if self.state is MissionState.LANDING:
-            self._enter(MissionState.LANDED)
+        if self.state is _LANDING:
+            self._enter(_LANDED)
             self.guidance = GuidanceCommand()
             self._bus.drain(self.CLIENT_ID)
             return
-        if self.state is MissionState.LANDED:
+        if self.state is _LANDED:
             self._bus.drain(self.CLIENT_ID)
             return
 
         self._process_inbox()
 
-        if self.state is MissionState.SEARCH:
+        if self.state is _SEARCH:
             if (
                 self.ctx.current_target is not None
                 and self.ctx.target_position is not None
                 and not self.ctx.signal_sent_for_current
                 and distance(pursuer, self.ctx.target_position) < self.gains.activation_radius
             ):
-                self._dispatch(Sensed.DISTANCE_BELOW_THRESHOLD)
-        elif self.state is MissionState.LOCK:
+                self._dispatch(_DISTANCE_BELOW_THRESHOLD)
+        elif self.state is _LOCK:
             assert self.ctx.last_camera_tick is not None
             gap = tick - self.ctx.last_camera_tick
             if gap > self._grace_ticks:
-                self._dispatch(Sensed.CAMERA_STALE)
+                self._dispatch(_CAMERA_STALE)
             else:
                 contained = gap <= self._frame_gap_ticks
                 if advance_lock_timer(self.ctx, contained, self.dt, self.gains):
-                    self._dispatch(Sensed.LOCK_TIMER_ELAPSED)
+                    self._dispatch(_LOCK_TIMER_ELAPSED)
                     if self.ctx.remaining_targets == 0:
-                        self._dispatch(Sensed.NO_MORE_TARGETS)
+                        self._dispatch(_NO_MORE_TARGETS)
 
         # Periodic telemetry keeps the server informed and the assignment fresh.
-        if self.state in (MissionState.SEARCH, MissionState.LOCK):
+        if self.state in (_SEARCH, _LOCK):
             due = (
                 self._last_telemetry_time is None
                 or time - self._last_telemetry_time >= self.telemetry_period - 1e-9
@@ -366,10 +381,10 @@ class AutonomousNode:
 
         # Continuous guidance refresh: SEARCH re-aims at the last reported
         # position every tick; LOCK holds the latest camera command.
-        if self.state is MissionState.SEARCH:
+        if self.state is _SEARCH:
             if self.ctx.target_position is not None:
                 self.guidance = search_guidance(pursuer, self.ctx.target_position, self.gains)
             else:
                 self.guidance = GuidanceCommand()
-        elif self.state is not MissionState.LOCK:
+        elif self.state is not _LOCK:
             self.guidance = GuidanceCommand()

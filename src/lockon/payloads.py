@@ -75,9 +75,14 @@ def parse_json(data: bytes | str):
     """Parse one strict JSON document; ValueError ("invalid JSON: ...") if it is not.
 
     Bytes must be UTF-8; ``json.loads`` would also take UTF-16/32 and a BOM.
+    Any other type of ``data`` is not a document either.
     """
     try:
-        return _STRICT_JSON.decode(data if isinstance(data, str) else data.decode("utf-8"))
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        elif not isinstance(data, str):
+            raise ValueError(f"expected bytes or str, got {type(data).__name__}")
+        return _STRICT_JSON.decode(data)
     except _NonFinite:
         raise
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, too deep

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lockon import bus as topics
+from lockon import autonomy, bus as topics
 from lockon.autonomy import (
     ControlGains,
     MissionContext,
@@ -329,6 +329,29 @@ class TestInboxRaces:
         bus.deliver()
         node.step(2, 0.1, pursuer)  # lands; the late offset is dropped
         assert node.state is MissionState.LANDING
+
+
+class TestEnumConstants:
+    """The FSM reads its states and events as module constants, not through the Enum class."""
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            AutonomousNode.step,
+            AutonomousNode._process_inbox,
+            AutonomousNode._dispatch,
+            AutonomousNode._execute,
+            handle_event,
+        ],
+        ids=lambda function: function.__name__,
+    )
+    def test_no_hot_function_reads_an_enum_class(self, function):
+        names = function.__code__.co_names
+        assert "MissionState" not in names and "Sensed" not in names
+
+    @pytest.mark.parametrize("member", [*MissionState, *Sensed], ids=lambda member: member.name)
+    def test_each_constant_is_its_member(self, member):
+        assert getattr(autonomy, f"_{member.name}") is member
 
 
 class TestSearchGuidance:

@@ -294,6 +294,15 @@ class TestDispatch:
         assert store.dispatch("POST", path, restate(bodies[path])).status == 400
         assert store.record_count() == 0 and store.queue_length() == 1
 
+    @pytest.mark.parametrize("body", [None, {}, 3, []], ids=["None", "dict", "int", "list"])
+    @pytest.mark.parametrize("path", ["/api/telemetry", "/api/lock", "/api/crash", "/api/seed"])
+    def test_a_body_neither_bytes_nor_a_message_is_400(self, path, body):
+        store = seeded_store(1)
+        reply = store.dispatch("POST", path, body)
+        assert reply.status == 400
+        assert "invalid JSON: expected bytes or str" in json.loads(reply.encode())["error"]
+        assert store.record_count() == 0 and store.queue_length() == 1
+
     def test_reply_bytes_are_json_dumps_with_sorted_keys(self):
         store = seeded_store(2)
         store.dispatch("POST", "/api/telemetry", telemetry_body())
