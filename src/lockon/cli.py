@@ -43,8 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .metrics import ConfusionCounts, confusion_metrics, summarize_run
-    from .runner import parse_jsonl
+    from .metrics import ConfusionCounts, confusion_metrics, parse_jsonl, summarize_run
 
     if args.log:
         entries = parse_jsonl(Path(args.log).read_text(encoding="utf-8"))

@@ -1,11 +1,11 @@
 """Evaluation calculators: detection metrics and run-level mission reports.
 
 ``confusion_metrics`` turns TP/FP/FN counts into precision, recall and F1.
-``summarize_run`` classifies each engaged target from a completed event log
-(Locked with its time-to-lock, or Failed with a reason) and measures the
-longest continuous containment streak per target, in one pass over the log:
-each /signal/process_image and /image/message counts toward the target
-assigned most recently before it.
+``parse_jsonl`` reads an event log's JSON Lines, and ``summarize_run`` reads
+the log in one pass into the run's timeline: each engaged target's
+assignment, signal, containment streak and lock ticks, every FSM transition
+and the terminal tick. Each outcome (Locked with its time-to-lock, or Failed
+with a reason) is a property of its timeline, which ``as_dict`` projects.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import bus as topics
+from .payloads import parse_json
 from .world import finite_float
 
 
@@ -71,11 +72,41 @@ REASON_TIMEOUT = "mission_timeout"
 
 @dataclass(frozen=True)
 class TargetOutcome:
+    """One engaged target's timeline, in ticks, and the outcome it implies.
+
+    ``assigned`` is the tick of its first /telemetry/response, ``signal`` of
+    the first /signal/process_image after that (None if none came),
+    ``streaks`` the first and last offset tick of each containment streak,
+    and ``locks`` every /lock tick. ``dt`` is the run's seconds per tick.
+    """
+
     target_id: str
-    locked: bool
-    time_to_lock: float | None = None
-    reason: str | None = None
-    max_containment_s: float = 0.0
+    dt: float
+    assigned: int
+    signal: int | None = None
+    streaks: tuple[tuple[int, int], ...] = ()
+    locks: tuple[int, ...] = ()
+
+    @property
+    def locked(self) -> bool:
+        return bool(self.locks)
+
+    @property
+    def time_to_lock(self) -> float | None:
+        """Seconds from the signal to the first lock; a retried post's later lock moves nothing."""
+        return (self.locks[0] - self.signal) * self.dt if self.locks else None
+
+    @property
+    def reason(self) -> str | None:
+        if self.locks:
+            return None
+        if self.signal is None:
+            return REASON_TIMEOUT
+        return REASON_CONTAINMENT if self.streaks else REASON_NEVER_DETECTED
+
+    @property
+    def max_containment_s(self) -> float:
+        return max((last - first for first, last in self.streaks), default=0) * self.dt
 
     def as_dict(self) -> dict:
         return {
@@ -92,6 +123,8 @@ class RunReport:
     per_target: tuple[TargetOutcome, ...]
     topic_counts: dict[str, int]
     terminated_by: str
+    transitions: tuple[tuple[int, str, str], ...]  # (tick, from, to) of each fsm entry
+    end_tick: int
 
     def as_dict(self) -> dict:
         return {
@@ -130,8 +163,24 @@ def _positive(meta: dict, key: str) -> float:
     return value
 
 
+def parse_jsonl(text: str) -> list[dict]:
+    """Parse each non-blank line with the strict payload parser; MetricsError if one fails.
+
+    Lines end at "\n" only: ``str.splitlines`` would also split at U+2028 and
+    other separators that JSON allows unescaped inside a string.
+    """
+    entries = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            try:
+                entries.append(parse_json(line))
+            except ValueError as exc:
+                raise MetricsError(f"line {number}: {exc}") from None
+    return entries
+
+
 def summarize_run(entries: list[dict]) -> RunReport:
-    """Build a RunReport from parsed event-log entries in one pass.
+    """Build a RunReport, the run's timeline, from parsed event-log entries in one pass.
 
     The log must open with the meta line written by the scheduler and close
     with a terminal entry (land, timeout, or crash); anything else is
@@ -141,19 +190,33 @@ def summarize_run(entries: list[dict]) -> RunReport:
     not an object, a dt that is not positive and finite or so large that
     tick spans overflow, a message without a topic or an integer tick, a
     payload that is not an object, an assignment or lock without a target
-    id.
+    id, an fsm entry without an integer tick or from/to strings, a terminal
+    entry without an integer tick.
 
     Targets are reported in order of first assignment. A signal or an
     offset counts toward the target assigned most recently before it in
-    the log; one before any assignment is ignored. A target locks at its
-    first /lock: a later one, as a retried post logs, moves nothing.
+    the log; one before any assignment is ignored. A skipped frame ends a
+    containment streak. Every /lock with a target's id is kept; the first
+    is its lock.
     """
-    meta = end = None
+    meta = entries[0] if entries else None
+    if type(meta) is not dict or meta.get("kind") != "meta":
+        raise MetricsError("event log has no meta header")
+    dt = _positive(meta, "dt")
+    if not math.isfinite(dt * _MAX_TICK):
+        raise MetricsError("meta dt is so large that tick spans overflow the float range")
+    frame_ratio = _positive(meta, "frame_period") / dt
+    if not math.isfinite(frame_ratio):
+        raise MetricsError("meta frame_period / dt overflows the float range")
+    frame_ticks = max(1, round(frame_ratio))
+
+    end = current = runs = None  # the target assigned last, and its streaks
     topic_counts: dict[str, int] = {}
-    # target id -> [first signal tick, offset ticks], in order of first assignment
-    engaged: dict[str, list] = {}
-    current: list | None = None
-    locks: dict[str, int] = {}
+    assigned: dict[str, int] = {}  # target id -> tick of its first assignment, in that order
+    signals: dict[str, int] = {}
+    streaks: dict[str, list[list[int]]] = {}  # target id -> [first, last] offset tick per streak
+    locks: dict[str, list[int]] = {}
+    transitions = []
     for entry in entries:
         if type(entry) is not dict:
             raise MetricsError("every event-log entry must be an object")
@@ -170,66 +233,43 @@ def summarize_run(entries: list[dict]) -> RunReport:
             payload = payload or {}
             if topic == topics.IMAGE_MESSAGE:
                 offset_tick = _tick(payload.get("tick", tick))
-                if current is not None:
-                    current[1].append(offset_tick)
+                if runs and 0 <= offset_tick - runs[-1][1] <= frame_ticks:
+                    runs[-1][1] = offset_tick
+                elif runs is not None:
+                    runs.append([offset_tick, offset_tick])
             elif topic == topics.TELEMETRY_RESPONSE and payload.get("has_target"):
                 target_id = _target_id(payload, topic)
-                if target_id not in engaged:
-                    current = engaged[target_id] = [None, []]
+                if target_id not in assigned:
+                    assigned[target_id], current = tick, target_id
+                    runs = streaks[target_id] = []
             elif topic == topics.LOCK:
-                locks.setdefault(_target_id(payload, topic), tick)
-            elif topic == topics.SIGNAL_PROCESS_IMAGE and current is not None and current[0] is None:
-                current[0] = tick
-        elif kind == "meta" and meta is None:
-            meta = entry
+                locks.setdefault(_target_id(payload, topic), []).append(tick)
+            elif topic == topics.SIGNAL_PROCESS_IMAGE and current is not None:
+                signals.setdefault(current, tick)
+        elif kind == "fsm":
+            old, new = entry.get("from"), entry.get("to")
+            if type(old) is not str or type(new) is not str:
+                raise MetricsError("an fsm entry needs from and to strings")
+            transitions.append((_tick(entry.get("tick")), old, new))
         elif kind == "end" and end is None:
             end = entry
-    if meta is None:
-        raise MetricsError("event log has no meta header")
     if end is None:
         raise MetricsError("event log has no terminal entry (incomplete run)")
     terminated_by = end.get("terminated_by")
     if type(terminated_by) is not str:
         raise MetricsError("the terminal entry has no terminated_by text")
-    dt = _positive(meta, "dt")
-    if not math.isfinite(dt * _MAX_TICK):
-        raise MetricsError("meta dt is so large that tick spans overflow the float range")
-    frame_ratio = _positive(meta, "frame_period") / dt
-    if not math.isfinite(frame_ratio):
-        raise MetricsError("meta frame_period / dt overflows the float range")
-    frame_ticks = max(1, round(frame_ratio))
 
     outcomes = []
-    for target_id, (signal, offsets) in engaged.items():
-        # The longest run of camera messages with no skipped frame, in ticks.
-        longest = streak = 0
-        for prev, tick in zip(offsets, offsets[1:]):
-            streak = streak + tick - prev if tick - prev <= frame_ticks else 0
-            longest = max(longest, streak)
-        lock_tick = locks.get(target_id)
-        time_to_lock = reason = None
-        if lock_tick is not None:
-            if signal is None:
-                raise MetricsError(f"lock on {target_id!r} without a preceding signal")
-            time_to_lock = (lock_tick - signal) * dt
-        elif signal is None:
-            reason = REASON_TIMEOUT
-        elif not offsets:
-            reason = REASON_NEVER_DETECTED
-        else:
-            reason = REASON_CONTAINMENT
-        outcomes.append(
-            TargetOutcome(
-                target_id=target_id,
-                locked=lock_tick is not None,
-                time_to_lock=time_to_lock,
-                reason=reason,
-                max_containment_s=longest * dt,
-            )
-        )
-
+    for target_id, tick in assigned.items():
+        signal, target_locks = signals.get(target_id), tuple(locks.get(target_id, ()))
+        if target_locks and signal is None:
+            raise MetricsError(f"lock on {target_id!r} without a preceding signal")
+        target_streaks = tuple(map(tuple, streaks[target_id]))
+        outcomes.append(TargetOutcome(target_id, dt, tick, signal, target_streaks, target_locks))
     return RunReport(
         per_target=tuple(outcomes),
         topic_counts=topic_counts,
         terminated_by=terminated_by,
+        transitions=tuple(transitions),
+        end_tick=_tick(end.get("tick")),
     )

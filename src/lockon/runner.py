@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from . import bus as topics
 from .autonomy import AutonomousNode
 from .bus import Envelope, MessageBus
-from .metrics import MetricsError, RunReport, summarize_run
-from .payloads import CANONICAL_JSON, CrashReport, parse_json
+from .metrics import RunReport, summarize_run
+from .payloads import CANONICAL_JSON, CrashReport
 from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
@@ -62,22 +62,6 @@ class RunResult:
 
 def event_log_to_jsonl(entries: list[dict]) -> str:
     return "".join(CANONICAL_JSON.encode(entry) + "\n" for entry in entries)
-
-
-def parse_jsonl(text: str) -> list[dict]:
-    """Parse each non-blank line with the strict payload parser; MetricsError if one fails.
-
-    Lines end at "\n" only: ``str.splitlines`` would also split at U+2028 and
-    other separators that JSON allows unescaped inside a string.
-    """
-    entries = []
-    for number, line in enumerate(text.split("\n"), 1):
-        if line.strip():
-            try:
-                entries.append(parse_json(line))
-            except ValueError as exc:
-                raise MetricsError(f"line {number}: {exc}") from None
-    return entries
 
 
 def _track_rows(targets) -> tuple[tuple, ...]:

@@ -11,8 +11,8 @@ from http.server import ThreadingHTTPServer
 import pytest
 
 from lockon.cli import _load_targets_file, build_parser, main
+from lockon.metrics import parse_jsonl
 from lockon.proxy import HttpTransport
-from lockon.runner import parse_jsonl
 from lockon.scenario import ScenarioError
 from lockon.world import Vec3
 

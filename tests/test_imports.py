@@ -1,4 +1,5 @@
-"""The package's lazy exports, and the modules ``import lockon`` and ``lockon serve`` load.
+"""The package's lazy exports, and the modules ``import lockon``, ``lockon serve`` and
+``lockon metrics --log`` load.
 
 Each check runs in a new interpreter: in the test process, earlier tests
 have already imported every module.
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import lockon
+from lockon.runner import event_log_to_jsonl, run
+from lockon.scenario import load_scenario
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(lockon.__file__).parents[1])}
 
@@ -59,6 +62,22 @@ def test_serve_loads_the_server_and_its_payloads_only(tmp_path):
     targets.write_text('{"targets": [{"id": "T1", "position": [60, 0, 10]}]}')
     assert fresh(SERVE + LOADED, str(targets)) == [
         "lockon", "lockon.cli", "lockon.payloads", "lockon.server", "lockon.world"
+    ]
+
+
+METRICS = """
+import json, sys
+from lockon.cli import main
+assert main(["metrics", "--log", sys.argv[1]]) == 0
+"""
+
+
+def test_metrics_log_loads_the_log_reader_and_its_payloads_only(tmp_path):
+    log = tmp_path / "moving_target.jsonl"
+    log.write_text(event_log_to_jsonl(run(load_scenario("moving_target")).event_log))
+    assert fresh(METRICS + LOADED, str(log)) == [
+        "lockon", "lockon.bus", "lockon.cli", "lockon.metrics", "lockon.payloads", "lockon.server",
+        "lockon.world",
     ]
 
 

@@ -13,9 +13,10 @@ from lockon.metrics import (
     ConfusionCounts,
     MetricsError,
     confusion_metrics,
+    parse_jsonl,
     summarize_run,
 )
-from lockon.runner import event_log_to_jsonl, parse_jsonl, run
+from lockon.runner import event_log_to_jsonl, run
 from lockon.scenario import load_scenario
 
 from conftest import json_values
@@ -133,6 +134,7 @@ class TestSummarizeRun:
         outcome = summarize_run(entries).per_target[0]
         assert outcome.locked
         assert outcome.time_to_lock == pytest.approx((330 - 128) * 0.05)
+        assert outcome.locks == (330, 730)
 
     def test_every_lock_needs_a_target_id(self):
         entries = [meta(), assignment(2, "T1"), msg(128, "/signal/process_image"),
@@ -182,6 +184,8 @@ class TestSummarizeRun:
     def test_missing_meta_rejected(self):
         with pytest.raises(MetricsError):
             summarize_run([assignment(2, "T1"), end("land", 10)])
+        with pytest.raises(MetricsError, match="no meta header"):  # the log must open with it
+            summarize_run([assignment(2, "T1"), meta(), end("land", 10)])
 
     def test_pure_function_of_log(self):
         entries = [meta(), assignment(2, "T1"), msg(128, "/signal/process_image"),
@@ -225,6 +229,48 @@ class TestSummarizeRun:
         first, second = summarize_run(entries).per_target
         assert (first.target_id, first.reason) == ("T1", REASON_TIMEOUT)
         assert (second.target_id, second.reason) == ("T2", REASON_CONTAINMENT)
+
+
+# --- Timelines ----------------------------------------------------------------
+
+class TestTimeline:
+    def test_hovering_target_holds_one_streak_and_times_out(self):
+        report = run(load_scenario("hovering_target")).report
+        (outcome,) = report.per_target
+        assert (outcome.assigned, outcome.signal) == (1, 128)
+        assert outcome.streaks == ((132, 158),)
+        assert outcome.locks == () and outcome.reason == REASON_CONTAINMENT
+        assert report.transitions == (
+            (0, "BOOT", "SEARCH"), (133, "SEARCH", "LOCK"), (169, "LOCK", "SEARCH"),
+        )
+        assert (report.end_tick, report.terminated_by) == (1200, "timeout")
+
+    def test_moving_target_locks_at_the_end_of_its_streak(self):
+        (outcome,) = summarize_run(real_log()).per_target
+        assert outcome.streaks == ((132, 332),)
+        assert outcome.locks == (332,)
+        assert outcome.time_to_lock == pytest.approx(10.20)
+
+    def test_each_report_of_the_property_batch_matches_its_own_log(self, property_batch):
+        split = 0
+        for result, _ in property_batch:
+            log, report = result.event_log, result.report
+            assert report.transitions == tuple(
+                (e["tick"], e["from"], e["to"]) for e in log if e["kind"] == "fsm"
+            )
+            assert report.end_tick == log[-1]["tick"]
+            frame_ticks = result.scenario.frame_period / result.scenario.dt
+            for outcome in report.per_target:
+                assert outcome.locks == tuple(
+                    e["tick"] for e in log
+                    if e.get("topic") == "/lock" and e["payload"]["target_id"] == outcome.target_id
+                )
+                ticks = [tick for streak in outcome.streaks for tick in streak]
+                assert ticks == sorted(ticks)
+                for (_, last), (first, _) in zip(outcome.streaks, outcome.streaks[1:]):
+                    assert first - last > frame_ticks
+                split += len(outcome.streaks) > 1
+        assert split >= 10  # enough runs with a skipped frame to test the gaps
 
 
 # --- Mutated real logs --------------------------------------------------------
@@ -290,11 +336,15 @@ class TestMalformedLogs:
             ("/telemetry/response", "payload.target_id", ["T1"]),
             ("/lock", "payload.target_id", None),
             ("/image/message", "payload.tick", 1.5),
+            ("fsm", "tick", 1.5),
+            ("fsm", "from", None),
+            ("end", "tick", "x"),
         ],
     )
     def test_each_observed_crash_is_a_metrics_error(self, topic, field, value):
         """Each raised KeyError, AttributeError, TypeError or ZeroDivisionError, or
-        (a string dt, a lock without a target, a fractional tick) was taken as is."""
+        (a string dt, a lock without a target, a fractional tick, an fsm or end
+        entry without its tick or states) was taken as is."""
         entries = list(real_log())
         index = next(i for i, e in enumerate(entries) if topic in (e["kind"], e.get("topic")))
         entry = entries[index] = dict(entries[index])

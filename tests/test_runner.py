@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockon import runner
-from lockon.metrics import MetricsError, summarize_run
+from lockon.metrics import MetricsError, parse_jsonl, summarize_run
 from lockon.payloads import CrashReport, LockReport, TelemetryRequest
 from lockon.proxy import HttpTransport, InProcessTransport, TransportError
-from lockon.runner import event_log_to_jsonl, parse_jsonl, run
+from lockon.runner import event_log_to_jsonl, run
 from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
 from lockon.server import MissionStore, ServerThread, TargetAssignment
 from lockon.world import (

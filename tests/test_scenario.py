@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lockon import cli
 from lockon.autonomy import ControlGains
-from lockon.runner import parse_jsonl
+from lockon.metrics import parse_jsonl
 from lockon.scenario import (
     BUNDLED_SCENARIOS,
     ScenarioError,
