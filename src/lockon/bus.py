@@ -81,6 +81,11 @@ class Envelope:
         return payload.to_obj() if isinstance(payload, Message) else parse_json(payload)
 
 
+def _delivery_order(item: tuple[Envelope, tuple[str, ...]]) -> tuple[str, int]:
+    envelope = item[0]
+    return envelope.publisher_id, envelope.seq
+
+
 class MessageBus:
     """Topic-routing broker with deferred, deterministic delivery.
 
@@ -139,25 +144,33 @@ class MessageBus:
     def deliver(self) -> int:
         """Flush pending publishes into inboxes in (publisher_id, seq) order.
 
-        Returns the number of envelope deliveries performed.
+        Returns the number of envelope deliveries performed. Most ticks hold
+        one pending publish, so the sort runs only when there are two or more.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return 0
-        self._pending.sort(key=lambda item: (item[0].publisher_id, item[0].seq))
+        if len(pending) > 1:
+            pending.sort(key=_delivery_order)
         delivered = 0
-        for envelope, recipients in self._pending:
+        for envelope, recipients in pending:
             if self._observer is not None:
                 self._observer(envelope)
             for client_id in recipients:
                 self._inboxes.setdefault(client_id, []).append(envelope)
                 delivered += 1
-        self._pending.clear()
+        pending.clear()
         return delivered
+
+    def inbox(self, client_id: str) -> list[Envelope]:
+        """The client's live inbox, which ``deliver`` fills and ``drain`` empties: read only."""
+        return self._inboxes.setdefault(client_id, [])
 
     def drain(self, client_id: str) -> list[Envelope]:
         """Take all delivered envelopes for a client, oldest first."""
         inbox = self._inboxes.get(client_id)
         if not inbox:
             return []
-        self._inboxes[client_id] = []
-        return inbox
+        taken = inbox.copy()
+        inbox.clear()
+        return taken

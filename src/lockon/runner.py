@@ -4,12 +4,18 @@ The scheduler holds the tick, the time (tick * dt, recomputed each tick so
 it never drifts from the tick count) and the pursuer: a copy of the
 scenario's start pose, which ``world.step`` updates in place, so a Scenario
 runs again unchanged. Per tick the order is
-fixed: physics, vision (with the camera frame, when due), autonomous node,
-proxy/server exchange, then bus delivery. Envelopes published during a tick
-are therefore seen by other nodes on the next tick, giving the protocol a
-reproducible one-tick transport delay. Runs terminate on /land (after a
-short grace window so every node can shut down), at max_time, or on a crash
-(altitude below ground).
+fixed: physics, vision (on a frame tick), autonomous node, proxy/server
+exchange (when the proxy has mail), then bus delivery. Envelopes published
+during a tick are therefore seen by other nodes on the next tick, giving the
+protocol a reproducible one-tick transport delay. Runs terminate on /land
+(after a short grace window so every node can shut down), at max_time, or on
+a crash (altitude below ground).
+
+Skipping those steps changes no log. Vision drains its inbox before it
+renders and publishes only from a frame, so mail that arrives between frames
+is read, in order, by the next frame with the same effect. The proxy acts
+only on mail, which reaches an inbox only in bus delivery; the scheduler
+tests the bus's live inbox list for it, without a call.
 
 A camera frame is rendered only when the vision node uses it: on a frame
 tick, while its pipeline is armed (from the tick that delivers the first
@@ -169,6 +175,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         ),
     )
     proxy = ProxyNode(bus, transport)
+    proxy_mail = bus.inbox(ProxyNode.CLIENT_ID)
 
     pursuer, time = copy.copy(scenario.pursuer_init), 0.0
     rows = _track_rows(scenario.targets)
@@ -193,9 +200,11 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
                     terminated_by = "crash"
                     break
 
-            vision.step(tick, frame if tick % frame_ticks == 0 else None)
+            if tick % frame_ticks == 0:
+                vision.step(tick, frame)
             autonomous.step(tick, time, pursuer)
-            proxy.step(tick)
+            if proxy_mail:
+                proxy.step(tick)
             bus.deliver()
 
             if land_seen_tick is not None and (

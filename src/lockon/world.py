@@ -22,6 +22,10 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
+# ``step`` clamps the pitch to +-HALF_PI with two comparisons: the bits of
+# max(-HALF_PI, min(HALF_PI, x)) for every float, NaN and -0.0 included.
+HALF_PI = math.pi / 2.0
+
 
 def value(cls):
     """Make ``cls`` a frozen, slotted dataclass with a cheaper ``__init__``.
@@ -288,7 +292,9 @@ def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> None:
     if guidance.speed < 0.0:
         raise ValueError("speed must be >= 0")
     yaw = wrap_angle(pursuer.yaw + guidance.yaw_rate * dt)
-    pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pursuer.pitch + guidance.pitch_rate * dt))
+    pitch = pursuer.pitch + guidance.pitch_rate * dt
+    pitch = pitch if pitch < HALF_PI else HALF_PI
+    pitch = pitch if pitch > -HALF_PI else -HALF_PI
     cp = math.cos(pitch)
     travel = guidance.speed * dt
     pursuer.x += cp * math.cos(yaw) * travel

@@ -124,6 +124,20 @@ class TestPublish:
         assert [e.seq for e in bus.drain("sub")] == [1]
         assert bus.drain("sub") == []
 
+    def test_inbox_is_the_live_list_that_deliver_fills_and_drain_empties(self):
+        bus = MessageBus()
+        bus.subscribe("sub", "/land")
+        inbox = bus.inbox("sub")
+        publish(bus, "/land")
+        assert inbox == []  # a publish waits for deliver()
+        bus.deliver()
+        assert [e.seq for e in inbox] == [0]
+        taken = bus.drain("sub")
+        assert inbox == [] and taken is not inbox and [e.seq for e in taken] == [0]
+        publish(bus, "/land")
+        bus.deliver()
+        assert bus.inbox("sub") is inbox and [e.seq for e in inbox] == [1]
+
     def test_empty_payload_is_legal(self):
         bus = MessageBus()
         bus.subscribe("sub", "/land")

@@ -6,18 +6,21 @@ import hashlib
 import json
 import math
 import random
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lockon import runner
+from lockon.bus import LAND, LOCK, TELEMETRY, MessageBus
 from lockon.metrics import MetricsError, parse_jsonl, summarize_run
 from lockon.payloads import CrashReport, LockReport, TelemetryRequest
-from lockon.proxy import HttpTransport, InProcessTransport, TransportError
+from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
 from lockon.runner import event_log_to_jsonl, run
 from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
 from lockon.server import MissionStore, ServerThread, TargetAssignment
+from lockon.vision import VisionNode
 from lockon.world import (
     ZERO3,
     CameraParams,
@@ -528,3 +531,47 @@ class TestEventLogShape:
             if entry["kind"] == "msg":
                 assert entry["payload"] is None or isinstance(entry["payload"], dict)
         json.dumps(result.event_log)  # fully serializable
+
+
+class TestTickCallsOnlyWhatItUses:
+    """The per-tick path makes no call it does not use: no builtin min or max
+    in the pitch clamp, no key function built per delivery, and no node step
+    on a tick where that node has nothing to do."""
+
+    def test_world_step_calls_neither_min_nor_max(self):
+        names = runner.world_step.__code__.co_names
+        assert "min" not in names and "max" not in names
+
+    def test_deliver_builds_no_function_per_call(self):
+        consts = MessageBus.deliver.__code__.co_consts
+        assert not any(isinstance(const, types.CodeType) for const in consts)
+
+    def test_vision_steps_on_frame_ticks_and_the_proxy_on_mail(self, monkeypatch):
+        scenario = load_scenario("moving_target")
+        vision_ticks, proxy_ticks = [], []
+        vision_step, proxy_step = VisionNode.step, ProxyNode.step
+
+        def counted_vision_step(node, tick, frame):
+            vision_ticks.append(tick)
+            vision_step(node, tick, frame)
+
+        def counted_proxy_step(node, tick):
+            proxy_ticks.append(tick)
+            proxy_step(node, tick)
+
+        monkeypatch.setattr(VisionNode, "step", counted_vision_step)
+        monkeypatch.setattr(ProxyNode, "step", counted_proxy_step)
+        result = run(scenario)
+
+        golden = json.loads(Path(__file__).with_name("golden_logs.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(event_log_to_jsonl(result.event_log).encode()).hexdigest()
+        assert digest == golden[f"moving_target/{scenario.seed}"]
+        end = result.event_log[-1]["tick"]
+        assert vision_ticks == list(range(0, end + 1, scenario.frame_ticks))
+        # Mail delivered on tick t is in the proxy's inbox when tick t + 1 begins.
+        mail_ticks = sorted({
+            e["tick"] + 1
+            for e in result.event_log
+            if e["kind"] == "msg" and e["topic"] in (TELEMETRY, LOCK, LAND) and e["tick"] < end
+        })
+        assert proxy_ticks == mail_ticks

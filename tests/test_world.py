@@ -366,6 +366,47 @@ class TestStepSkipsTheConstructorChecks:
         assert float_bits(pursuer) == float_bits(built)
 
 
+def builtin_clamp(pitch):
+    """The builtin min/max pitch clamp that ``step`` once used, kept as the oracle."""
+    return max(-math.pi / 2.0, min(math.pi / 2.0, pitch))
+
+
+HALF_PI = math.pi / 2.0
+PITCH_EDGES = [
+    sign * x
+    for sign in (1.0, -1.0)
+    for x in (HALF_PI, math.nextafter(HALF_PI, 0.0), math.nextafter(HALF_PI, 4.0), 0.0, 1e308)
+]
+
+
+class TestPitchClampKeepsTheBuiltinBits:
+    """``step`` clamps the pitch with two comparisons, not min and max; the
+    pitch it gives has the builtin clamp's bits for every float."""
+
+    @staticmethod
+    def step_pitch(pitch, pitch_rate, dt):
+        pursuer = make_pursuer()
+        pursuer.pitch = pitch  # set past the constructor's own clamp
+        # GuidanceCommand refuses a non-finite rate, so pass a stand-in.
+        step(pursuer, SimpleNamespace(yaw_rate=0.0, pitch_rate=pitch_rate, speed=0.0), dt)
+        return pursuer.pitch
+
+    @pytest.mark.parametrize("pitch", PITCH_EDGES, ids=float.hex)
+    def test_at_the_edges(self, pitch):
+        # Adding a -0.0 rate leaves every pitch's bits as they are, -0.0 included.
+        assert self.step_pitch(pitch, -0.0, 1.0).hex() == builtin_clamp(pitch).hex()
+
+    @pytest.mark.parametrize("pitch_rate", [math.inf, -math.inf, math.nan], ids=str)
+    def test_with_a_non_finite_rate(self, pitch_rate):
+        expected = builtin_clamp(0.0 + pitch_rate * 0.05)
+        assert self.step_pitch(0.0, pitch_rate, 0.05).hex() == expected.hex()
+
+    @given(pitch=st.floats(), pitch_rate=st.floats())
+    def test_for_any_float(self, pitch, pitch_rate):
+        expected = builtin_clamp(pitch + pitch_rate * 0.05)
+        assert self.step_pitch(pitch, pitch_rate, 0.05).hex() == expected.hex()
+
+
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
 
 
