@@ -19,6 +19,12 @@ it updates the context in place and returns the new state with the actions
 to run, each a ``GuidanceCommand`` to fly or a ``(topic, payload)`` pair to
 publish. ``AutonomousNode`` owns that context, sets its tick, time and pose
 each tick, advances the containment timer, and talks to the bus.
+
+SEARCH steers one ``SteeringCommand`` in place: ``search_guidance`` rewrites
+it on every SEARCH tick with a target, so ``node.guidance`` is valid until
+the node's next ``step``. LOCK flies each ``GuidanceCommand`` value that
+``handle_event`` returns. The node drains its inbox only on a tick that
+begins with mail, tested on the bus's live inbox list.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from .world import GuidanceCommand, PursuerState, Vec3, distance, wrap_angle
+from .world import GuidanceCommand, PursuerState, SteeringCommand, Vec3, distance, wrap_angle
 
 
 class StateMachineError(Exception):
@@ -119,27 +125,31 @@ Event = TelemetryResponse | OffsetMessage | Sensed
 Action = GuidanceCommand | tuple[str, bytes | Message]
 
 _TIMER_EPS = 1e-9
+# The command of a node with nothing to steer at: no target in SEARCH, or landing.
+_HOLD = GuidanceCommand()
 
 
-def search_guidance(pursuer: PursuerState, target: Vec3, gains: ControlGains) -> GuidanceCommand:
+def search_guidance(
+    pursuer: PursuerState, target: Vec3, gains: ControlGains, command: SteeringCommand
+) -> SteeringCommand:
     """Proportional heading control toward the line of sight, at cruise speed.
 
     Yaw and pitch rates are proportional to the wrapped angular error between
     the current attitude and the LOS to the target. Coincident positions
-    degenerate to a zero-rate command.
+    degenerate to zero rates. The rates and the speed are written into
+    ``command``, which is returned; a non-finite rate raises ValueError and
+    leaves ``command`` as it was.
     """
     rx, ry, rz = target.x - pursuer.x, target.y - pursuer.y, target.z - pursuer.z
     if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-6:
-        return GuidanceCommand(0.0, 0.0, gains.v_cruise)
-    los_yaw = math.atan2(ry, rx)
-    los_pitch = math.atan2(rz, math.hypot(rx, ry))
-    yaw_err = wrap_angle(los_yaw - pursuer.yaw)
-    pitch_err = los_pitch - pursuer.pitch
-    return GuidanceCommand(
-        yaw_rate=gains.k_yaw * yaw_err,
-        pitch_rate=gains.k_pitch * pitch_err,
-        speed=gains.v_cruise,
-    )
+        yaw_rate = pitch_rate = 0.0
+    else:
+        yaw_rate = gains.k_yaw * wrap_angle(math.atan2(ry, rx) - pursuer.yaw)
+        pitch_rate = gains.k_pitch * (math.atan2(rz, math.hypot(rx, ry)) - pursuer.pitch)
+        if not (math.isfinite(yaw_rate) and math.isfinite(pitch_rate)):
+            raise ValueError("rates must be finite")
+    command.yaw_rate, command.pitch_rate, command.speed = yaw_rate, pitch_rate, gains.v_cruise
+    return command
 
 
 def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand:
@@ -181,7 +191,7 @@ def advance_lock_timer(
 def _telemetry_request(ctx: MissionContext, state: MissionState) -> TelemetryRequest:
     assert ctx.pursuer is not None
     return TelemetryRequest(
-        uav_id=ctx.uav_id, time=ctx.time, position=ctx.pursuer.position, state=state.value
+        uav_id=ctx.uav_id, time=ctx.time, position=ctx.pursuer.position, state=state._value_
     )
 
 
@@ -261,7 +271,7 @@ def handle_event(
             return state, []
         raise StateMachineError(f"{event} is illegal in LOCK")
 
-    raise StateMachineError(f"no events are accepted in {state.value}")
+    raise StateMachineError(f"no events are accepted in {state._value_}")
 
 
 class AutonomousNode:
@@ -284,11 +294,13 @@ class AutonomousNode:
         self.gains = gains
         self.dt = dt
         self.telemetry_period = telemetry_period
-        self.guidance = GuidanceCommand()
+        self.guidance: GuidanceCommand | SteeringCommand = _HOLD
+        self._steering = SteeringCommand()
         self._frame_gap_ticks = max(1, round(frame_period / dt))
         self._grace_ticks = max(1, round(gains.camera_grace / dt))
         self._last_telemetry_time: float | None = None
         self._bus = bus
+        self._inbox = bus.inbox(self.CLIENT_ID)
         self._transition_hook = transition_hook
         bus.subscribe(self.CLIENT_ID, topics.TELEMETRY_RESPONSE)
         bus.subscribe(self.CLIENT_ID, topics.IMAGE_MESSAGE)
@@ -341,14 +353,14 @@ class AutonomousNode:
             return
         if self.state is _LANDING:
             self._enter(_LANDED)
-            self.guidance = GuidanceCommand()
-            self._bus.drain(self.CLIENT_ID)
-            return
+            self.guidance = _HOLD
         if self.state is _LANDED:
-            self._bus.drain(self.CLIENT_ID)
+            if self._inbox:
+                self._bus.drain(self.CLIENT_ID)
             return
 
-        self._process_inbox()
+        if self._inbox:
+            self._process_inbox()
 
         if self.state is _SEARCH:
             if (
@@ -379,12 +391,14 @@ class AutonomousNode:
             if due:
                 self._execute((topics.TELEMETRY, _telemetry_request(self.ctx, self.state)))
 
-        # Continuous guidance refresh: SEARCH re-aims at the last reported
-        # position every tick; LOCK holds the latest camera command.
+        # Continuous guidance refresh: SEARCH re-aims its command at the last
+        # reported position every tick; LOCK holds the latest camera command.
         if self.state is _SEARCH:
             if self.ctx.target_position is not None:
-                self.guidance = search_guidance(pursuer, self.ctx.target_position, self.gains)
+                self.guidance = search_guidance(
+                    pursuer, self.ctx.target_position, self.gains, self._steering
+                )
             else:
-                self.guidance = GuidanceCommand()
+                self.guidance = _HOLD
         elif self.state is not _LOCK:
-            self.guidance = GuidanceCommand()
+            self.guidance = _HOLD

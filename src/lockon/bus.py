@@ -166,6 +166,11 @@ class MessageBus:
         """The client's live inbox, which ``deliver`` fills and ``drain`` empties: read only."""
         return self._inboxes.setdefault(client_id, [])
 
+    def pending(self) -> list[tuple[Envelope, tuple[str, ...]]]:
+        """The live list of publishes and their recipients, which ``publish``
+        fills and ``deliver`` empties: read only."""
+        return self._pending
+
     def drain(self, client_id: str) -> list[Envelope]:
         """Take all delivered envelopes for a client, oldest first."""
         inbox = self._inboxes.get(client_id)

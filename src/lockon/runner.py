@@ -3,9 +3,9 @@
 The scheduler holds the tick, the time (tick * dt, recomputed each tick so
 it never drifts from the tick count) and the pursuer: a copy of the
 scenario's start pose, which ``world.step`` updates in place, so a Scenario
-runs again unchanged. Per tick the order is
-fixed: physics, vision (on a frame tick), autonomous node, proxy/server
-exchange (when the proxy has mail), then bus delivery. Envelopes published
+runs again unchanged. Per tick the order is fixed: physics, vision (on a
+frame tick), autonomous node, proxy/server exchange (when the proxy has
+mail), then bus delivery (when a publish is pending). Envelopes published
 during a tick are therefore seen by other nodes on the next tick, giving the
 protocol a reproducible one-tick transport delay. Runs terminate on /land
 (after a short grace window so every node can shut down), at max_time, or on
@@ -15,7 +15,14 @@ Skipping those steps changes no log. Vision drains its inbox before it
 renders and publishes only from a frame, so mail that arrives between frames
 is read, in order, by the next frame with the same effect. The proxy acts
 only on mail, which reaches an inbox only in bus delivery; the scheduler
-tests the bus's live inbox list for it, without a call.
+tests the bus's live inbox list for it, without a call. The autonomous node
+drains its inbox only when it holds mail, and delivery runs only while the
+bus's live pending list (``MessageBus.pending``) holds a publish: an empty
+``deliver`` delivers nothing.
+
+Physics reads ``autonomous.guidance`` at the start of the next tick. In
+SEARCH that is one command the node rewrites in place, valid until its next
+``step``.
 
 A camera frame is rendered only when the vision node uses it: on a frame
 tick, while its pipeline is armed (from the tick that delivers the first
@@ -171,11 +178,12 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
         frame_period=scenario.frame_period,
         telemetry_period=scenario.telemetry_period,
         transition_hook=lambda tick, old, new: events.append(
-            {"kind": "fsm", "tick": tick, "from": old.value, "to": new.value}
+            {"kind": "fsm", "tick": tick, "from": old._value_, "to": new._value_}
         ),
     )
     proxy = ProxyNode(bus, transport)
     proxy_mail = bus.inbox(ProxyNode.CLIENT_ID)
+    pending = bus.pending()
 
     pursuer, time = copy.copy(scenario.pursuer_init), 0.0
     rows = _track_rows(scenario.targets)
@@ -205,7 +213,8 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             autonomous.step(tick, time, pursuer)
             if proxy_mail:
                 proxy.step(tick)
-            bus.deliver()
+            if pending:
+                bus.deliver()
 
             if land_seen_tick is not None and (
                 tick >= land_seen_tick + SHUTDOWN_GRACE_TICKS or tick >= max_ticks + 1

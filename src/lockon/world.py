@@ -223,6 +223,20 @@ class GuidanceCommand:
             raise ValueError("rates must be finite")
 
 
+class SteeringCommand:
+    """A guidance command that its owner rewrites in place, with no checks.
+
+    ``autonomy.search_guidance`` fills one with finite rates at the cruise
+    speed, which ``ControlGains`` checks; ``step`` reads it as it reads a
+    ``GuidanceCommand``.
+    """
+
+    __slots__ = ("yaw_rate", "pitch_rate", "speed")
+
+    def __init__(self) -> None:
+        self.yaw_rate = self.pitch_rate = self.speed = 0.0
+
+
 def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
     """Closed-form position at time t: p0 + v0*t + a*t^2/2."""
     if t < 0.0:
@@ -281,7 +295,7 @@ def project_to_camera(
     return (u, v)
 
 
-def step(pursuer: PursuerState, guidance: GuidanceCommand, dt: float) -> None:
+def step(pursuer: PursuerState, guidance: GuidanceCommand | SteeringCommand, dt: float) -> None:
     """Advance the pursuer one tick under a guidance command, in place.
 
     Attitude integrates first (yaw wraps, pitch clamps), then the position

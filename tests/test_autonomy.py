@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lockon import autonomy, bus as topics
 from lockon.autonomy import (
@@ -20,10 +21,15 @@ from lockon.autonomy import (
 from lockon.autonomy import AutonomousNode
 from lockon.bus import MessageBus
 from lockon.payloads import LockReport, Message, OffsetMessage, TelemetryRequest, TelemetryResponse
-from lockon.world import GuidanceCommand, PursuerState, Vec3
+from lockon.world import GuidanceCommand, PursuerState, SteeringCommand, Vec3, wrap_angle
 
 GAINS = ControlGains()
 NO_TARGET = TelemetryResponse(False, None, None, 0)
+
+
+def hex_fields(command) -> tuple[str, str, str]:
+    """A command's rates and speed as float.hex, so -0.0 and 0.0 differ."""
+    return command.yaw_rate.hex(), command.pitch_rate.hex(), command.speed.hex()
 
 
 def ctx(**kw) -> MissionContext:
@@ -59,7 +65,8 @@ class TestSearchTransitions:
         bus.publish("proxy", "/telemetry/response", TelemetryResponse(True, "T1", target, 2), 0)
         bus.deliver()
         node.step(1, 0.05, pursuer)
-        assert node.guidance == search_guidance(pursuer, target, GAINS)
+        expected = search_guidance(pursuer, target, GAINS, SteeringCommand())
+        assert hex_fields(node.guidance) == hex_fields(expected)
         assert node.guidance.speed == GAINS.v_cruise and node.guidance.yaw_rate != 0.0
 
     def test_distance_threshold_publishes_signal_once(self):
@@ -342,12 +349,14 @@ class TestEnumConstants:
             AutonomousNode._dispatch,
             AutonomousNode._execute,
             handle_event,
+            autonomy._telemetry_request,
         ],
         ids=lambda function: function.__name__,
     )
     def test_no_hot_function_reads_an_enum_class(self, function):
         names = function.__code__.co_names
         assert "MissionState" not in names and "Sensed" not in names
+        assert "value" not in names  # a member's .value is a Python-level property
 
     @pytest.mark.parametrize("member", [*MissionState, *Sensed], ids=lambda member: member.name)
     def test_each_constant_is_its_member(self, member):
@@ -357,7 +366,7 @@ class TestEnumConstants:
 class TestSearchGuidance:
     def test_aligned_line_of_sight_flies_straight(self):
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
-        command = search_guidance(pursuer, Vec3(100, 0, 10), GAINS)
+        command = search_guidance(pursuer, Vec3(100, 0, 10), GAINS, SteeringCommand())
         assert command.yaw_rate == pytest.approx(0.0)
         assert command.pitch_rate == pytest.approx(0.0)
         assert command.speed == GAINS.v_cruise
@@ -365,19 +374,97 @@ class TestSearchGuidance:
     def test_bearing_ninety_left_proportional(self):
         # Heading error pi/2 with k_yaw 0.8 commands 0.8 * pi/2 toward the target.
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
-        command = search_guidance(pursuer, Vec3(0, 50, 10), GAINS)
+        command = search_guidance(pursuer, Vec3(0, 50, 10), GAINS, SteeringCommand())
         assert command.yaw_rate == pytest.approx(0.8 * math.pi / 2)
 
     def test_coincident_positions_degenerate(self):
         pursuer = PursuerState(Vec3(1, 2, 3), 0.5, 0.1, 0.0)
-        command = search_guidance(pursuer, Vec3(1, 2, 3), GAINS)
+        command = search_guidance(pursuer, Vec3(1, 2, 3), GAINS, SteeringCommand())
         assert command.yaw_rate == 0.0 and command.pitch_rate == 0.0
         assert command.speed == GAINS.v_cruise
 
     def test_turn_direction_reduces_error(self):
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
-        right = search_guidance(pursuer, Vec3(0, -50, 10), GAINS)
+        right = search_guidance(pursuer, Vec3(0, -50, 10), GAINS, SteeringCommand())
         assert right.yaw_rate < 0.0  # clockwise toward a target to the south
+
+
+def reference_search_rates(pursuer, target, gains) -> tuple[float, float] | None:
+    """The SEARCH law as a new GuidanceCommand computed it: (yaw rate, pitch
+    rate), or None where it raised ValueError: an infinite yaw fails in
+    ``wrap_angle``'s fmod, any other non-finite rate in the command."""
+    rx, ry, rz = target.x - pursuer.x, target.y - pursuer.y, target.z - pursuer.z
+    if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-6:
+        return 0.0, 0.0
+    try:
+        yaw_err = wrap_angle(math.atan2(ry, rx) - pursuer.yaw)
+    except ValueError:
+        return None
+    yaw_rate = gains.k_yaw * yaw_err
+    pitch_rate = gains.k_pitch * (math.atan2(rz, math.hypot(rx, ry)) - pursuer.pitch)
+    if not (math.isfinite(yaw_rate) and math.isfinite(pitch_rate)):
+        return None
+    return yaw_rate, pitch_rate
+
+
+POSE = ("x", "y", "z", "yaw", "pitch")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def pose_and_target(coordinate):
+    return st.tuples(st.tuples(*[coordinate] * len(POSE)), st.tuples(*[coordinate] * 3))
+
+
+def placed(pose, target):
+    pursuer = PursuerState(Vec3(0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
+    for name, coordinate in zip(POSE, pose):
+        setattr(pursuer, name, coordinate)  # unwrapped and unclamped, to reach every float
+    return pursuer, Vec3(*target)
+
+
+class TestSearchGuidanceInPlace:
+    """search_guidance writes the rates a new GuidanceCommand held, bit for bit."""
+
+    @given(pose_and_target(finite))
+    def test_finite_pose_and_target_give_the_reference_rates(self, coordinates):
+        pursuer, target = placed(*coordinates)
+        command = SteeringCommand()
+        assert search_guidance(pursuer, target, GAINS, command) is command
+        expected = reference_search_rates(pursuer, target, GAINS)
+        assert expected is not None
+        assert hex_fields(command) == (expected[0].hex(), expected[1].hex(), GAINS.v_cruise.hex())
+
+    @given(
+        pose_and_target(finite),
+        st.integers(0, len(POSE) + 2),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.tuples(finite, finite, finite),
+    )
+    # A NaN target raises; an infinite target x cancels out, since atan2(y, inf)
+    # = 0; an infinite yaw fails in wrap_angle; coincident positions read no yaw.
+    @example(((0.0, 0.0, 10.0, 0.0, 0.0), (5.0, 5.0, 10.0)), 5, math.nan, (1.0, 2.0, 3.0))
+    @example(((0.0, 0.0, 10.0, 0.0, 0.0), (5.0, 5.0, 10.0)), 5, math.inf, (1.0, 2.0, 3.0))
+    @example(((0.0, 0.0, 10.0, 0.0, 0.0), (5.0, 5.0, 10.0)), 3, math.inf, (1.0, 2.0, 3.0))
+    @example(((1.0, 2.0, 3.0, 0.0, 0.0), (1.0, 2.0, 3.0)), 3, math.nan, (1.0, 2.0, 3.0))
+    def test_a_non_finite_coordinate_raises_where_the_reference_did(
+        self, coordinates, index, bad, before
+    ):
+        flat = [*coordinates[0], *coordinates[1]]
+        flat[index] = bad
+        pursuer, target = placed(flat[: len(POSE)], flat[len(POSE):])
+        command = SteeringCommand()
+        command.yaw_rate, command.pitch_rate, command.speed = before
+        expected = reference_search_rates(pursuer, target, GAINS)
+        if expected is None:
+            message = "math domain error" if math.isinf(pursuer.yaw) else "rates must be finite"
+            with pytest.raises(ValueError, match=message):
+                search_guidance(pursuer, target, GAINS, command)
+            assert hex_fields(command) == tuple(x.hex() for x in before)
+        else:
+            search_guidance(pursuer, target, GAINS, command)
+            assert hex_fields(command) == (
+                expected[0].hex(), expected[1].hex(), GAINS.v_cruise.hex()
+            )
 
 
 class TestLockGuidance:

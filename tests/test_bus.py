@@ -138,6 +138,20 @@ class TestPublish:
         bus.deliver()
         assert bus.inbox("sub") is inbox and [e.seq for e in inbox] == [1]
 
+    def test_pending_is_the_live_list_that_publish_fills_and_deliver_empties(self):
+        bus = MessageBus()
+        bus.subscribe("sub", "/land")
+        pending = bus.pending()
+        assert pending == []
+        publish(bus, "/land")
+        publish(bus, "/lock")  # no subscriber: still pending, with no recipient
+        assert [(e.topic, e.seq, r) for e, r in pending] == [("/land", 0, ("sub",)), ("/lock", 1, ())]
+        assert bus.deliver() == 1
+        assert pending == [] and bus.pending() is pending
+        assert bus.deliver() == 0  # nothing pending delivers nothing
+        publish(bus, "/land")
+        assert [e.seq for e, _ in bus.pending()] == [2] and bus.pending() is pending
+
     def test_empty_payload_is_legal(self):
         bus = MessageBus()
         bus.subscribe("sub", "/land")

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockon import runner
-from lockon.bus import LAND, LOCK, TELEMETRY, MessageBus
+from lockon.autonomy import AutonomousNode, MissionState
+from lockon.bus import IMAGE_MESSAGE, LAND, LOCK, TELEMETRY, TELEMETRY_RESPONSE, MessageBus
 from lockon.metrics import MetricsError, parse_jsonl, summarize_run
 from lockon.payloads import CrashReport, LockReport, TelemetryRequest
 from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
@@ -24,6 +25,7 @@ from lockon.vision import VisionNode
 from lockon.world import (
     ZERO3,
     CameraParams,
+    GuidanceCommand,
     PursuerState,
     TrajectoryKind,
     TrajectorySpec,
@@ -575,3 +577,56 @@ class TestTickCallsOnlyWhatItUses:
             if e["kind"] == "msg" and e["topic"] in (TELEMETRY, LOCK, LAND) and e["tick"] < end
         })
         assert proxy_ticks == mail_ticks
+
+    def test_the_node_drains_on_mail_delivery_runs_on_publishes_and_search_builds_no_command(
+        self, monkeypatch
+    ):
+        scenario = load_scenario("moving_target")
+        tick = None
+        drain_ticks, deliver_ticks, search_builds = [], [], []
+        built = 0
+        node_step, drain, deliver = AutonomousNode.step, MessageBus.drain, MessageBus.deliver
+        command_init = GuidanceCommand.__init__
+
+        def counted_node_step(node, now, time, pursuer):
+            nonlocal tick
+            tick, before = now, built
+            node_step(node, now, time, pursuer)
+            if node.state is MissionState.SEARCH and node.ctx.target_position is not None:
+                search_builds.append(built - before)
+
+        def counted_drain(bus, client_id):
+            if client_id == AutonomousNode.CLIENT_ID:
+                drain_ticks.append(tick)
+            return drain(bus, client_id)
+
+        def counted_deliver(bus):
+            deliver_ticks.append(tick)
+            return deliver(bus)
+
+        def counted_command_init(command, *args, **kwargs):
+            nonlocal built
+            built += 1
+            command_init(command, *args, **kwargs)
+
+        monkeypatch.setattr(AutonomousNode, "step", counted_node_step)
+        monkeypatch.setattr(MessageBus, "drain", counted_drain)
+        monkeypatch.setattr(MessageBus, "deliver", counted_deliver)
+        monkeypatch.setattr(GuidanceCommand, "__init__", counted_command_init)
+        result = run(scenario)
+
+        golden = json.loads(Path(__file__).with_name("golden_logs.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(event_log_to_jsonl(result.event_log).encode()).hexdigest()
+        assert digest == golden[f"moving_target/{scenario.seed}"]
+        end = result.event_log[-1]["tick"]
+        messages = [e for e in result.event_log if e["kind"] == "msg"]
+        # A publish is delivered in the tick that makes it.
+        assert deliver_ticks == sorted({e["tick"] for e in messages})
+        # Mail delivered on tick t is in the node's inbox when tick t + 1 begins.
+        assert drain_ticks == sorted({
+            e["tick"] + 1
+            for e in messages
+            if e["topic"] in (TELEMETRY_RESPONSE, IMAGE_MESSAGE, LAND) and e["tick"] < end
+        })
+        assert len(search_builds) > end // 4 and not any(search_builds)
+        assert built > 0  # LOCK still flies new GuidanceCommand values
