@@ -16,15 +16,15 @@ overflown and lost while a receding one stays in frame.
 Its events are the decoded wire messages (``TelemetryResponse``,
 ``OffsetMessage``) and the ``Sensed`` conditions the node senses each tick;
 it updates the context in place and returns the new state with the actions
-to run, each a ``GuidanceCommand`` to fly or a ``(topic, payload)`` pair to
-publish. ``AutonomousNode`` owns that context, sets its tick, time and pose
-each tick, advances the containment timer, and talks to the bus.
+to run, each a ``(topic, payload)`` pair to publish. ``AutonomousNode`` owns
+that context, sets its tick, time and pose each tick, advances the
+containment timer, and talks to the bus.
 
-SEARCH steers one ``SteeringCommand`` in place: ``search_guidance`` rewrites
-it on every SEARCH tick with a target, so ``node.guidance`` is valid until
-the node's next ``step``. LOCK flies each ``GuidanceCommand`` value that
-``handle_event`` returns. The node drains its inbox only on a tick that
-begins with mail, tested on the bus's live inbox list.
+SEARCH and LOCK steer the node's one ``SteeringCommand`` in place, so
+``node.guidance`` is valid until the node's next ``step``: ``search_guidance``
+rewrites it on every SEARCH tick with a target, and ``lock_guidance`` on each
+offset that leaves the node in LOCK (``handle_event`` returns no action for
+an offset). The node drains its inbox only on a tick that begins with mail.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from .world import GuidanceCommand, PursuerState, SteeringCommand, Vec3, distance, wrap_angle
+from .world import PursuerState, SteeringCommand, Vec3, distance, wrap_angle
 
 
 class StateMachineError(Exception):
@@ -70,13 +70,11 @@ class ControlGains:
     camera_grace: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.activation_radius <= 0.0:
-            raise ValueError("activation_radius must be > 0")
-        if self.lock_duration <= 0.0:
-            raise ValueError("lock_duration must be > 0")
-        for name in ("k_yaw", "k_pitch", "v_cruise", "v_lock", "camera_grace"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("activation_radius", "lock_duration", "k_yaw", "k_pitch", "v_cruise",
+                     "v_lock", "camera_grace"):
+            gain = getattr(self, name)
+            if not (math.isfinite(gain) and gain > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(slots=True)
@@ -121,12 +119,11 @@ _NO_MORE_TARGETS = Sensed.NO_MORE_TARGETS
 
 
 Event = TelemetryResponse | OffsetMessage | Sensed
-# A guidance to fly, or a (topic, payload) pair to publish.
-Action = GuidanceCommand | tuple[str, bytes | Message]
+Action = tuple[str, bytes | Message]  # a (topic, payload) pair to publish
 
 _TIMER_EPS = 1e-9
-# The command of a node with nothing to steer at: no target in SEARCH, or landing.
-_HOLD = GuidanceCommand()
+# The never-written command of a node with nothing to steer at (no target, or landing).
+_HOLD = SteeringCommand()
 
 
 def search_guidance(
@@ -138,7 +135,8 @@ def search_guidance(
     the current attitude and the LOS to the target. Coincident positions
     degenerate to zero rates. The rates and the speed are written into
     ``command``, which is returned; a non-finite rate raises ValueError and
-    leaves ``command`` as it was.
+    leaves ``command`` as it was. The caller passes a finite ``target``: an
+    infinite coordinate can still give finite rates.
     """
     rx, ry, rz = target.x - pursuer.x, target.y - pursuer.y, target.z - pursuer.z
     if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-6:
@@ -152,7 +150,9 @@ def search_guidance(
     return command
 
 
-def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand:
+def lock_guidance(
+    offset: OffsetMessage, gains: ControlGains, command: SteeringCommand
+) -> SteeringCommand:
     """Visual-servoing command that centers the camera offset.
 
     Rates are proportional to the offset magnitudes and steer toward the
@@ -160,13 +160,15 @@ def lock_guidance(offset: OffsetMessage, gains: ControlGains) -> GuidanceCommand
     (negative) yaw rate in this CCW-positive frame, a positive y (target
     below center) a nose-down pitch rate. Forward speed is the constant
     v_lock; no range information exists in the offset, so there is no
-    closure control.
+    closure control. The rates and the speed are written into ``command``,
+    which is returned; a non-finite rate raises ValueError and leaves
+    ``command`` as it was.
     """
-    return GuidanceCommand(
-        yaw_rate=-gains.k_yaw * offset.x,
-        pitch_rate=-gains.k_pitch * offset.y,
-        speed=gains.v_lock,
-    )
+    yaw_rate, pitch_rate = -gains.k_yaw * offset.x, -gains.k_pitch * offset.y
+    if not (math.isfinite(yaw_rate) and math.isfinite(pitch_rate)):
+        raise ValueError("rates must be finite")
+    command.yaw_rate, command.pitch_rate, command.speed = yaw_rate, pitch_rate, gains.v_lock
+    return command
 
 
 def advance_lock_timer(
@@ -227,7 +229,7 @@ def handle_event(
                 return state, []
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = ctx.last_camera_tick = event.tick
-            return _LOCK, [lock_guidance(event, gains)]
+            return _LOCK, []
         if isinstance(event, TelemetryResponse) or event is _NO_MORE_TARGETS:
             # No target is left: the server sent none, or the last was locked.
             ctx.current_target = ctx.target_position = ctx.lock_start_tick = None
@@ -238,7 +240,7 @@ def handle_event(
     if state is _LOCK:
         if isinstance(event, OffsetMessage):
             ctx.last_camera_tick = event.tick
-            return state, [lock_guidance(event, gains)]
+            return state, []
         if event is _CAMERA_STALE:
             ctx.lock_timer = 0.0
             ctx.lock_start_tick = None
@@ -294,7 +296,7 @@ class AutonomousNode:
         self.gains = gains
         self.dt = dt
         self.telemetry_period = telemetry_period
-        self.guidance: GuidanceCommand | SteeringCommand = _HOLD
+        self.guidance = _HOLD
         self._steering = SteeringCommand()
         self._frame_gap_ticks = max(1, round(frame_period / dt))
         self._grace_ticks = max(1, round(gains.camera_grace / dt))
@@ -307,13 +309,10 @@ class AutonomousNode:
         bus.subscribe(self.CLIENT_ID, topics.LAND)
 
     def _execute(self, action: Action) -> None:
-        if isinstance(action, GuidanceCommand):
-            self.guidance = action
-        else:
-            topic, payload = action
-            self._bus.publish(self.CLIENT_ID, topic, payload, self.ctx.tick)
-            if topic == topics.TELEMETRY:
-                self._last_telemetry_time = self.ctx.time
+        topic, payload = action
+        self._bus.publish(self.CLIENT_ID, topic, payload, self.ctx.tick)
+        if topic == topics.TELEMETRY:
+            self._last_telemetry_time = self.ctx.time
 
     def _enter(self, new_state: MissionState) -> None:
         old, self.state = self.state, new_state
@@ -340,6 +339,9 @@ class AutonomousNode:
                     # yet; acting on it would start a lock after it ends.
                     if offset.tick <= self.ctx.tick:
                         self._dispatch(offset)
+                        # It steers on entering or holding LOCK, never otherwise.
+                        if self.state is _LOCK:
+                            self.guidance = lock_guidance(offset, self.gains, self._steering)
             except DecodeError:
                 continue  # a malformed envelope must not take the node down
 
@@ -392,7 +394,7 @@ class AutonomousNode:
                 self._execute((topics.TELEMETRY, _telemetry_request(self.ctx, self.state)))
 
         # Continuous guidance refresh: SEARCH re-aims its command at the last
-        # reported position every tick; LOCK holds the latest camera command.
+        # reported position every tick; LOCK holds its latest offset's command.
         if self.state is _SEARCH:
             if self.ctx.target_position is not None:
                 self.guidance = search_guidance(

@@ -15,14 +15,14 @@ Skipping those steps changes no log. Vision drains its inbox before it
 renders and publishes only from a frame, so mail that arrives between frames
 is read, in order, by the next frame with the same effect. The proxy acts
 only on mail, which reaches an inbox only in bus delivery; the scheduler
-tests the bus's live inbox list for it, without a call. The autonomous node
-drains its inbox only when it holds mail, and delivery runs only while the
-bus's live pending list (``MessageBus.pending``) holds a publish: an empty
-``deliver`` delivers nothing.
+tests the bus's live inbox list for it, without a call. Vision and the
+autonomous node drain their inboxes only when they hold mail, and delivery
+runs only while the bus's live pending list (``MessageBus.pending``) holds a
+publish: an empty ``deliver`` delivers nothing.
 
 Physics reads ``autonomous.guidance`` at the start of the next tick. In
-SEARCH that is one command the node rewrites in place, valid until its next
-``step``.
+SEARCH and LOCK that is one command the node rewrites in place, valid until
+its next ``step``.
 
 A camera frame is rendered only when the vision node uses it: on a frame
 tick, while its pipeline is armed (from the tick that delivers the first

@@ -131,6 +131,7 @@ class VisionNode:
         bus.subscribe(self.CLIENT_ID, topics.SIGNAL_PROCESS_IMAGE)
         bus.subscribe(self.CLIENT_ID, topics.LAND)
         self._bus = bus
+        self._inbox = bus.inbox(self.CLIENT_ID)
         self._terminated = False
 
     def handle_envelope(self, envelope: Envelope) -> None:
@@ -140,7 +141,7 @@ class VisionNode:
             self._terminated = True
 
     def step(self, tick: int, frame: Callable[[], tuple[float, float] | None] | None) -> None:
-        """Drain the inbox, then process this tick's camera frame, if any.
+        """Drain the inbox if it holds mail, then process this tick's camera frame, if any.
 
         ``frame`` is None on a tick with no frame, else a callable that renders
         the frame and returns its truth. It is called after the inbox is
@@ -148,8 +149,9 @@ class VisionNode:
         is armed and /land has not been seen: an unarmed pipeline would
         discard the frame.
         """
-        for envelope in self._bus.drain(self.CLIENT_ID):
-            self.handle_envelope(envelope)
+        if self._inbox:
+            for envelope in self._bus.drain(self.CLIENT_ID):
+                self.handle_envelope(envelope)
         if frame is None or self._terminated or not self.state.active:
             return
         _, message = process_frame(self.state, frame(), self.params, self.rng, tick)

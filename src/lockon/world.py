@@ -154,19 +154,6 @@ class PursuerState:
         """The position now, as a new Vec3 that later steps leave as it is."""
         return Vec3(self.x, self.y, self.z)
 
-    def camera_triad(self) -> tuple[float, ...]:
-        """The camera's forward, right and down unit vectors, as 9 components.
-
-        Forward is along the (yaw, pitch) attitude, right is level, and down
-        = forward x right completes the orthonormal triad.
-        """
-        yaw, pitch = self.yaw, self.pitch
-        cp = math.cos(pitch)
-        fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
-        rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
-        dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
-        return (fx, fy, fz, rx, ry, rz, dx, dy, dz)
-
 
 class TrajectoryKind(Enum):
     STATIONARY = "stationary"
@@ -208,33 +195,19 @@ class CameraParams:
             object.__setattr__(self, f"tan_half_{name}", tan_half)
 
 
-@value
-class GuidanceCommand:
-    """Kinematic command: body rates plus commanded speed."""
-
-    yaw_rate: float = 0.0
-    pitch_rate: float = 0.0
-    speed: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.speed < 0.0:
-            raise ValueError("commanded speed must be >= 0")
-        if not (math.isfinite(self.yaw_rate) and math.isfinite(self.pitch_rate)):
-            raise ValueError("rates must be finite")
-
-
 class SteeringCommand:
-    """A guidance command that its owner rewrites in place, with no checks.
+    """Kinematic command: body rates plus commanded speed, rewritten in place.
 
-    ``autonomy.search_guidance`` fills one with finite rates at the cruise
-    speed, which ``ControlGains`` checks; ``step`` reads it as it reads a
-    ``GuidanceCommand``.
+    The autonomous node owns one: ``autonomy.search_guidance`` and
+    ``autonomy.lock_guidance`` write finite rates into it, at the cruise or
+    lock speed that ``ControlGains`` checks, and ``step`` reads it. It runs
+    no checks of its own.
     """
 
     __slots__ = ("yaw_rate", "pitch_rate", "speed")
 
-    def __init__(self) -> None:
-        self.yaw_rate = self.pitch_rate = self.speed = 0.0
+    def __init__(self, yaw_rate: float = 0.0, pitch_rate: float = 0.0, speed: float = 0.0) -> None:
+        self.yaw_rate, self.pitch_rate, self.speed = yaw_rate, pitch_rate, speed
 
 
 def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
@@ -251,19 +224,30 @@ def eval_trajectory(spec: TrajectorySpec, t: float) -> Vec3:
 
 
 def distance(a: Vec3 | PursuerState, b: Vec3) -> float:
-    """Euclidean distance between two points; a pursuer stands for its position."""
-    if not (Vec3.is_finite(a) and b.is_finite()):
-        raise ValueError("distance requires finite inputs")
+    """Euclidean distance between two points; a pursuer stands for its position.
+
+    A non-finite input raises ValueError. It makes the result non-finite
+    (``d - d != 0.0``), so the inputs are tested only then."""
     dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d - d != 0.0 and not (Vec3.is_finite(a) and b.is_finite()):
+        raise ValueError("distance requires finite inputs")
+    return d
 
 
 def camera_pose(pursuer: PursuerState, cam: CameraParams) -> tuple[float, ...]:
-    """What a frame's projections share, as 14 floats: the camera origin, the
-    forward, right and down vectors of ``camera_triad``, tan(hfov / 2) and
-    tan(vfov / 2)."""
-    p = pursuer
-    return (p.x, p.y, p.z, *p.camera_triad(), cam.tan_half_hfov, cam.tan_half_vfov)
+    """What a frame's projections share, as 14 floats: the camera origin, its
+    forward, right and down unit vectors, tan(hfov / 2) and tan(vfov / 2).
+
+    Forward is along the (yaw, pitch) attitude, right is level, and down =
+    forward x right completes the orthonormal triad.
+    """
+    yaw, pitch = pursuer.yaw, pursuer.pitch
+    cp, sp, cy, sy = math.cos(pitch), math.sin(pitch), math.cos(yaw), math.sin(yaw)
+    fx, fy, fz = cp * cy, cp * sy, sp
+    rx, ry, rz = sy, -cy, 0.0
+    return (pursuer.x, pursuer.y, pursuer.z, fx, fy, fz, rx, ry, rz, fy * rz - fz * ry,
+            fz * rx - fx * rz, fx * ry - fy * rx, cam.tan_half_hfov, cam.tan_half_vfov)
 
 
 def project_to_camera(
@@ -295,7 +279,7 @@ def project_to_camera(
     return (u, v)
 
 
-def step(pursuer: PursuerState, guidance: GuidanceCommand | SteeringCommand, dt: float) -> None:
+def step(pursuer: PursuerState, guidance: SteeringCommand, dt: float) -> None:
     """Advance the pursuer one tick under a guidance command, in place.
 
     Attitude integrates first (yaw wraps, pitch clamps), then the position

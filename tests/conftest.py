@@ -159,14 +159,21 @@ def random_scenario(seed: int) -> Scenario:
     )
 
 
-def reference_project(pursuer, target, cam):
-    """The earlier project_to_camera body, kept as the oracle: it recomputes
-    the camera triad and both tangents on every call."""
-    yaw, pitch = pursuer.yaw, pursuer.pitch
+def reference_triad(yaw, pitch):
+    """The camera's forward, right and down unit vectors, as 9 components, as
+    the earlier per-call body computed them: forward along (yaw, pitch), right
+    level, and down = forward x right."""
     cp = math.cos(pitch)
     fx, fy, fz = cp * math.cos(yaw), cp * math.sin(yaw), math.sin(pitch)
     rx, ry, rz = math.sin(yaw), -math.cos(yaw), 0.0
     dx, dy, dz = fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx
+    return fx, fy, fz, rx, ry, rz, dx, dy, dz
+
+
+def reference_project(pursuer, target, cam):
+    """The earlier project_to_camera body, kept as the oracle: it recomputes
+    the camera triad and both tangents on every call."""
+    fx, fy, fz, rx, ry, rz, dx, dy, dz = reference_triad(pursuer.yaw, pursuer.pitch)
     origin = pursuer.position
     px, py, pz = target.x - origin.x, target.y - origin.y, target.z - origin.z
     f = px * fx + py * fy + pz * fz

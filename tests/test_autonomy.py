@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,7 +22,7 @@ from lockon.autonomy import (
 from lockon.autonomy import AutonomousNode
 from lockon.bus import MessageBus
 from lockon.payloads import LockReport, Message, OffsetMessage, TelemetryRequest, TelemetryResponse
-from lockon.world import GuidanceCommand, PursuerState, SteeringCommand, Vec3, wrap_angle
+from lockon.world import PursuerState, SteeringCommand, Vec3, wrap_angle
 
 GAINS = ControlGains()
 NO_TARGET = TelemetryResponse(False, None, None, 0)
@@ -30,6 +31,31 @@ NO_TARGET = TelemetryResponse(False, None, None, 0)
 def hex_fields(command) -> tuple[str, str, str]:
     """A command's rates and speed as float.hex, so -0.0 and 0.0 differ."""
     return command.yaw_rate.hex(), command.pitch_rate.hex(), command.speed.hex()
+
+
+def engaged_node():
+    """A node in SEARCH that holds target T1 5 m ahead and has armed vision for it."""
+    bus = MessageBus()
+    node = AutonomousNode(bus, "uav-1", GAINS, dt=0.05, frame_period=0.1, telemetry_period=1.0)
+    pursuer = PursuerState(Vec3(55, 0, 10), 0.0, 0.0, 0.0)
+    node.step(0, 0.0, pursuer)  # BOOT -> SEARCH, first telemetry
+    response = TelemetryResponse(True, "T1", Vec3(60, 0, 10), 1).encode()
+    bus.publish("proxy", "/telemetry/response", response, 0)
+    bus.deliver()
+    node.step(1, 0.05, pursuer)  # stores target; 5 m < 10 m fires the signal
+    assert node.ctx.signal_sent_for_current
+    return bus, node, pursuer
+
+
+def offset_read(bus, node, pursuer, offset):
+    """Deliver ``offset`` and step the node on the tick after it."""
+    bus.publish("vision", "/image/message", offset, offset.tick)
+    bus.deliver()
+    node.step(offset.tick + 1, (offset.tick + 1) * 0.05, pursuer)
+
+
+def lock_fields(offset, gains=GAINS) -> tuple[str, str, str]:
+    return hex_fields(lock_guidance(offset, gains, SteeringCommand()))
 
 
 def ctx(**kw) -> MissionContext:
@@ -90,7 +116,13 @@ class TestSearchTransitions:
         assert current.lock_timer == 0.0
         assert current.lock_start_tick == 99
         assert current.last_camera_tick == 99
-        assert actions == [lock_guidance(event, GAINS)]
+        assert actions == []
+        # The node steers its one command by the offset that enters LOCK.
+        bus, node, pursuer = engaged_node()
+        steering = node.guidance
+        offset_read(bus, node, pursuer, OffsetMessage(0.2, -0.1, tick=1))
+        assert node.state is MissionState.LOCK and node.guidance is steering
+        assert hex_fields(node.guidance) == lock_fields(OffsetMessage(0.2, -0.1, tick=1))
 
     def test_stale_offset_before_signal_is_ignored(self):
         current = ctx(current_target="T2", target_position=Vec3(50, 0, 10))
@@ -153,10 +185,16 @@ class TestLockTransitions:
         state, actions = handle_event(MissionState.LOCK, current, event, GAINS)
         assert state is MissionState.LOCK
         assert current.last_camera_tick == 100
-        [command] = actions
-        assert isinstance(command, GuidanceCommand)
-        assert abs(command.yaw_rate) == pytest.approx(0.4)
-        assert command.speed == GAINS.v_lock
+        assert actions == []
+        # In LOCK each offset rewrites the node's one command.
+        bus, node, pursuer = engaged_node()
+        offset_read(bus, node, pursuer, OffsetMessage(0.2, -0.1, tick=1))
+        steering = node.guidance
+        offset_read(bus, node, pursuer, event)
+        assert node.state is MissionState.LOCK and node.guidance is steering
+        assert hex_fields(node.guidance) == lock_fields(event)
+        assert node.guidance.yaw_rate == pytest.approx(-0.4)
+        assert node.guidance.speed == GAINS.v_lock
 
     def test_camera_stale_returns_to_search(self):
         current = self.lock_ctx()
@@ -275,6 +313,7 @@ class TestEventsAndActions:
         assert legal == {legal_in}
 
     def test_actions_are_guidances_or_topic_payload_pairs(self):
+        # Guidance is steered in place, so every action is a (topic, payload) pair.
         current = ctx()
         state = MissionState.SEARCH
         actions = []
@@ -289,15 +328,13 @@ class TestEventsAndActions:
             state, emitted = handle_event(state, current, event, GAINS)
             actions += emitted
         assert state is MissionState.LANDING
-        published = [a for a in actions if not isinstance(a, GuidanceCommand)]
-        assert len(actions) - len(published) == 2
         known = {getattr(topics, name) for name in dir(topics) if name.isupper()}
-        for pair in published:
+        for pair in actions:
             assert type(pair) is tuple and len(pair) == 2
             topic, payload = pair
             assert topic in known
             assert type(payload) is bytes or isinstance(payload, Message)
-        assert [topic for topic, _ in published] == [
+        assert [topic for topic, _ in actions] == [
             "/signal/process_image", "/lock", "/telemetry", "/land"
         ]
 
@@ -305,22 +342,8 @@ class TestEventsAndActions:
 class TestInboxRaces:
     """Envelopes arriving in one delivery batch must not wedge the machine."""
 
-    def engaged_node(self):
-        bus = MessageBus()
-        node = AutonomousNode(
-            bus, "uav-1", GAINS, dt=0.05, frame_period=0.1, telemetry_period=1.0
-        )
-        pursuer = PursuerState(Vec3(55, 0, 10), 0.0, 0.0, 0.0)
-        node.step(0, 0.0, pursuer)  # BOOT -> SEARCH, first telemetry
-        response = TelemetryResponse(True, "T1", Vec3(60, 0, 10), 1).encode()
-        bus.publish("proxy", "/telemetry/response", response, 0)
-        bus.deliver()
-        node.step(1, 0.05, pursuer)  # stores target; 5 m < 10 m fires the signal
-        assert node.ctx.signal_sent_for_current
-        return bus, node, pursuer
-
     def test_offset_then_degraded_response_in_one_batch(self):
-        bus, node, pursuer = self.engaged_node()
+        bus, node, pursuer = engaged_node()
         bus.publish("a-vision", "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1)
         degraded = TelemetryResponse(False, None, None, 0).encode()
         bus.publish("z-proxy", "/telemetry/response", degraded, 1)
@@ -329,7 +352,7 @@ class TestInboxRaces:
         assert node.state is MissionState.LOCK
 
     def test_degraded_response_then_offset_in_one_batch(self):
-        bus, node, pursuer = self.engaged_node()
+        bus, node, pursuer = engaged_node()
         degraded = TelemetryResponse(False, None, None, 0).encode()
         bus.publish("a-proxy", "/telemetry/response", degraded, 1)
         bus.publish("z-vision", "/image/message", OffsetMessage(0.0, 0.0, 1).encode(), 1)
@@ -469,23 +492,85 @@ class TestSearchGuidanceInPlace:
 
 class TestLockGuidance:
     def test_centered_target_zero_rates(self):
-        command = lock_guidance(OffsetMessage(0.0, 0.0, 0), GAINS)
+        command = lock_guidance(OffsetMessage(0.0, 0.0, 0), GAINS, SteeringCommand())
         assert command.yaw_rate == 0.0 and command.pitch_rate == 0.0
         assert command.speed == GAINS.v_lock
 
     def test_half_right_offset_magnitude(self):
         # 0.8 * 0.5 = 0.4 rad/s, steering toward the target on the right.
-        command = lock_guidance(OffsetMessage(0.5, 0.0, 0), GAINS)
+        command = lock_guidance(OffsetMessage(0.5, 0.0, 0), GAINS, SteeringCommand())
         assert abs(command.yaw_rate) == pytest.approx(0.4)
         assert command.yaw_rate < 0.0
 
     def test_below_center_pitches_down(self):
-        command = lock_guidance(OffsetMessage(0.0, 0.5, 0), GAINS)
+        command = lock_guidance(OffsetMessage(0.0, 0.5, 0), GAINS, SteeringCommand())
         assert command.pitch_rate == pytest.approx(-0.4)
 
     def test_out_of_range_offset_rejected(self):
         with pytest.raises(ValueError):
             OffsetMessage(1.2, 0.0, 0)
+
+    def test_nan_offset_rejected(self):
+        # OffsetMessage's range check lets NaN through; the law refuses it.
+        with pytest.raises(ValueError, match="rates must be finite"):
+            lock_guidance(OffsetMessage(math.nan, 0.0, 0), GAINS, SteeringCommand())
+
+
+def reference_lock_command(offset, gains) -> tuple[float, float, float] | None:
+    """The LOCK law as a new GuidanceCommand held it: (yaw rate, pitch rate,
+    speed), or None where its constructor raised ValueError."""
+    yaw_rate, pitch_rate, speed = -gains.k_yaw * offset.x, -gains.k_pitch * offset.y, gains.v_lock
+    if speed < 0.0 or not (math.isfinite(yaw_rate) and math.isfinite(pitch_rate)):
+        return None
+    return yaw_rate, pitch_rate, speed
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+lock_gains = st.builds(ControlGains, k_yaw=positive, k_pitch=positive, v_lock=positive)
+
+
+class TestLockGuidanceInPlace:
+    """lock_guidance writes the fields a new GuidanceCommand held, bit for bit."""
+
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), lock_gains)
+    def test_an_offset_in_frame_gives_the_reference_command(self, x, y, gains):
+        command = SteeringCommand()
+        assert lock_guidance(OffsetMessage(x, y, 0), gains, command) is command
+        expected = reference_lock_command(OffsetMessage(x, y, 0), gains)
+        assert expected is not None
+        assert hex_fields(command) == tuple(value.hex() for value in expected)
+
+    # The offset is a stand-in, so any float reaches the law: an infinite
+    # offset, or one whose product with the gain overflows.
+    @given(st.floats(), st.floats(), lock_gains, st.tuples(finite, finite, finite))
+    @example(math.nan, 0.0, GAINS, (1.0, 2.0, 3.0))
+    @example(0.0, -math.inf, GAINS, (1.0, 2.0, 3.0))
+    @example(1e308, 0.0, ControlGains(k_yaw=10.0), (1.0, 2.0, 3.0))
+    def test_a_non_finite_rate_raises_and_leaves_the_command(self, x, y, gains, before):
+        offset = SimpleNamespace(x=x, y=y)
+        command = SteeringCommand(*before)
+        expected = reference_lock_command(offset, gains)
+        if expected is None:
+            with pytest.raises(ValueError, match="rates must be finite"):
+                lock_guidance(offset, gains, command)
+            assert hex_fields(command) == tuple(value.hex() for value in before)
+        else:
+            lock_guidance(offset, gains, command)
+            assert hex_fields(command) == tuple(value.hex() for value in expected)
+
+
+class TestControlGains:
+    NAMES = [field.name for field in dataclasses.fields(ControlGains)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=str)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_each_gain_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            ControlGains(**{name: bad})
+
+    def test_the_largest_finite_gain_is_accepted(self):
+        gains = ControlGains(**{name: 1.7976931348623157e308 for name in self.NAMES})
+        assert all(getattr(gains, name) == 1.7976931348623157e308 for name in self.NAMES)
 
 
 class TestLockTimer:

@@ -14,8 +14,11 @@ alter the log or the report:
 Every one of those runs has a frame every 2 ticks. ``FRAME_GAP_LOGS`` pins
 the log digests of the three bundled scenarios at a frame period of 1, 3, 4
 and 5 ticks, seeds 1-3, so a /signal/process_image or /land that reaches
-vision between two frames is pinned too. Those digests are written in this
-file; the same command prints them.
+vision between two frames is pinned too. ``TIME_STEP_LOGS`` pins the same
+scenarios at a dt of 0.1 and 0.02 s with the frame period kept at 0.1 s,
+seeds 1-3: there the containment timer sums 0.1 or 0.02 per tick, and the
+10 s lock is reached only through the timer's epsilon, which dt 0.05 never
+needs. Those digests are written in this file; the same command prints them.
 """
 
 from __future__ import annotations
@@ -75,6 +78,27 @@ FRAME_GAP_LOGS = {
     "moving_target/5dt/2": "14e6693ea21370269d9912033f2ab7d7c51dd9fec21db4130566da84cb23468c",
     "moving_target/5dt/3": "1434f940ce0634be8ed927bcb81daf749ac226465d8f4706c7179cf639caa30c",
 }
+TIME_STEPS = (0.1, 0.02)
+TIME_STEP_LOGS = {
+    "accelerating_target/dt0.02/1": "ffa7e63ceee02ffeb8734bf540f0c96f21aabbd5745798fecf9577e2f9fca771",
+    "accelerating_target/dt0.02/2": "f9a54698c554cdd3608c8345c70481ba282d5a250154cb9f246071e56c36ef6c",
+    "accelerating_target/dt0.02/3": "639af079275967e09e8a3a3fc552008b9a17c914a2d6aa512a14fe5067d182ac",
+    "accelerating_target/dt0.1/1": "30727dade29c521070b1501ea16ffef138ee3ea6541b5ac2cb310c2fc55bbbdb",
+    "accelerating_target/dt0.1/2": "4f680525cc1e1071f869e432389bdebf9062c9ae979ccbec2175481a42a63dac",
+    "accelerating_target/dt0.1/3": "51594aa105de25f00b4030628ac2574f9ddbc6ab180595c5c8fe886180b034f4",
+    "hovering_target/dt0.02/1": "cbd8ad9ad194f3962528f3f65c8ed8476e70efaecd5f8d274a19cd7c161911c9",
+    "hovering_target/dt0.02/2": "a62a03756de252a75c9a287f332ba28b229b367bd8c1e13f9bc86dce54ecdd5a",
+    "hovering_target/dt0.02/3": "785172eedf084755c3691f2fc533fe5806d856bcb40a8b3227860c56909ce7b3",
+    "hovering_target/dt0.1/1": "f1db61554fe331784150681ed185d88f3ec15b7243f4861ac29de7dc33de29be",
+    "hovering_target/dt0.1/2": "a3249368b46b17f8c112fb96bba26417a5652d531022c5d32191c6edc907a973",
+    "hovering_target/dt0.1/3": "485345bdf69e0cc5de69c473bac701326f764d3d212439774105abb411a115ca",
+    "moving_target/dt0.02/1": "b8267222f16d7dbcf66cc07212b9b3500bf8f6206c716b0c03e4d6f4ce0d9fdb",
+    "moving_target/dt0.02/2": "2b0d1124808cde9497c2a9d3d6d9d0bdfe1e79b7349875bdcf051148759b92a5",
+    "moving_target/dt0.02/3": "0960a0dd988ac7b4a3560f6c7db4bc099791918cb849d8dd066cb05a32037e47",
+    "moving_target/dt0.1/1": "883de49185e497a2fc1ad130793a91fa31af7abf2d86e7f213f1be7951fa5093",
+    "moving_target/dt0.1/2": "c330efee4ab539d063e8dc48fba66186a72e89e501b6f6c0f2517029ecc2daa5",
+    "moving_target/dt0.1/3": "8b77559b66da40fad195b59c3d3b3f3c4b1e9dd507d9e223fa85bc168407a9c1",
+}
 
 
 def cases() -> list[tuple[str, int]]:
@@ -91,6 +115,9 @@ FRAME_GAP_CASES = [
     for name in BUNDLED_SCENARIOS
     for ticks in FRAME_GAP_TICKS
     for seed in EXTRA_SEEDS
+]
+TIME_STEP_CASES = [
+    (name, dt, seed) for name in BUNDLED_SCENARIOS for dt in TIME_STEPS for seed in EXTRA_SEEDS
 ]
 
 
@@ -126,6 +153,15 @@ def frame_gap_run(name: str, ticks: int, seed: int) -> RunResult:
 
 def frame_gap_key(name: str, ticks: int, seed: int) -> str:
     return f"{name}/{ticks}dt/{seed}"
+
+
+@functools.cache
+def time_step_run(name: str, dt: float, seed: int) -> RunResult:
+    return run(dataclasses.replace(load_scenario(name), seed=seed, dt=dt, frame_period=0.1))
+
+
+def time_step_key(name: str, dt: float, seed: int) -> str:
+    return f"{name}/dt{dt}/{seed}"
 
 
 def log_hash(result: RunResult) -> str:
@@ -195,6 +231,25 @@ def test_frame_gap_cases_reach_vision_between_frames():
     assert {"/signal/process_image", "/land"} <= between
 
 
+@pytest.mark.parametrize(
+    ("name", "dt", "seed"), TIME_STEP_CASES, ids=[time_step_key(*case) for case in TIME_STEP_CASES]
+)
+def test_time_step_log_matches_pinned_hash(name, dt, seed):
+    assert log_hash(time_step_run(name, dt, seed)) == TIME_STEP_LOGS[time_step_key(name, dt, seed)]
+
+
+@pytest.mark.parametrize("dt", TIME_STEPS)
+@pytest.mark.parametrize("name", ["moving_target", "accelerating_target"])
+def test_time_step_runs_lock_at_10_20_s(name, dt):
+    """The timer sums dt from the first offset: 100 steps of 0.1 sum to
+    9.99999999999998 and 500 steps of 0.02 to 9.999999999999876, so without
+    the timer's epsilon the lock would slip a tick."""
+    assert sorted(TIME_STEP_LOGS) == sorted(time_step_key(*case) for case in TIME_STEP_CASES)
+    for seed in EXTRA_SEEDS:
+        (outcome,) = time_step_run(name, dt, seed).report.per_target
+        assert outcome.time_to_lock == pytest.approx(10.20, abs=1e-9)
+
+
 if __name__ == "__main__":
     results = {key(name, seed): golden_run(name, seed) for name, seed in CASES}
     for path, digest, extra in (
@@ -206,3 +261,5 @@ if __name__ == "__main__":
         print(f"wrote {len(hashes)} hashes to {path}")
     frame_gap = {frame_gap_key(*case): log_hash(frame_gap_run(*case)) for case in FRAME_GAP_CASES}
     print("FRAME_GAP_LOGS =", json.dumps(frame_gap, indent=4, sort_keys=True))
+    time_step = {time_step_key(*case): log_hash(time_step_run(*case)) for case in TIME_STEP_CASES}
+    print("TIME_STEP_LOGS =", json.dumps(time_step, indent=4, sort_keys=True))

@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from lockon import runner
+from lockon import autonomy, runner
 from lockon.autonomy import AutonomousNode, MissionState
-from lockon.bus import IMAGE_MESSAGE, LAND, LOCK, TELEMETRY, TELEMETRY_RESPONSE, MessageBus
+from lockon.bus import (
+    IMAGE_MESSAGE,
+    LAND,
+    LOCK,
+    SIGNAL_PROCESS_IMAGE,
+    TELEMETRY,
+    TELEMETRY_RESPONSE,
+    MessageBus,
+)
 from lockon.metrics import MetricsError, parse_jsonl, summarize_run
 from lockon.payloads import CrashReport, LockReport, TelemetryRequest
 from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
@@ -25,8 +33,8 @@ from lockon.vision import VisionNode
 from lockon.world import (
     ZERO3,
     CameraParams,
-    GuidanceCommand,
     PursuerState,
+    SteeringCommand,
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
@@ -38,6 +46,7 @@ from conftest import (
     make_scenario,
     random_scenario,
     reference_project,
+    reference_triad,
     run_recorded,
     stored_records,
 )
@@ -239,7 +248,7 @@ def selection_frames(draw):
         pursuer = PursuerState(origin, draw(st.floats(-4.0, 4.0)), pitch, 0.0)
     camera = CameraParams(hfov=draw(st.floats(0.2, 3.0)), vfov=draw(st.floats(0.2, 3.0)))
     time = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=30.0))
-    fx, fy, fz, rx, ry, rz, dx, dy, dz = pursuer.camera_triad()
+    fx, fy, fz, rx, ry, rz, dx, dy, dz = reference_triad(pursuer.yaw, pursuer.pitch)
     specs = []
     for _ in range(draw(st.integers(1, 16))):
         ahead = draw(st.floats(-50.0, 300.0))
@@ -550,8 +559,8 @@ class TestTickCallsOnlyWhatItUses:
 
     def test_vision_steps_on_frame_ticks_and_the_proxy_on_mail(self, monkeypatch):
         scenario = load_scenario("moving_target")
-        vision_ticks, proxy_ticks = [], []
-        vision_step, proxy_step = VisionNode.step, ProxyNode.step
+        vision_ticks, proxy_ticks, vision_drain_ticks = [], [], []
+        vision_step, proxy_step, drain = VisionNode.step, ProxyNode.step, MessageBus.drain
 
         def counted_vision_step(node, tick, frame):
             vision_ticks.append(tick)
@@ -561,8 +570,14 @@ class TestTickCallsOnlyWhatItUses:
             proxy_ticks.append(tick)
             proxy_step(node, tick)
 
+        def counted_drain(bus, client_id):
+            if client_id == VisionNode.CLIENT_ID:
+                vision_drain_ticks.append(vision_ticks[-1])
+            return drain(bus, client_id)
+
         monkeypatch.setattr(VisionNode, "step", counted_vision_step)
         monkeypatch.setattr(ProxyNode, "step", counted_proxy_step)
+        monkeypatch.setattr(MessageBus, "drain", counted_drain)
         result = run(scenario)
 
         golden = json.loads(Path(__file__).with_name("golden_logs.json").read_text(encoding="utf-8"))
@@ -577,23 +592,36 @@ class TestTickCallsOnlyWhatItUses:
             if e["kind"] == "msg" and e["topic"] in (TELEMETRY, LOCK, LAND) and e["tick"] < end
         })
         assert proxy_ticks == mail_ticks
+        # Vision drains only on a frame tick that begins with mail: the first
+        # frame tick after the tick that delivered it.
+        frame_ticks = scenario.frame_ticks
+        vision_mail = sorted({
+            -(-(e["tick"] + 1) // frame_ticks) * frame_ticks
+            for e in result.event_log
+            if e["kind"] == "msg" and e["topic"] in (SIGNAL_PROCESS_IMAGE, LAND)
+        })
+        assert len(vision_mail) == 2 and vision_mail[-1] <= end  # the signal and /land
+        assert vision_drain_ticks == vision_mail
 
     def test_the_node_drains_on_mail_delivery_runs_on_publishes_and_search_builds_no_command(
         self, monkeypatch
     ):
         scenario = load_scenario("moving_target")
         tick = None
-        drain_ticks, deliver_ticks, search_builds = [], [], []
+        drain_ticks, deliver_ticks, steered = [], [], []
         built = 0
         node_step, drain, deliver = AutonomousNode.step, MessageBus.drain, MessageBus.deliver
-        command_init = GuidanceCommand.__init__
+        command_init = SteeringCommand.__init__
 
         def counted_node_step(node, now, time, pursuer):
             nonlocal tick
-            tick, before = now, built
+            tick = now
             node_step(node, now, time, pursuer)
-            if node.state is MissionState.SEARCH and node.ctx.target_position is not None:
-                search_builds.append(built - before)
+            if node.state in (MissionState.SEARCH, MissionState.LOCK):
+                # SEARCH and LOCK fly the node's one command, or hold with no target.
+                aimed = node.state is MissionState.LOCK or node.ctx.target_position is not None
+                assert node.guidance is (node._steering if aimed else autonomy._HOLD)
+                steered.append(node.state)
 
         def counted_drain(bus, client_id):
             if client_id == AutonomousNode.CLIENT_ID:
@@ -612,7 +640,7 @@ class TestTickCallsOnlyWhatItUses:
         monkeypatch.setattr(AutonomousNode, "step", counted_node_step)
         monkeypatch.setattr(MessageBus, "drain", counted_drain)
         monkeypatch.setattr(MessageBus, "deliver", counted_deliver)
-        monkeypatch.setattr(GuidanceCommand, "__init__", counted_command_init)
+        monkeypatch.setattr(SteeringCommand, "__init__", counted_command_init)
         result = run(scenario)
 
         golden = json.loads(Path(__file__).with_name("golden_logs.json").read_text(encoding="utf-8"))
@@ -628,5 +656,6 @@ class TestTickCallsOnlyWhatItUses:
             for e in messages
             if e["topic"] in (TELEMETRY_RESPONSE, IMAGE_MESSAGE, LAND) and e["tick"] < end
         })
-        assert len(search_builds) > end // 4 and not any(search_builds)
-        assert built > 0  # LOCK still flies new GuidanceCommand values
+        assert steered.count(MissionState.SEARCH) > end // 4
+        assert steered.count(MissionState.LOCK) > end // 4
+        assert built == 1  # the node's one command, built with the node

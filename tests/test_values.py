@@ -15,6 +15,7 @@ import math
 import pytest
 
 from lockon import autonomy, bus, metrics, payloads, proxy, runner, scenario, server, vision, world
+from lockon.autonomy import ControlGains, lock_guidance
 from lockon.bus import Envelope
 from lockon.payloads import (
     CrashReport,
@@ -23,14 +24,13 @@ from lockon.payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from lockon.world import GuidanceCommand, PursuerState, Vec3, value
+from lockon.world import PursuerState, SteeringCommand, Vec3, value
 
 POSITION = Vec3(1.5, -2.0, 10.0)
 
 # class -> two argument tuples that build unequal instances
 SAMPLES = {
     Vec3: [(1.0, -2.0, 3.5), (1.0, -2.0, -0.0)],
-    GuidanceCommand: [(0.1, -0.2, 3.0), (0.1, -0.2, 0.0)],
     Envelope: [("/lock", b"{}", "autonomous", 3, 7), ("/lock", b"{}", "autonomous", 4, 7)],
     TelemetryRequest: [("uav-1", 1.5, POSITION, "SEARCH"), ("uav-1", 1.5, POSITION, "LOCK")],
     TelemetryResponse: [(True, "T1", POSITION, 2), (False, None, None, 0)],
@@ -108,9 +108,10 @@ def test_value_class_matches_a_stock_frozen_dataclass(cls):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: GuidanceCommand(speed=-1.0),
-        lambda: GuidanceCommand(yaw_rate=math.nan),
-        lambda: GuidanceCommand(0.0, math.inf, 1.0),
+        # The command is steered in place with no checks: the law and the gains check it.
+        lambda: ControlGains(v_lock=-1.0),
+        lambda: lock_guidance(OffsetMessage(math.nan, 0.0, 0), ControlGains(), SteeringCommand()),
+        lambda: ControlGains(k_pitch=math.inf),
         lambda: OffsetMessage(x=1.5, y=0.0, tick=0),
         lambda: OffsetMessage(0.0, 0.0, -1),
         lambda: TelemetryResponse(True, None, None, 0),

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,8 +11,8 @@ from hypothesis import example, given, strategies as st
 from lockon.payloads import LockReport, TelemetryRequest
 from lockon.world import (
     CameraParams,
-    GuidanceCommand,
     PursuerState,
+    SteeringCommand,
     TrajectoryKind,
     TrajectorySpec,
     Vec3,
@@ -25,7 +24,7 @@ from lockon.world import (
     wrap_angle,
 )
 
-from conftest import reference_project
+from conftest import reference_project, reference_triad
 
 CAM = CameraParams(hfov=math.pi / 2, vfov=math.pi / 3)
 
@@ -40,7 +39,7 @@ def project(pursuer, target, cam=CAM):
 
 def forward(pursuer):
     """Unit vector along the pursuer's (yaw, pitch) attitude."""
-    fx, fy, fz = pursuer.camera_triad()[:3]
+    fx, fy, fz = reference_triad(pursuer.yaw, pursuer.pitch)[:3]
     return Vec3(fx, fy, fz)
 
 
@@ -112,6 +111,14 @@ class TestVec3FromAny:
             Vec3.from_any(value)
 
 
+def reference_distance(a, b):
+    """The earlier distance body, kept as the oracle: it tests its inputs first."""
+    if not (Vec3.is_finite(a) and b.is_finite()):
+        raise ValueError("distance requires finite inputs")
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 class TestDistance:
     def test_identity(self):
         p = Vec3(1.5, -2.0, 7.0)
@@ -132,6 +139,25 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance(Vec3(float("nan"), 0, 0), Vec3(0, 0, 0))
 
+    @given(st.tuples(*[st.floats()] * 6), st.booleans())
+    @example((math.nan, 0.0, 0.0, 0.0, 0.0, 0.0), False)
+    @example((math.inf, 0.0, 0.0, math.inf, 0.0, 0.0), True)
+    @example((0.0, 0.0, -math.inf, 0.0, 0.0, 0.0), False)
+    @example((1e308, 0.0, 0.0, -1e308, 0.0, 0.0), True)  # finite inputs, infinite result
+    @example((1e200, 1e200, 0.0, 0.0, 0.0, 0.0), False)
+    def test_raises_where_the_input_check_did_and_keeps_its_bits(self, coordinates, pursuer):
+        a, b = Vec3(*coordinates[:3]), Vec3(*coordinates[3:])
+        if pursuer:  # a pursuer stands for its position
+            a = PursuerState(Vec3(0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
+            a.x, a.y, a.z = coordinates[:3]
+        try:
+            expected = reference_distance(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="finite inputs"):
+                distance(a, b)
+        else:
+            assert distance(a, b).hex() == expected.hex()
+
     @given(vectors, vectors, vectors)
     def test_symmetry_and_triangle_inequality(self, a, b, c):
         assert distance(a, b) == pytest.approx(distance(b, a))
@@ -140,9 +166,18 @@ class TestDistance:
 
 class TestProjection:
     def test_pose_holds_origin_triad_and_tangents(self):
-        pursuer = PursuerState(position=Vec3(1, 2, 3), yaw=0.4, pitch=-0.2, speed=0.0)
+        pursuer = PursuerState(position=Vec3(1.0, 2.0, 3.0), yaw=0.4, pitch=-0.2, speed=0.0)
         pose = camera_pose(pursuer, CAM)
-        assert pose == (1.0, 2.0, 3.0, *pursuer.camera_triad(), CAM.tan_half_hfov, CAM.tan_half_vfov)
+        triad = reference_triad(pursuer.yaw, pursuer.pitch)  # the yaw as wrapped
+        expected = (1.0, 2.0, 3.0, *triad, CAM.tan_half_hfov, CAM.tan_half_vfov)
+        assert [c.hex() for c in pose] == [c.hex() for c in expected]
+        # Forward, right and down are orthonormal, and down points below the horizon.
+        axes = pose[3:6], pose[6:9], pose[9:12]
+        for i, a in enumerate(axes):
+            for j, b in enumerate(axes):
+                dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+                assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+        assert axes[2][2] < 0.0
 
     def test_boresight_target_is_centered(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
@@ -223,38 +258,38 @@ def stepped(pursuer, guidance, dt):
 class TestStep:
     def test_zero_guidance_is_fixed_point(self):
         pursuer = make_pursuer()
-        after = stepped(pursuer, GuidanceCommand(), 0.05)
+        after = stepped(pursuer, SteeringCommand(), 0.05)
         assert after.position == pursuer.position
 
     def test_straight_motion(self):
-        after = stepped(make_pursuer(), GuidanceCommand(speed=5.0), 0.05)
+        after = stepped(make_pursuer(), SteeringCommand(speed=5.0), 0.05)
         assert after.position.x == pytest.approx(0.25)
         assert after.position.y == pytest.approx(0.0)
 
     def test_yaw_rate_euler(self):
-        after = stepped(make_pursuer(), GuidanceCommand(yaw_rate=0.4), 0.05)
+        after = stepped(make_pursuer(), SteeringCommand(yaw_rate=0.4), 0.05)
         assert after.yaw == pytest.approx(0.02)
 
     def test_pitch_clamped(self):
         start = PursuerState(Vec3(0, 0, 10), 0.0, math.pi / 2 - 0.01, 0.0)
-        after = stepped(start, GuidanceCommand(pitch_rate=10.0), 0.05)
+        after = stepped(start, SteeringCommand(pitch_rate=10.0), 0.05)
         assert after.pitch == pytest.approx(math.pi / 2)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            step(make_pursuer(), GuidanceCommand(), 0.0)
+            step(make_pursuer(), SteeringCommand(), 0.0)
 
     def test_deterministic(self):
         pursuer = make_pursuer()
-        cmd = GuidanceCommand(yaw_rate=0.123, pitch_rate=-0.05, speed=7.7)
+        cmd = SteeringCommand(yaw_rate=0.123, pitch_rate=-0.05, speed=7.7)
         a = stepped(pursuer, cmd, 0.05)
         b = stepped(pursuer, cmd, 0.05)
         assert a == b and a is not b
 
     def test_updates_the_pursuer_it_is_given(self):
         pursuer = make_pursuer()
-        expected = reference_step(pursuer, GuidanceCommand(yaw_rate=0.4, speed=5.0), 0.05)
-        assert step(pursuer, GuidanceCommand(yaw_rate=0.4, speed=5.0), 0.05) is None
+        expected = reference_step(pursuer, SteeringCommand(yaw_rate=0.4, speed=5.0), 0.05)
+        assert step(pursuer, SteeringCommand(yaw_rate=0.4, speed=5.0), 0.05) is None
         assert pursuer == expected
 
     def test_a_payload_keeps_its_position_after_later_steps(self):
@@ -263,7 +298,7 @@ class TestStep:
         lock = LockReport("uav-1", "T1", 0, 1, pursuer.position)
         before = telemetry.encode(), lock.encode()
         for _ in range(3):
-            step(pursuer, GuidanceCommand(yaw_rate=0.4, pitch_rate=0.1, speed=5.0), 0.05)
+            step(pursuer, SteeringCommand(yaw_rate=0.4, pitch_rate=0.1, speed=5.0), 0.05)
         assert pursuer.position != Vec3(0.0, 0.0, 10.0)
         assert telemetry.position == lock.position == Vec3(0.0, 0.0, 10.0)
         assert (telemetry.encode(), lock.encode()) == before
@@ -314,14 +349,13 @@ class TestStepMatchesReference:
         self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt
     ):
         pursuer = PursuerState(position, yaw, pitch, 1.0)
-        command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
+        command = SteeringCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
         new, old = stepped(pursuer, command, dt), reference_step(pursuer, command, dt)
         assert new == old
         assert float_bits(new) == float_bits(old)  # also tells -0.0 from 0.0
 
     def test_negative_commanded_speed_rejected(self):
-        # GuidanceCommand itself refuses a negative speed, so pass a stand-in.
-        command = SimpleNamespace(yaw_rate=0.0, pitch_rate=0.0, speed=-1.0)
+        command = SteeringCommand(speed=-1.0)
         for advance in (step, reference_step):
             pursuer = make_pursuer()
             with pytest.raises(ValueError):
@@ -359,7 +393,7 @@ class TestStepSkipsTheConstructorChecks:
         self, position, yaw, pitch, yaw_rate, pitch_rate, speed, dt
     ):
         pursuer = PursuerState(position, yaw, pitch, 1.0)
-        command = GuidanceCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
+        command = SteeringCommand(yaw_rate=yaw_rate, pitch_rate=pitch_rate, speed=speed)
         step(pursuer, command, dt)
         built = PursuerState(pursuer.position, pursuer.yaw, pursuer.pitch, pursuer.speed)
         assert pursuer == built
@@ -387,8 +421,7 @@ class TestPitchClampKeepsTheBuiltinBits:
     def step_pitch(pitch, pitch_rate, dt):
         pursuer = make_pursuer()
         pursuer.pitch = pitch  # set past the constructor's own clamp
-        # GuidanceCommand refuses a non-finite rate, so pass a stand-in.
-        step(pursuer, SimpleNamespace(yaw_rate=0.0, pitch_rate=pitch_rate, speed=0.0), dt)
+        step(pursuer, SteeringCommand(pitch_rate=pitch_rate), dt)
         return pursuer.pitch
 
     @pytest.mark.parametrize("pitch", PITCH_EDGES, ids=float.hex)
