@@ -198,7 +198,7 @@ def _telemetry_request(ctx: MissionContext, state: MissionState) -> TelemetryReq
 
 
 def handle_event(
-    state: MissionState, ctx: MissionContext, event: Event, gains: ControlGains
+    state: MissionState, ctx: MissionContext, event: Event
 ) -> tuple[MissionState, list[Action]]:
     """Mission transition: updates ctx in place, deterministic action order."""
     if state is _LANDED:
@@ -320,7 +320,7 @@ class AutonomousNode:
             self._transition_hook(self.ctx.tick, old, new_state)
 
     def _dispatch(self, event: Event) -> None:
-        new_state, actions = handle_event(self.state, self.ctx, event, self.gains)
+        new_state, actions = handle_event(self.state, self.ctx, event)
         if new_state is not self.state:
             self._enter(new_state)
         for action in actions:

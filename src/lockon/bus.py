@@ -15,9 +15,17 @@ encoding. No node needs a value's bytes: the proxy forwards a payload to
 the mission server as it is, and ``proxy.HttpTransport`` encodes it only
 where it leaves the process.
 
-Each reader reads the payload anew: ``Envelope.parsed`` (the run's event log
-reads it) gives a value's ``to_obj()``, which equals the parse of its
-encoding, or ``payloads.parse_json`` of the bytes. A node's
+``Envelope`` checks a payload by its exact type first: one of the five wire
+classes (``payloads.WIRE_CLASSES``) gets one ``canonical()`` call and no
+``isinstance`` against the ``Message`` union. Any other payload (bytes, a
+bytes subclass, a message subclass, anything else) takes the general test,
+with the same answer. ``deliver`` appends to each recipient's inbox, which
+``subscribe`` made.
+
+Each reader reads the payload anew: ``Envelope.parsed`` gives a value's
+``to_obj()``, which equals the parse of its encoding, or
+``payloads.parse_json`` of the bytes; the run's event log reads a wire-class
+value's ``to_obj()`` itself, and the bytes through ``parsed``. A node's
 ``Schema.from_envelope`` takes a value of its own schema as it is and decodes
 anything else as ``Schema.decode`` does.
 
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .payloads import Message, parse_json
+from .payloads import WIRE_CLASSES, Message, parse_json
 from .world import value
 
 # The fixed topic vocabulary used by the mission protocol.
@@ -51,7 +59,7 @@ def validate_topic(name: str) -> str:
         raise ProtocolError("topic must be a nonempty string")
     if not name.startswith("/"):
         raise ProtocolError(f"topic {name!r} must begin with '/'")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # str.split() cuts at each str.isspace() character
         raise ProtocolError(f"topic {name!r} must not contain whitespace")
     return name
 
@@ -72,13 +80,17 @@ class Envelope:
 
     def __post_init__(self) -> None:
         payload = self.payload
-        if not (isinstance(payload, bytes) or isinstance(payload, Message) and payload.canonical()):
-            raise ValueError("payload must be bytes or a canonical message value")
+        if type(payload) in WIRE_CLASSES:
+            if payload.canonical():
+                return
+        elif isinstance(payload, bytes) or isinstance(payload, Message) and payload.canonical():
+            return
+        raise ValueError("payload must be bytes or a canonical message value")
 
     def parsed(self):
         """A value's ``to_obj()``, or ``parse_json`` of the bytes; ValueError if not strict JSON."""
-        payload = self.payload
-        return payload.to_obj() if isinstance(payload, Message) else parse_json(payload)
+        payload = self.payload  # bytes or a message value: __post_init__ checked it
+        return parse_json(payload) if isinstance(payload, bytes) else payload.to_obj()
 
 
 def _delivery_order(item: tuple[Envelope, tuple[str, ...]]) -> tuple[str, int]:
@@ -152,13 +164,14 @@ class MessageBus:
             return 0
         if len(pending) > 1:
             pending.sort(key=_delivery_order)
+        inboxes, observer = self._inboxes, self._observer
         delivered = 0
         for envelope, recipients in pending:
-            if self._observer is not None:
-                self._observer(envelope)
-            for client_id in recipients:
-                self._inboxes.setdefault(client_id, []).append(envelope)
-                delivered += 1
+            if observer is not None:
+                observer(envelope)
+            for client_id in recipients:  # subscribe made each recipient's inbox
+                inboxes[client_id].append(envelope)
+            delivered += len(recipients)
         pending.clear()
         return delivered
 

@@ -212,9 +212,11 @@ def wire(cls):
         return CANONICAL_JSON.encode(self.to_obj()).encode()
 
     def decode(cls, data: bytes | str | Message):
-        if type(data) is not bytes and isinstance(data, Message):
-            if type(data) is cls and data.canonical():  # what its encoding decodes to
+        if type(data) is cls:  # the store's in-process POST: no union isinstance
+            if data.canonical():  # what its encoding decodes to
                 return data
+            data = data.encode()
+        elif type(data) is not bytes and isinstance(data, Message):
             data = data.encode()
         try:
             return read_json(data, build)
@@ -286,7 +288,7 @@ class OffsetMessage:
     tick: int
 
     def __post_init__(self) -> None:
-        if abs(self.x) > 1.0 or abs(self.y) > 1.0:
+        if not (-1.0 <= self.x <= 1.0 and -1.0 <= self.y <= 1.0):  # refuses NaN too
             raise ValueError("x and y must lie in [-1, 1]")
         if self.tick < 0:
             raise ValueError("tick must be >= 0")
@@ -308,3 +310,7 @@ NO_TARGET = TelemetryResponse(
 
 # A message a node may publish as a value rather than as bytes (see bus.Envelope).
 Message = TelemetryRequest | TelemetryResponse | LockReport | OffsetMessage | CrashReport
+
+# The five wire classes, for an exact-type test: ``type(v) in WIRE_CLASSES``
+# costs a set lookup, where ``isinstance(v, Message)`` walks the union.
+WIRE_CLASSES = frozenset(typing.get_args(Message))

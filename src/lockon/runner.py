@@ -40,11 +40,10 @@ import copy
 import random
 from dataclasses import dataclass
 
-from . import bus as topics
 from .autonomy import AutonomousNode
-from .bus import Envelope, MessageBus
+from .bus import LAND, LOCK, Envelope, MessageBus
 from .metrics import RunReport, summarize_run
-from .payloads import CANONICAL_JSON, CrashReport
+from .payloads import CANONICAL_JSON, WIRE_CLASSES, CrashReport
 from .proxy import HttpTransport, InProcessTransport, ProxyNode
 from .scenario import Scenario
 from .server import MissionStore, TargetAssignment
@@ -134,24 +133,26 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
 
     def observer(envelope: Envelope) -> None:
         nonlocal land_seen_tick
+        payload, topic = envelope.payload, envelope.topic
         entry = {
             "kind": "msg",
             "tick": envelope.tick,
-            "topic": envelope.topic,
+            "topic": topic,
             "publisher": envelope.publisher_id,
             "seq": envelope.seq,
             "payload": None,
         }
         events.append(entry)
-        if envelope.payload:
+        if type(payload) in WIRE_CLASSES:  # canonical: the envelope checked it
+            entry["payload"] = payload = payload.to_obj()
+        elif payload:
             try:
-                entry["payload"] = envelope.parsed()
+                entry["payload"] = payload = envelope.parsed()
             except ValueError:  # not strict JSON: log no payload
                 entry["malformed"] = True
-        payload = entry["payload"]
-        if envelope.topic == topics.LOCK and isinstance(payload, dict) and "target_id" in payload:
+        if topic == LOCK and isinstance(payload, dict) and "target_id" in payload:
             consumed.add(payload["target_id"])
-        elif envelope.topic == topics.LAND and land_seen_tick is None:
+        elif topic == LAND and land_seen_tick is None:
             land_seen_tick = envelope.tick
 
     bus = MessageBus(observer=observer)

@@ -41,7 +41,7 @@ class VisionParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.detector_latency_frames < 0:
             raise ValueError("detector_latency_frames must be >= 0")
-        if self.track_window <= 0.0:
+        if not self.track_window > 0.0:  # refuses NaN too
             raise ValueError("track_window must be > 0")
 
 
@@ -116,7 +116,7 @@ def process_frame(
     state.last_known = hit
     if hit is None:
         return state, None
-    return state, OffsetMessage(x=hit[0], y=hit[1], tick=tick)
+    return state, OffsetMessage(hit[0], hit[1], tick)
 
 
 class VisionNode:

@@ -274,9 +274,9 @@ def project_to_camera(
         return None
     u = ((px * rx + py * ry + pz * rz) / f) / tan_half_hfov
     v = ((px * dx + py * dy + pz * dz) / f) / tan_half_vfov
-    if abs(u) > 1.0 or abs(v) > 1.0:
-        return None
-    return (u, v)
+    if -1.0 <= u <= 1.0 and -1.0 <= v <= 1.0:  # a NaN offset is out of frame
+        return (u, v)
+    return None
 
 
 def step(pursuer: PursuerState, guidance: SteeringCommand, dt: float) -> None:

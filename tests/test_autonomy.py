@@ -76,7 +76,6 @@ class TestSearchTransitions:
             MissionState.SEARCH,
             current,
             TelemetryResponse(True, "T1", Vec3(100, 0, 10), 2),
-            GAINS,
         )
         assert state is MissionState.SEARCH
         assert current.current_target == "T1"
@@ -98,20 +97,20 @@ class TestSearchTransitions:
     def test_distance_threshold_publishes_signal_once(self):
         current = ctx(current_target="T1", target_position=Vec3(5, 0, 10))
         state, actions = handle_event(
-            MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD, GAINS
+            MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD
         )
         assert state is MissionState.SEARCH
         assert current.signal_sent_for_current
         assert actions == [("/signal/process_image", b"")]
         # Second crossing is a no-op.
-        _, again = handle_event(MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD, GAINS)
+        _, again = handle_event(MissionState.SEARCH, current, Sensed.DISTANCE_BELOW_THRESHOLD)
         assert again == []
 
     def test_camera_offset_enters_lock_with_zero_timer(self):
         current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                       signal_sent_for_current=True)
         event = OffsetMessage(0.2, -0.1, tick=99)
-        state, actions = handle_event(MissionState.SEARCH, current, event, GAINS)
+        state, actions = handle_event(MissionState.SEARCH, current, event)
         assert state is MissionState.LOCK
         assert current.lock_timer == 0.0
         assert current.lock_start_tick == 99
@@ -127,18 +126,18 @@ class TestSearchTransitions:
     def test_stale_offset_before_signal_is_ignored(self):
         current = ctx(current_target="T2", target_position=Vec3(50, 0, 10))
         event = OffsetMessage(0.0, 0.0, tick=99)
-        state, actions = handle_event(MissionState.SEARCH, current, event, GAINS)
+        state, actions = handle_event(MissionState.SEARCH, current, event)
         assert state is MissionState.SEARCH and actions == []
 
     def test_no_more_targets_lands(self):
-        state, actions = handle_event(MissionState.SEARCH, ctx(), Sensed.NO_MORE_TARGETS, GAINS)
+        state, actions = handle_event(MissionState.SEARCH, ctx(), Sensed.NO_MORE_TARGETS)
         assert state is MissionState.LANDING
         assert actions == [("/land", b"")]
 
     def test_response_without_target_lands(self):
         current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                       lock_timer=1.0, lock_start_tick=90)
-        state, actions = handle_event(MissionState.SEARCH, current, NO_TARGET, GAINS)
+        state, actions = handle_event(MissionState.SEARCH, current, NO_TARGET)
         assert state is MissionState.LANDING
         assert actions == [("/land", b"")]
         assert current.current_target is None and current.target_position is None
@@ -146,11 +145,11 @@ class TestSearchTransitions:
 
     def test_lock_timer_elapsed_is_illegal_in_search(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.SEARCH, ctx(), Sensed.LOCK_TIMER_ELAPSED, GAINS)
+            handle_event(MissionState.SEARCH, ctx(), Sensed.LOCK_TIMER_ELAPSED)
 
     def test_camera_stale_is_illegal_in_search(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.SEARCH, ctx(), Sensed.CAMERA_STALE, GAINS)
+            handle_event(MissionState.SEARCH, ctx(), Sensed.CAMERA_STALE)
 
     def test_new_assignment_resets_signal_flag(self):
         engaged = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
@@ -159,7 +158,6 @@ class TestSearchTransitions:
             MissionState.SEARCH,
             engaged,
             TelemetryResponse(True, "T2", Vec3(80, 0, 10), 1),
-            GAINS,
         )
         assert engaged.current_target == "T2"
         assert not engaged.signal_sent_for_current
@@ -182,7 +180,7 @@ class TestLockTransitions:
     def test_camera_offset_updates_guidance_and_staleness(self):
         current = self.lock_ctx()
         event = OffsetMessage(0.5, 0.0, tick=100)
-        state, actions = handle_event(MissionState.LOCK, current, event, GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, event)
         assert state is MissionState.LOCK
         assert current.last_camera_tick == 100
         assert actions == []
@@ -198,7 +196,7 @@ class TestLockTransitions:
 
     def test_camera_stale_returns_to_search(self):
         current = self.lock_ctx()
-        state, actions = handle_event(MissionState.LOCK, current, Sensed.CAMERA_STALE, GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.CAMERA_STALE)
         assert state is MissionState.SEARCH
         assert current.lock_timer == 0.0
         assert current.current_target == "T1"  # engagement continues
@@ -206,7 +204,7 @@ class TestLockTransitions:
 
     def test_lock_timer_elapsed_reports_and_requests_next(self):
         current = self.lock_ctx(tick=300)
-        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED, GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED)
         assert state is MissionState.SEARCH
         assert current.current_target is None
         assert current.remaining_targets == 1
@@ -219,7 +217,7 @@ class TestLockTransitions:
 
     def test_lock_timer_elapsed_on_last_target_requests_nothing(self):
         current = self.lock_ctx(remaining_targets=1)
-        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED, GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, Sensed.LOCK_TIMER_ELAPSED)
         assert state is MissionState.SEARCH
         assert current.remaining_targets == 0
         assert [topic for topic, _ in actions] == ["/lock"]
@@ -230,7 +228,6 @@ class TestLockTransitions:
             MissionState.LOCK,
             current,
             TelemetryResponse(True, "T1", Vec3(11, 0, 10), 2),
-            GAINS,
         )
         assert state is MissionState.LOCK
         assert current.target_position == Vec3(11, 0, 10)
@@ -239,33 +236,33 @@ class TestLockTransitions:
     def test_response_without_target_is_ignored_in_lock(self):
         current = self.lock_ctx()
         before = dataclasses.replace(current)
-        state, actions = handle_event(MissionState.LOCK, current, NO_TARGET, GAINS)
+        state, actions = handle_event(MissionState.LOCK, current, NO_TARGET)
         assert state is MissionState.LOCK and actions == []
         assert current == before
 
     def test_no_more_targets_is_illegal_in_lock(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.LOCK, self.lock_ctx(), Sensed.NO_MORE_TARGETS, GAINS)
+            handle_event(MissionState.LOCK, self.lock_ctx(), Sensed.NO_MORE_TARGETS)
 
 
 class TestTerminalStates:
     def test_landing_ignores_events(self):
         state, actions = handle_event(
-            MissionState.LANDING, ctx(), OffsetMessage(0, 0, 1), GAINS
+            MissionState.LANDING, ctx(), OffsetMessage(0, 0, 1)
         )
         assert state is MissionState.LANDING and actions == []
 
     def test_landed_rejects_events(self):
         with pytest.raises(StateMachineError):
-            handle_event(MissionState.LANDED, ctx(), Sensed.NO_MORE_TARGETS, GAINS)
+            handle_event(MissionState.LANDED, ctx(), Sensed.NO_MORE_TARGETS)
 
     def test_equal_contexts_stay_equal(self):
         first = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                     signal_sent_for_current=True)
         second = dataclasses.replace(first)
         event = OffsetMessage(0.2, -0.1, tick=99)
-        assert handle_event(MissionState.SEARCH, first, event, GAINS) == handle_event(
-            MissionState.SEARCH, second, event, GAINS
+        assert handle_event(MissionState.SEARCH, first, event) == handle_event(
+            MissionState.SEARCH, second, event
         )
         assert first == second and first is not second
 
@@ -283,7 +280,7 @@ class TestTerminalStates:
                       remaining_targets=2, lock_timer=1.0, lock_start_tick=90)
         before = dataclasses.replace(current)
         with pytest.raises(StateMachineError):
-            handle_event(state, current, event, GAINS)
+            handle_event(state, current, event)
         assert current == before
 
 
@@ -306,7 +303,7 @@ class TestEventsAndActions:
             current = ctx(current_target="T1", target_position=Vec3(5, 0, 10),
                           remaining_targets=2, lock_start_tick=90)
             try:
-                handle_event(state, current, event, GAINS)
+                handle_event(state, current, event)
             except StateMachineError:
                 continue
             legal.add(state)
@@ -325,7 +322,7 @@ class TestEventsAndActions:
             Sensed.LOCK_TIMER_ELAPSED,
             NO_TARGET,
         ):
-            state, emitted = handle_event(state, current, event, GAINS)
+            state, emitted = handle_event(state, current, event)
             actions += emitted
         assert state is MissionState.LANDING
         known = {getattr(topics, name) for name in dir(topics) if name.isupper()}
@@ -511,9 +508,11 @@ class TestLockGuidance:
             OffsetMessage(1.2, 0.0, 0)
 
     def test_nan_offset_rejected(self):
-        # OffsetMessage's range check lets NaN through; the law refuses it.
+        # OffsetMessage refuses NaN, and so does the law for a stand-in that holds it.
+        with pytest.raises(ValueError, match="must lie in"):
+            OffsetMessage(math.nan, 0.0, 0)
         with pytest.raises(ValueError, match="rates must be finite"):
-            lock_guidance(OffsetMessage(math.nan, 0.0, 0), GAINS, SteeringCommand())
+            lock_guidance(SimpleNamespace(x=math.nan, y=0.0), GAINS, SteeringCommand())
 
 
 def reference_lock_command(offset, gains) -> tuple[float, float, float] | None:

@@ -1,13 +1,24 @@
 """Broker behaviour: routing, ordering, idempotence, and delivery properties."""
 
+import contextlib
 import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lockon.bus import Envelope, MessageBus, ProtocolError, validate_topic
-from lockon.payloads import OffsetMessage
+from lockon.payloads import (
+    WIRE_CLASSES,
+    CrashReport,
+    LockReport,
+    Message,
+    OffsetMessage,
+    TelemetryRequest,
+    TelemetryResponse,
+)
+from lockon.world import Vec3
 
 from conftest import DEEP_JSON
 
@@ -236,7 +247,8 @@ class TestEnvelopePayload:
 
     @pytest.mark.parametrize(
         "payload",
-        [OffsetMessage(math.nan, 0.0, 1), OffsetMessage(1, 0.0, 1), "{}", None, bytearray(b"{}")],
+        [CrashReport("uav-1", math.nan, Vec3(0.0, 0.0, 0.0)), OffsetMessage(1, 0.0, 1), "{}", None,
+         bytearray(b"{}")],
         ids=["non-finite value", "int in a float field", "str", "None", "bytearray"],
     )
     def test_anything_else_is_refused(self, payload):
@@ -316,3 +328,139 @@ class TestDeliveryProperties:
                 got = [e.seq for e in received[client] if e.publisher_id == publisher]
                 assert got == sorted(got)
                 assert len(set(got)) == len(got)
+
+
+class TestTopicWhitespace:
+    """validate_topic's one whole-string test agrees with a per-character scan."""
+
+    WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+    NOT_WHITESPACE = "\u180e\u200b\u2060\ufeff"  # no str.isspace() either
+
+    @given(st.text(st.sampled_from(WHITESPACE + NOT_WHITESPACE + "/ab") | st.characters()))
+    @example("")
+    @example("a\u2028")
+    @example("\u200b")
+    def test_refuses_exactly_the_names_with_a_whitespace_character(self, text):
+        name = "/" + text
+        spaced = any(ch.isspace() for ch in name)
+        try:
+            validate_topic(name)
+        except ProtocolError:
+            refused = True
+        else:
+            refused = False
+        assert refused == spaced
+
+
+@contextlib.contextmanager
+def counting_canonical():
+    """Count ``canonical()`` calls on every wire class (and its subclasses) inside the block."""
+    calls = []
+    originals = {cls: cls.canonical for cls in WIRE_CLASSES}
+    try:
+        for cls, original in originals.items():
+            cls.canonical = lambda self, original=original: calls.append(self) or original(self)
+        yield calls
+    finally:
+        for cls, original in originals.items():
+            cls.canonical = original
+
+
+class Blob(bytes):
+    pass
+
+
+class OffsetSubclass(OffsetMessage):
+    """A message subclass: the envelope takes it only through the general test."""
+
+    __slots__ = ()
+
+
+def union_test_accepts(payload) -> bool:
+    """The envelope's general payload test, which once took every payload."""
+    return isinstance(payload, bytes) or isinstance(payload, Message) and payload.canonical()
+
+
+unit = st.floats(-1.0, 1.0)
+loose_numbers = st.floats() | st.integers(-2, 2) | st.booleans()
+vectors = st.builds(Vec3, loose_numbers, loose_numbers, loose_numbers)
+payloads = st.one_of(
+    st.binary(max_size=8),
+    st.binary(max_size=8).map(Blob),
+    st.builds(OffsetMessage, unit, unit, st.integers(0, 9)),
+    st.builds(OffsetMessage, st.integers(-1, 1), unit | st.integers(-1, 1), st.integers(0, 9)),
+    st.builds(OffsetSubclass, unit | st.integers(-1, 1), unit, st.integers(0, 9)),
+    st.builds(CrashReport, st.text(max_size=4), loose_numbers, vectors),
+    st.builds(TelemetryRequest, st.text(max_size=4), loose_numbers, vectors, st.text(max_size=4)),
+    st.builds(LockReport, st.text(max_size=4), st.text(max_size=4), st.just(1), st.just(2), vectors),
+    st.builds(TelemetryResponse, st.booleans(), st.just("T1"), vectors, st.integers(0, 3)),
+    st.none() | st.text(max_size=4) | st.integers() | st.binary(max_size=4).map(bytearray),
+    st.just(object()),
+)
+
+
+@given(payloads)
+def test_envelope_accepts_as_the_union_test_does_with_one_canonical_call(payload):
+    expected = union_test_accepts(payload)
+    with counting_canonical() as calls:
+        try:
+            Envelope("/t", payload, "node", 0, 0)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+    assert accepted == expected
+    assert len(calls) <= 1
+    assert not calls or calls[0] is payload
+
+
+def reference_deliver(pending, inboxes) -> int:
+    """The earlier delivery loop over (envelope, recipients) pairs: one count per hop."""
+    delivered = 0
+    for envelope, recipients in sorted(pending, key=lambda item: (item[0].publisher_id, item[0].seq)):
+        for client_id in recipients:
+            inboxes.setdefault(client_id, []).append(envelope)
+            delivered += 1
+    pending.clear()
+    return delivered
+
+
+CLIENTS, TOPICS, PUBLISHERS = ["c1", "c2", "c3"], ["/a", "/b"], ["p1", "p2"]
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), st.sampled_from(CLIENTS), st.sampled_from(TOPICS)),
+        st.tuples(st.just("unsubscribe"), st.sampled_from(CLIENTS), st.sampled_from(TOPICS)),
+        st.tuples(st.just("publish"), st.sampled_from(PUBLISHERS), st.sampled_from(TOPICS)),
+        st.tuples(st.just("deliver")),
+        st.tuples(st.just("drain"), st.sampled_from(CLIENTS)),
+    ),
+    max_size=40,
+)
+
+
+@given(operations)
+def test_deliver_matches_the_reference_loop(ops):
+    bus = MessageBus()
+    subscribed: dict[str, set[str]] = {}  # topic -> clients, as the reference sees it
+    pending: list = []
+    inboxes: dict[str, list[Envelope]] = {}
+    for op in ops:
+        if op[0] == "subscribe":
+            bus.subscribe(op[1], op[2])
+            subscribed.setdefault(op[2], set()).add(op[1])
+            inboxes.setdefault(op[1], [])
+        elif op[0] == "unsubscribe":
+            bus.unsubscribe(op[1], op[2])
+            subscribed.get(op[2], set()).discard(op[1])
+        elif op[0] == "publish":
+            count = bus.publish(op[1], op[2], b"x", 0)
+            recipients = tuple(sorted(subscribed.get(op[2], ())))
+            assert count == len(recipients)
+            pending.append((bus.pending()[-1][0], recipients))
+        elif op[0] == "deliver":
+            assert bus.deliver() == reference_deliver(pending, inboxes)
+        else:
+            assert bus.drain(op[1]) == inboxes.get(op[1], [])
+            inboxes.get(op[1], []).clear()
+        for client in CLIENTS:
+            assert bus.inbox(client) == inboxes.get(client, [])

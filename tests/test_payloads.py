@@ -7,7 +7,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lockon import bus, payloads, proxy, runner
 from lockon import bus as topics
@@ -73,6 +73,21 @@ def test_non_object_rejected():
 def test_offset_bounds_enforced_on_decode():
     with pytest.raises(DecodeError):
         OffsetMessage.decode(b'{"x": 1.5, "y": 0.0, "tick": 0}')
+
+
+@given(st.floats(), st.floats())
+@example(math.nan, 0.0)
+@example(-1.0, math.nan)
+@example(1.0, -1.0)
+def test_offset_accepts_exactly_the_points_of_the_frame(x, y):
+    # The earlier abs() test for every value but NaN, which it let through.
+    accepted = not (math.isnan(x) or math.isnan(y) or abs(x) > 1.0 or abs(y) > 1.0)
+    try:
+        OffsetMessage(x, y, 0)
+    except ValueError as error:
+        assert not accepted and "must lie in [-1, 1]" in str(error)
+    else:
+        assert accepted
 
 
 def test_lock_report_negative_span_rejected():
@@ -229,9 +244,11 @@ def reject_constant(token):
 
 
 class NaNValueVision(VisionNode):
-    """Vision that publishes ``OffsetMessage(nan, 0.0, tick)`` in place of each offset.
+    """Vision that publishes an offset of x = NaN in place of each offset.
 
-    It publishes the message as a value, or, with ``as_bytes``, as its encoding.
+    ``OffsetMessage`` refuses NaN, so the value is built past its own check,
+    as ``unchecked`` builds one. It publishes the message as a value, or,
+    with ``as_bytes``, as its encoding.
     """
 
     as_bytes = False
@@ -240,7 +257,7 @@ class NaNValueVision(VisionNode):
         publish = self._bus.publish
 
         def publish_nan(publisher_id, topic, message, tick):
-            nan = OffsetMessage(float("nan"), 0.0, tick)
+            nan = unchecked(OffsetMessage, (float("nan"), 0.0, tick))
             return publish(publisher_id, topic, nan.encode() if self.as_bytes else nan, tick)
 
         self._bus.publish = publish_nan

@@ -21,10 +21,11 @@ from lockon.bus import (
     SIGNAL_PROCESS_IMAGE,
     TELEMETRY,
     TELEMETRY_RESPONSE,
+    Envelope,
     MessageBus,
 )
 from lockon.metrics import MetricsError, parse_jsonl, summarize_run
-from lockon.payloads import CrashReport, LockReport, TelemetryRequest
+from lockon.payloads import CrashReport, LockReport, OffsetMessage, TelemetryRequest
 from lockon.proxy import HttpTransport, InProcessTransport, ProxyNode, TransportError
 from lockon.runner import event_log_to_jsonl, run
 from lockon.scenario import BUNDLED_SCENARIOS, load_scenario
@@ -542,6 +543,46 @@ class TestEventLogShape:
             if entry["kind"] == "msg":
                 assert entry["payload"] is None or isinstance(entry["payload"], dict)
         json.dumps(result.event_log)  # fully serializable
+
+    def test_observer_logs_what_parsed_reads(self, monkeypatch):
+        # The run's own observer, called after the run on one envelope of each kind.
+        observers = []
+
+        class Bus(MessageBus):
+            def __init__(self, observer=None):
+                super().__init__(observer)
+                observers.append(observer)
+
+        monkeypatch.setattr(runner, "MessageBus", Bus)
+        result = run(make_scenario(max_time=1.0))
+        (observer,) = observers
+
+        class Offset(OffsetMessage):
+            __slots__ = ()
+
+        kinds = {
+            "value": OffsetMessage(0.5, -0.25, 7),
+            "subclass value": Offset(0.5, -0.25, 7),
+            "lock value": LockReport("uav-1", "T9", 3, 7, Vec3(1.0, 2.0, 3.0)),
+            "bytes": OffsetMessage(0.5, -0.25, 7).encode(),
+            "empty": b"",
+            "malformed": b"NaN",
+        }
+        for kind, payload in kinds.items():
+            envelope = Envelope(LOCK, payload, "node", 0, 7)
+            observer(envelope)
+            entry = result.event_log[-1]
+            assert entry["seq"] == 0 and entry["topic"] == LOCK, kind
+            if kind == "empty":
+                assert entry["payload"] is None and "malformed" not in entry
+            elif kind == "malformed":
+                with pytest.raises(ValueError):
+                    envelope.parsed()
+                assert entry["payload"] is None and entry["malformed"] is True
+            else:
+                assert entry["payload"] == envelope.parsed() and "malformed" not in entry, kind
+                assert type(entry["payload"]) is dict
+
 
 
 class TestTickCallsOnlyWhatItUses:

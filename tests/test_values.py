@@ -11,6 +11,7 @@ must all agree, and every ``__post_init__`` check must still raise.
 import dataclasses
 import inspect
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_value_class_matches_a_stock_frozen_dataclass(cls):
     [
         # The command is steered in place with no checks: the law and the gains check it.
         lambda: ControlGains(v_lock=-1.0),
-        lambda: lock_guidance(OffsetMessage(math.nan, 0.0, 0), ControlGains(), SteeringCommand()),
+        lambda: lock_guidance(SimpleNamespace(x=math.nan, y=0.0), ControlGains(), SteeringCommand()),
         lambda: ControlGains(k_pitch=math.inf),
         lambda: OffsetMessage(x=1.5, y=0.0, tick=0),
         lambda: OffsetMessage(0.0, 0.0, -1),
@@ -118,7 +119,8 @@ def test_value_class_matches_a_stock_frozen_dataclass(cls):
         lambda: TelemetryResponse(has_target=True, target_id="T1", target_position=None,
                                   remaining_targets=1),
         lambda: LockReport("uav-1", "T1", 9, 3, POSITION),
-        lambda: Envelope("/image/message", OffsetMessage(math.nan, 0.0, 1), "vision", 0, 1),
+        lambda: Envelope("/lock", CrashReport("uav-1", math.nan, POSITION), "vision", 0, 1),
+        lambda: OffsetMessage(math.nan, 0.0, 0),
     ],
 )
 def test_post_init_checks_still_raise(build):

@@ -1,11 +1,12 @@
 """Detect-then-track pipeline behaviour and its handoff discipline."""
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lockon.bus import MessageBus
 from lockon.payloads import OffsetMessage
@@ -317,6 +318,19 @@ class TestVisionNode:
         bus.deliver()
         run_ticks(range(10, 14))
         assert rendered == [4, 6, 8]  # none after /land
+
+    @given(st.floats())
+    @example(math.nan)
+    @example(math.inf)
+    def test_track_window_must_be_positive_and_not_nan(self, window):
+        # The same answer as the earlier `<= 0.0` test for every value but NaN.
+        accepted = not math.isnan(window) and not window <= 0.0
+        try:
+            VisionParams(track_window=window)
+        except ValueError as error:
+            assert not accepted and "track_window" in str(error)
+        else:
+            assert accepted
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

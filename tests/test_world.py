@@ -201,6 +201,13 @@ class TestProjection:
         # 60 degrees off boresight exceeds the 45 degree half fov.
         assert project(pursuer, Vec3(10, -17.4, 10)) is None
 
+    def test_nan_point_is_out_of_frame(self):
+        # A NaN offset would pass an abs(u) > 1.0 test; OffsetMessage refuses it.
+        pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
+        pose = camera_pose(pursuer, CAM)
+        for point in ((math.nan, 0.0, 10.0), (10.0, math.nan, 10.0), (10.0, 0.0, math.nan)):
+            assert project_to_camera(pose, *point) is None
+
     def test_target_below_maps_to_positive_v(self):
         pursuer = PursuerState(position=Vec3(0, 0, 10), yaw=0.0, pitch=0.0, speed=0.0)
         uv = project(pursuer, Vec3(10, 0, 7))
