@@ -44,7 +44,7 @@ from .payloads import (
     TelemetryRequest,
     TelemetryResponse,
 )
-from .world import PursuerState, SteeringCommand, Vec3, distance, wrap_angle
+from .world import PursuerState, SteeringCommand, Vec3, check_finite, distance, wrap_angle
 
 
 class StateMachineError(Exception):
@@ -70,11 +70,8 @@ class ControlGains:
     camera_grace: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("activation_radius", "lock_duration", "k_yaw", "k_pitch", "v_cruise",
-                     "v_lock", "camera_grace"):
-            gain = getattr(self, name)
-            if not (math.isfinite(gain) and gain > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+        check_finite(self, "activation_radius", "lock_duration", "k_yaw", "k_pitch", "v_cruise",
+                     "v_lock", "camera_grace", positive=True)
 
 
 @dataclass(slots=True)

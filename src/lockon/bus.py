@@ -5,8 +5,8 @@ wildcards. ``MessageBus.publish`` numbers each publisher id's messages 0, 1,
 2, ... in publish order. Publishes made during a simulation tick are buffered
 and handed to subscriber inboxes when the scheduler calls ``deliver()``,
 sorted by (publisher_id, seq) so runs replay identically. The recipient set
-of a publish is frozen at publish time; the broker keeps each topic's sorted
-recipients until a subscribe or unsubscribe to that topic.
+of a publish is frozen at publish time: the broker keeps one sorted tuple of
+recipients per topic, which a subscribe or unsubscribe to that topic replaces.
 
 A payload is bytes, or a ``payloads`` message value: the nodes publish their
 messages as values, so no bytes are made for them in-process. ``publish``
@@ -108,28 +108,26 @@ class MessageBus:
     """
 
     def __init__(self, observer: Callable[[Envelope], None] | None = None) -> None:
-        self._subs: dict[str, set[str]] = {}  # topic -> client ids
-        self._recipients: dict[str, tuple[str, ...]] = {}  # topic -> sorted client ids
+        self._recipients: dict[str, tuple[str, ...]] = {}  # valid topic -> sorted client ids
         self._inboxes: dict[str, list[Envelope]] = {}
         self._pending: list[tuple[Envelope, tuple[str, ...]]] = []
         self._next_seq: dict[str, int] = {}  # publisher id -> seq of its next envelope
-        self._valid_topics: set[str] = set()
         self._observer = observer
 
     def subscribe(self, client_id: str, topic: str) -> None:
         validate_topic(topic)
         if not client_id:
             raise ProtocolError("client_id must be nonempty")
-        self._subs.setdefault(topic, set()).add(client_id)
-        self._recipients.pop(topic, None)
+        recipients = self._recipients.get(topic, ())
+        if client_id not in recipients:
+            self._recipients[topic] = tuple(sorted((*recipients, client_id)))
         self._inboxes.setdefault(client_id, [])
 
     def unsubscribe(self, client_id: str, topic: str) -> bool:
-        clients = self._subs.get(topic)
-        if clients is None or client_id not in clients:
+        recipients = self._recipients.get(topic, ())
+        if client_id not in recipients:
             return False
-        clients.discard(client_id)
-        self._recipients.pop(topic, None)
+        self._recipients[topic] = tuple(c for c in recipients if c != client_id)
         return True
 
     def publish(self, publisher_id: str, topic: str, payload: bytes | Message, tick: int) -> int:
@@ -137,8 +135,10 @@ class MessageBus:
 
         A message value that is not ``canonical()`` is replaced by its encoding.
         """
-        if type(topic) is not str or topic not in self._valid_topics:
-            self._valid_topics.add(validate_topic(topic))
+        try:  # a topic is validated on its first publish or subscribe
+            recipients = self._recipients[topic]
+        except (KeyError, TypeError):
+            recipients = self._recipients.setdefault(validate_topic(topic), ())
         seq = self._next_seq.get(publisher_id, 0)
         try:  # the envelope tests canonical() once
             envelope = Envelope(topic, payload, publisher_id, seq, tick)
@@ -147,9 +147,6 @@ class MessageBus:
                 raise
             envelope = Envelope(topic, payload.encode(), publisher_id, seq, tick)
         self._next_seq[publisher_id] = seq + 1
-        recipients = self._recipients.get(topic)
-        if recipients is None:
-            recipients = self._recipients[topic] = tuple(sorted(self._subs.get(topic, ())))
         self._pending.append((envelope, recipients))
         return len(recipients)
 

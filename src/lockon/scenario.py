@@ -22,6 +22,7 @@ from .autonomy import ControlGains
 from .payloads import FROM_JSON, read_json
 from .vision import VisionParams
 from .world import ZERO3, CameraParams, PursuerState, TrajectoryKind, TrajectorySpec, Vec3
+from .world import check_finite
 
 BUNDLED_SCENARIOS = ("moving_target", "accelerating_target", "hovering_target")
 
@@ -71,12 +72,8 @@ class Scenario:
     uav_id: str
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ScenarioError("dt must be > 0")
-        if self.max_time <= 0:
-            raise ScenarioError("max_time must be > 0")
-        if self.telemetry_period <= 0:
-            raise ScenarioError("telemetry_period must be > 0")
+        check_finite(self, "dt", "frame_period", "max_time", "telemetry_period", positive=True,
+                     error=ScenarioError)
         for name, value in (
             ("frame_period", self.frame_period),
             ("max_time", self.max_time),

@@ -79,7 +79,7 @@ from .payloads import (
     TelemetryResponse,
     read_json,
 )
-from .world import Vec3
+from .world import Vec3, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +100,9 @@ _FRAMING_FIELDS = ("content-length", "transfer-encoding")  # one of each at most
 class TargetAssignment:
     target_id: str
     position: Vec3
+
+    def __post_init__(self) -> None:
+        check_finite(self, "position")
 
 
 # The bytes of json.dumps(body, sort_keys=True); each encode still builds json's C encoder.

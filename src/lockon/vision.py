@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from . import bus as topics
 from .bus import Envelope, MessageBus
 from .payloads import OffsetMessage
+from .world import check_finite
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,7 @@ class VisionParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.detector_latency_frames < 0:
             raise ValueError("detector_latency_frames must be >= 0")
-        if not self.track_window > 0.0:  # refuses NaN too
-            raise ValueError("track_window must be > 0")
+        check_finite(self, "track_window", positive=True)
 
 
 @dataclass(slots=True)

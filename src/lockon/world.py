@@ -22,8 +22,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
-# ``step`` clamps the pitch to +-HALF_PI with two comparisons: the bits of
-# max(-HALF_PI, min(HALF_PI, x)) for every float, NaN and -0.0 included.
+# ``step`` and ``PursuerState`` clamp the pitch to +-HALF_PI with two
+# comparisons: the bits of max(-HALF_PI, min(HALF_PI, x)) for every float, NaN
+# and -0.0 included.
 HALF_PI = math.pi / 2.0
 
 
@@ -70,15 +71,6 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scale(self, k: float) -> "Vec3":
-        return Vec3(self.x * k, self.y * k, self.z * k)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
@@ -118,6 +110,17 @@ def finite_float(value) -> float:
         raise ValueError("integer beyond the float range") from None
 
 
+def check_finite(obj, *names: str, positive: bool = False, error: type = ValueError) -> None:
+    """The value classes' one finiteness rule: raise ``error`` naming the first
+    field in ``names`` that is not finite (a Vec3: any component), or, with
+    ``positive``, not > 0."""
+    for name in names:
+        v = getattr(obj, name)
+        finite = v.is_finite() if isinstance(v, Vec3) else math.isfinite(v)
+        if not finite or positive and not v > 0.0:
+            raise error(f"{name} must be finite and > 0" if positive else f"{name} must be finite")
+
+
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 
 
@@ -141,13 +144,15 @@ class PursuerState:
     speed: float
 
     def __init__(self, position: Vec3, yaw: float, pitch: float, speed: float) -> None:
-        """Check the speed, wrap the yaw and clamp the pitch."""
+        """Check each field, then wrap the yaw and clamp the pitch as ``step`` does."""
+        self.x, self.y, self.z = position.x, position.y, position.z
+        self.yaw, self.pitch, self.speed = yaw, pitch, speed
+        check_finite(self, "x", "y", "z", "yaw", "pitch", "speed")
         if speed < 0.0:
             raise ValueError("speed must be >= 0")
-        self.x, self.y, self.z = position.x, position.y, position.z
         self.yaw = wrap_angle(yaw)
-        self.pitch = max(-math.pi / 2.0, min(math.pi / 2.0, pitch))
-        self.speed = speed
+        pitch = pitch if pitch < HALF_PI else HALF_PI
+        self.pitch = pitch if pitch > -HALF_PI else -HALF_PI
 
     @property
     def position(self) -> Vec3:
@@ -169,6 +174,7 @@ class TrajectorySpec:
     a: Vec3 = ZERO3
 
     def __post_init__(self) -> None:
+        check_finite(self, "p0", "v0", "a")
         if self.kind is TrajectoryKind.STATIONARY and (
             self.v0 != ZERO3 or self.a != ZERO3
         ):

@@ -358,6 +358,28 @@ class TestInboxRaces:
         assert node.state is MissionState.LANDING
 
 
+
+class TestPeriodicTelemetry:
+    """A request is due once telemetry_period - 1e-9 has passed since the last one."""
+
+    @staticmethod
+    def telemetry_sent(bus) -> int:
+        sent = sum(envelope.topic == "/telemetry" for envelope, _ in bus.pending())
+        bus.deliver()
+        return sent
+
+    def test_due_at_exactly_the_period_less_its_margin(self):
+        bus = MessageBus()
+        node = AutonomousNode(bus, "uav-1", GAINS, dt=0.05, frame_period=0.1, telemetry_period=1.0)
+        pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
+        node.step(0, 0.0, pursuer)  # BOOT -> SEARCH, first telemetry at time 0.0
+        assert self.telemetry_sent(bus) == 1
+        due = 1.0 - 1e-9
+        node.step(1, math.nextafter(due, 0.0), pursuer)
+        assert self.telemetry_sent(bus) == 0
+        node.step(2, due, pursuer)
+        assert self.telemetry_sent(bus) == 1
+
 class TestEnumConstants:
     """The FSM reads its states and events as module constants, not through the Enum class."""
 
@@ -402,6 +424,11 @@ class TestSearchGuidance:
         command = search_guidance(pursuer, Vec3(1, 2, 3), GAINS, SteeringCommand())
         assert command.yaw_rate == 0.0 and command.pitch_rate == 0.0
         assert command.speed == GAINS.v_cruise
+
+    def test_only_a_target_within_a_micrometre_counts_as_coincident(self):
+        pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)
+        command = search_guidance(pursuer, Vec3(0, 1e-4, 10), GAINS, SteeringCommand())
+        assert command.yaw_rate == pytest.approx(0.8 * math.pi / 2)
 
     def test_turn_direction_reduces_error(self):
         pursuer = PursuerState(Vec3(0, 0, 10), 0.0, 0.0, 0.0)

@@ -57,6 +57,16 @@ class TestSubscribe:
         assert len(received) == 1
         assert received[0].topic == "/signal/process_image"
 
+    def test_a_publish_holds_its_recipients_sorted_whatever_the_subscription_order(self):
+        bus = MessageBus()
+        for client in ("c3", "c1", "c2", "c1"):
+            bus.subscribe(client, "/a")
+        bus.unsubscribe("c2", "/a")
+        publish(bus, "/a")
+        bus.subscribe("c0", "/a")
+        publish(bus, "/a")
+        assert [recipients for _, recipients in bus.pending()] == [("c1", "c3"), ("c0", "c1", "c3")]
+
     def test_subscribe_is_idempotent(self):
         bus = MessageBus()
         bus.subscribe("vision", "/signal/process_image")
@@ -455,7 +465,7 @@ def test_deliver_matches_the_reference_loop(ops):
         elif op[0] == "publish":
             count = bus.publish(op[1], op[2], b"x", 0)
             recipients = tuple(sorted(subscribed.get(op[2], ())))
-            assert count == len(recipients)
+            assert count == len(recipients) and bus.pending()[-1][1] == recipients
             pending.append((bus.pending()[-1][0], recipients))
         elif op[0] == "deliver":
             assert bus.deliver() == reference_deliver(pending, inboxes)

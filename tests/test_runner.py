@@ -255,10 +255,10 @@ def selection_frames(draw):
         ahead = draw(st.floats(-50.0, 300.0))
         right = draw(st.floats(-1.5, 1.5)) * abs(ahead) * camera.tan_half_hfov
         down = draw(st.floats(-1.5, 1.5)) * abs(ahead) * camera.tan_half_vfov
-        at_time = pursuer.position + Vec3(
-            ahead * fx + right * rx + down * dx,
-            ahead * fy + right * ry + down * dy,
-            ahead * fz + right * rz + down * dz,
+        at_time = (
+            pursuer.x + (ahead * fx + right * rx + down * dx),
+            pursuer.y + (ahead * fy + right * ry + down * dy),
+            pursuer.z + (ahead * fz + right * rz + down * dz),
         )
         kind = draw(st.sampled_from(TrajectoryKind))
         v0 = a = ZERO3
@@ -266,7 +266,9 @@ def selection_frames(draw):
             v0 = Vec3(*(draw(st.floats(-8.0, 8.0)) for _ in range(3)))
         if kind is TrajectoryKind.CONSTANT_ACCELERATION:
             a = Vec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
-        p0 = at_time - v0.scale(time) - a.scale(0.5 * time * time)
+        half_t2 = 0.5 * time * time
+        p0 = Vec3(*((p - v * time) - acc * half_t2
+                    for p, v, acc in zip(at_time, (v0.x, v0.y, v0.z), (a.x, a.y, a.z))))
         specs.append(TrajectorySpec(kind, p0, v0, a))
     for _ in range(draw(st.integers(0, 16 - len(specs)))):
         spec = draw(st.sampled_from(specs))
@@ -322,6 +324,15 @@ class TestTermination:
         end = result.event_log[-1]
         assert end["kind"] == "end"
         assert end["tick"] <= scenario.max_ticks + 1
+
+    @pytest.mark.parametrize("max_time, end_tick", [(0.1, 3), (0.2, 4)])
+    def test_a_land_ends_the_run_after_the_grace_or_at_max_ticks_plus_one(self, max_time, end_tick):
+        # With no target the node lands at tick 2: at max_ticks 2 the run ends at
+        # max_ticks + 1 = 3, at max_ticks 4 after the 2 grace ticks.
+        result = run(make_scenario(targets=[], max_time=max_time))
+        assert [e["tick"] for e in result.event_log if e.get("topic") == "/land"] == [2]
+        assert result.terminated_by == "land"
+        assert result.event_log[-1] == {"kind": "end", "terminated_by": "land", "tick": end_tick}
 
     def test_crash_on_negative_altitude(self):
         scenario = crashing_scenario()

@@ -106,6 +106,11 @@ class TestTrackerUpdate:
         # 0.3 exceeds the 0.2 window.
         assert tracker_update((0.0, 0.0), (0.3, 0.0), CERTAIN, random.Random(0)) is None
 
+    def test_a_jump_of_exactly_the_window_is_kept(self):
+        # Re-acquisition is within the window, its edge included: 0.25 ** 0.5 is 0.5 exactly.
+        params = VisionParams(p_detect=1.0, track_window=0.5)
+        assert tracker_update((0.0, 0.0), (0.5, 0.0), params, random.Random(0)) == (0.5, 0.0)
+
     def test_truth_absent_is_lost(self):
         assert tracker_update((0.0, 0.0), None, CERTAIN, random.Random(0)) is None
 
@@ -323,8 +328,8 @@ class TestVisionNode:
     @example(math.nan)
     @example(math.inf)
     def test_track_window_must_be_positive_and_not_nan(self, window):
-        # The same answer as the earlier `<= 0.0` test for every value but NaN.
-        accepted = not math.isnan(window) and not window <= 0.0
+        # The earlier `<= 0.0` test's answer for every finite value; NaN and +-inf are refused.
+        accepted = math.isfinite(window) and window > 0.0
         try:
             VisionParams(track_window=window)
         except ValueError as error:

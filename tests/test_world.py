@@ -37,10 +37,11 @@ def project(pursuer, target, cam=CAM):
     return project_to_camera(camera_pose(pursuer, cam), target.x, target.y, target.z)
 
 
-def forward(pursuer):
-    """Unit vector along the pursuer's (yaw, pitch) attitude."""
+def ahead_of(pursuer, k):
+    """The point k along the unit vector of the pursuer's (yaw, pitch) attitude
+    from its position, each component as ``x + fx * k``."""
     fx, fy, fz = reference_triad(pursuer.yaw, pursuer.pitch)[:3]
-    return Vec3(fx, fy, fz)
+    return Vec3(pursuer.x + fx * k, pursuer.y + fy * k, pursuer.z + fz * k)
 
 
 class TestEvalTrajectory:
@@ -83,7 +84,7 @@ class TestEvalTrajectory:
     @given(vectors, vectors, st.floats(min_value=0, max_value=100))
     def test_zero_acceleration_reduces_to_linear(self, p0, v0, t):
         spec = TrajectorySpec(TrajectoryKind.CONSTANT_VELOCITY, p0=p0, v0=v0)
-        expected = p0 + v0.scale(t)
+        expected = Vec3(p0.x + v0.x * t, p0.y + v0.y * t, p0.z + v0.z * t)
         assert eval_trajectory(spec, t) == expected
 
 
@@ -219,7 +220,7 @@ class TestProjection:
             yaw = rng.uniform(-math.pi, math.pi)
             pitch = rng.uniform(-1.0, 1.0)
             pursuer = PursuerState(position=Vec3(0, 0, 0), yaw=yaw, pitch=pitch, speed=0.0)
-            ahead = pursuer.position + forward(pursuer).scale(rng.uniform(1.0, 50.0))
+            ahead = ahead_of(pursuer, rng.uniform(1.0, 50.0))
             uv = project(pursuer, ahead)
             assert uv is not None
             assert abs(uv[0]) < 1e-9 and abs(uv[1]) < 1e-9
@@ -232,9 +233,11 @@ class TestProjection:
             base = project(pursuer, target)
             rotation = rng.uniform(-math.pi, math.pi)
             cos_r, sin_r = math.cos(rotation), math.sin(rotation)
-            rel = target - pursuer.position
-            rotated_rel = Vec3(
-                cos_r * rel.x - sin_r * rel.y, sin_r * rel.x + cos_r * rel.y, rel.z
+            rel_x, rel_y = target.x - pursuer.x, target.y - pursuer.y
+            rotated_target = Vec3(
+                pursuer.x + (cos_r * rel_x - sin_r * rel_y),
+                pursuer.y + (sin_r * rel_x + cos_r * rel_y),
+                pursuer.z + (target.z - pursuer.z),
             )
             rotated_pursuer = PursuerState(
                 position=pursuer.position,
@@ -242,7 +245,7 @@ class TestProjection:
                 pitch=pursuer.pitch,
                 speed=0.0,
             )
-            rotated = project(rotated_pursuer, pursuer.position + rotated_rel)
+            rotated = project(rotated_pursuer, rotated_target)
             if base is None:
                 assert rotated is None
             else:
@@ -327,7 +330,7 @@ def reference_step(pursuer, guidance, dt):
         speed=guidance.speed,
     )
     return PursuerState(
-        position=pursuer.position + forward(turned).scale(guidance.speed * dt),
+        position=ahead_of(turned, guidance.speed * dt),  # turned holds pursuer's position
         yaw=turned.yaw,
         pitch=turned.pitch,
         speed=turned.speed,
@@ -445,6 +448,13 @@ class TestPitchClampKeepsTheBuiltinBits:
     def test_for_any_float(self, pitch, pitch_rate):
         expected = builtin_clamp(pitch + pitch_rate * 0.05)
         assert self.step_pitch(pitch, pitch_rate, 0.05).hex() == expected.hex()
+
+    @given(pitch=st.floats(allow_nan=False, allow_infinity=False))
+    @example(pitch=-0.0)
+    def test_the_constructor_clamps_every_finite_pitch_to_the_same_bits(self, pitch):
+        for edge in (pitch, *PITCH_EDGES):
+            built = PursuerState(Vec3(0, 0, 10), 0.0, edge, 0.0)
+            assert built.pitch.hex() == builtin_clamp(edge).hex()
 
 
 fovs = st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True)
