@@ -26,9 +26,9 @@ its next ``step``.
 
 A camera frame is rendered only when the vision node uses it: on a frame
 tick, while its pipeline is armed (from the tick that delivers the first
-/signal/process_image) and until /land. A rendered frame projects every
-unconsumed target from one camera pose, with the targets' trajectory terms
-read into flat rows once per run.
+/signal/process_image) and until /land. A rendered frame projects the live
+targets from one camera pose, from flat rows read once per run; the observer
+drops a target's row when its /lock is logged.
 
 A run's outputs are its event log and the report built from that log;
 nothing else is recorded per tick.
@@ -76,20 +76,21 @@ def event_log_to_jsonl(entries: list[dict]) -> str:
     return "".join(CANONICAL_JSON.encode(entry) + "\n" for entry in entries)
 
 
-def _track_rows(targets) -> tuple[tuple, ...]:
-    """One flat row per (target id, trajectory) pair: (id, p0.x, p0.y, p0.z, v0.x, ..., a.z)."""
-    rows = []
+def _track_rows(targets) -> dict[str, tuple]:
+    """One flat row per target, keyed by id in scenario order: (p0.x, p0.y, p0.z, ..., a.z)."""
+    rows = {}
     for target_id, spec in targets:
         p0, v0, a = spec.p0, spec.v0, spec.a
-        rows.append((target_id, p0.x, p0.y, p0.z, v0.x, v0.y, v0.z, a.x, a.y, a.z))
-    return tuple(rows)
+        rows[target_id] = (p0.x, p0.y, p0.z, v0.x, v0.y, v0.z, a.x, a.y, a.z)
+    return rows
 
 
 def _camera_truth(
-    pursuer: PursuerState, t: float, rows: tuple[tuple, ...], consumed: set[str], camera
+    pursuer: PursuerState, t: float, live: dict[str, tuple], camera
 ) -> tuple[float, float] | None:
     """Projection of the in-frame target nearest the camera center at time ``t``.
 
+    ``live`` holds only the rows of the targets whose /lock is not yet logged.
     Positions are ``eval_trajectory``'s expression in its operation order.
     ``project_to_camera`` is called per target through this module's global,
     so a wrapper set on that attribute (the benchmark's tracer) sees each one.
@@ -98,16 +99,15 @@ def _camera_truth(
     half_t2 = 0.5 * t * t
     best: tuple[float, float] | None = None
     best_norm = 0.0
-    for target_id, px, py, pz, vx, vy, vz, ax, ay, az in rows:
-        if target_id in consumed:
-            continue
+    for px, py, pz, vx, vy, vz, ax, ay, az in live.values():
         uv = project_to_camera(
             pose, (px + vx * t) + ax * half_t2, (py + vy * t) + ay * half_t2,
             (pz + vz * t) + az * half_t2,
         )
         if uv is None:
             continue
-        norm = uv[0] ** 2 + uv[1] ** 2
+        u, v = uv
+        norm = u * u + v * v  # only orders candidates; u * u rounds correctly
         if best is None or norm < best_norm:
             best, best_norm = uv, norm
     return best
@@ -128,7 +128,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             "activation_radius": scenario.gains.activation_radius,
         }
     ]
-    consumed: set[str] = set()
+    live = _track_rows(scenario.targets)
     land_seen_tick: int | None = None
 
     def observer(envelope: Envelope) -> None:
@@ -151,7 +151,7 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
             except ValueError:  # not strict JSON: log no payload
                 entry["malformed"] = True
         if topic == LOCK and isinstance(payload, dict) and "target_id" in payload:
-            consumed.add(payload["target_id"])
+            live.pop(payload["target_id"], None)
         elif topic == LAND and land_seen_tick is None:
             land_seen_tick = envelope.tick
 
@@ -187,11 +187,10 @@ def run(scenario: Scenario, store: MissionStore | None = None) -> RunResult:
     pending = bus.pending()
 
     pursuer, time = copy.copy(scenario.pursuer_init), 0.0
-    rows = _track_rows(scenario.targets)
     camera = scenario.camera
 
     def frame() -> tuple[float, float] | None:
-        return _camera_truth(pursuer, time, rows, consumed, camera)
+        return _camera_truth(pursuer, time, live, camera)
 
     terminated_by = "timeout"
     frame_ticks, max_ticks = scenario.frame_ticks, scenario.max_ticks

@@ -99,6 +99,16 @@ MUTANTS = [
            "offset_tick - runs[-1][1] <= frame_ticks", "offset_tick - runs[-1][1] < frame_ticks"),
     Mutant("proxy: the first decoded reply is kept for good", "proxy.py",
            "if last is None or data != last[0]:", "if last is None:"),
+    Mutant("runner: a locked target's row kept live", "runner.py",
+           'live.pop(payload["target_id"], None)', 'live.get(payload["target_id"], None)'),
+    Mutant("runner: <= for < in the nearest-target test", "runner.py",
+           "norm < best_norm", "norm <= best_norm"),
+    Mutant("runner: the squared norm without v * v", "runner.py",
+           "norm = u * u + v * v", "norm = u * u"),
+    Mutant("runner: live targets projected in reverse order", "runner.py",
+           "in live.values():", "in reversed(live.values()):"),
+    Mutant("runner: a shutdown grace of 1 tick", "runner.py",
+           "SHUTDOWN_GRACE_TICKS = 2", "SHUTDOWN_GRACE_TICKS = 1"),
 ]
 
 

@@ -10,7 +10,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lockon import autonomy, runner
 from lockon.autonomy import AutonomousNode, MissionState
@@ -193,6 +193,37 @@ class TestMultiTarget:
         assert result.report.topic_counts["/lock"] == 2
         assert result.report.topic_counts["/land"] == 1
 
+    def test_each_frame_projects_each_target_not_yet_locked_once(self, monkeypatch):
+        scenario = queue_mission()
+        now, frames = [0], []
+        world_step, camera_pose, project = (
+            runner.world_step, runner.camera_pose, runner.project_to_camera
+        )
+
+        def step_and_note_tick(*args):
+            now[0] += 1  # the scheduler steps once per tick from tick 1
+            return world_step(*args)
+
+        def pose_and_open_frame(*args):
+            frames.append((now[0], []))
+            return camera_pose(*args)
+
+        def project_and_note_position(pose, x, y, z):
+            frames[-1][1].append((x, y, z))
+            return project(pose, x, y, z)
+
+        monkeypatch.setattr(runner, "world_step", step_and_note_tick)
+        monkeypatch.setattr(runner, "camera_pose", pose_and_open_frame)
+        monkeypatch.setattr(runner, "project_to_camera", project_and_note_position)
+        result = run(scenario)
+        # A /lock is delivered, and its target dropped, at the end of the tick it is published in.
+        lock_ticks = {e["payload"]["target_id"]: e["tick"] for e in topic_msgs(result, LOCK)}
+        assert len(lock_ticks) == len(scenario.targets) and len(frames) > 1000
+        for tick, positions in frames:
+            at = {eval_trajectory(spec, tick * scenario.dt): tid for tid, spec in scenario.targets}
+            live = [tid for tid, _ in scenario.targets if lock_ticks[tid] >= tick]
+            assert [at[Vec3(*position)] for position in positions] == live
+
     def test_zero_target_mission_lands_immediately(self):
         scenario = make_scenario(targets=[])
         result = run(scenario)
@@ -219,7 +250,10 @@ def reference_camera_truth(pursuer, time, tracks, consumed, camera):
 
 
 def camera_truth(pursuer, time, tracks, consumed, camera):
-    return runner._camera_truth(pursuer, time, runner._track_rows(tracks), consumed, camera)
+    live = runner._track_rows(tracks)
+    for target_id in consumed:
+        del live[target_id]
+    return runner._camera_truth(pursuer, time, live, camera)
 
 
 def mirrored(spec):
@@ -280,6 +314,7 @@ def selection_frames(draw):
 
 
 class TestCameraTruth:
+    @settings(max_examples=500)
     @given(selection_frames())
     def test_bit_identical_to_per_target_body(self, frame):
         new = camera_truth(*frame)
